@@ -81,37 +81,6 @@ def fit_rate(times, values, window=None, min_samples=10):
 
 
 @dataclass
-class AffineFit:
-    """Least-squares fit of an affine-in-features bound y = c1 f1 + c2 f2."""
-
-    c1: float
-    c2: float
-    max_excess: float    # max of (data - fit); shift c1 by this for an envelope
-
-
-def fit_affine(t, y, features=("1", "t")):
-    t = np.asarray(t, float)
-    y = np.asarray(y, float)
-    keep = np.isfinite(y)
-    t, y = t[keep], y[keep]
-    cols = []
-    for f in features:
-        if f == "1":
-            cols.append(np.ones_like(t))
-        elif f == "t":
-            cols.append(t)
-        elif f == "1/t":
-            cols.append(1.0 / t)
-        else:
-            raise ValueError(f"unknown feature {f}")
-    A = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return AffineFit(c1=float(coef[0]), c2=float(coef[1]),
-                     max_excess=float(np.max(resid)) if len(resid) else 0.0)
-
-
-@dataclass
 class EnvelopeFit:
     """Horizon-independent upper bound y <= c1 f1(t) + c2 f2(t).
 
@@ -143,10 +112,10 @@ def fit_envelope(t, y, features=("1", "t")):
     y = np.asarray(y, float)
     keep = np.isfinite(y)
     t, y = t[keep], y[keep]
-    base = fit_affine(t, y, features)
-    c2 = max(0.0, base.c2)
-    c1 = float(np.max((y - c2 * _features(features[1], t))
-                      / _features(features[0], t)))
+    f1, f2 = _features(features[0], t), _features(features[1], t)
+    coef, *_ = np.linalg.lstsq(np.stack([f1, f2], axis=1), y, rcond=None)
+    c2 = max(0.0, float(coef[1]))
+    c1 = float(np.max((y - c2 * f2) / f1))
     return EnvelopeFit(c1=c1, c2=c2)
 
 

@@ -18,7 +18,7 @@ boundary projection, or produce non-finite values are rejected and retried
 with half the step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,11 @@ class Schedule:
 
 
 class FlowContext:
-    """Immutable per-run data shared by every state of one flow."""
+    """Immutable per-run data shared by every state of one flow.
+
+    It holds no solver state: the boundary Newton's chord LU lives in the
+    :class:`Chord` that ``run_to_convergence`` owns and hands to ``step``.
+    """
 
     def __init__(self, spec, grid):
         self.spec = spec
@@ -75,7 +79,6 @@ class FlowState:
     W: np.ndarray
     det_W: np.ndarray
     rate: np.ndarray | None
-    G: np.ndarray
     min_eig_W: float
     max_boundary_G: float
     mass_err: float
@@ -93,16 +96,10 @@ class FlowState:
     def valid(self):
         return self.spd_ok and self.rate is not None and np.all(np.isfinite(self.u))
 
-    def u_field(self):
-        return Field(self.u.copy(), "scalar", self.grid._id)
-
     def rate_field(self):
         if self.rate is None:
             raise NonPositiveDet("det W <= 0 somewhere; no rate field")
         return Field(self.rate.copy(), "scalar", self.grid._id)
-
-    def W_field(self):
-        return Field(self.W.copy(), "matrix", self.grid._id)
 
     def beta_field(self):
         """Oblique direction (D_p Y)^T grad h*(T) at every node."""
@@ -119,10 +116,18 @@ class FlowState:
 @dataclass
 class StepReport:
     dt: float
-    interior_residual: float
     boundary_newton_iters: int
     halvings: int
-    flags: list = field(default_factory=list)
+
+
+class Chord:
+    """LU factors of the boundary ring's Newton Jacobian, reused chord-style
+    across the steps of one run while they keep converging (the ring
+    geometry drifts only O(dt) per step). ``lu`` is None until the first
+    factorization and after a forced rebuild."""
+
+    def __init__(self):
+        self.lu = None
 
 
 @dataclass
@@ -184,8 +189,8 @@ def build_state(ctx, u_values, t, tmap_seed=None):
     lo, _ = nm.sym_eig_range2(W)
     min_eig = float(np.min(lo))
     spd_ok = bool(min_eig > 0.0)
-    G = spec.target.h(tmap)
-    max_g = float(np.max(np.abs(G[-1])))
+    # the stepper needs h* only on the boundary ring
+    max_g = float(np.max(np.abs(spec.target.h(tmap[-1]))))
     if spd_ok:
         log_b = ctx.log_rho - np.log(spec.rho_star(tmap))
         if not cost.cross_identity:
@@ -198,7 +203,7 @@ def build_state(ctx, u_values, t, tmap_seed=None):
         rate = None
         mass_err = np.inf
     return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap, W=W,
-                     det_W=det_w, rate=rate, G=G, min_eig_W=min_eig,
+                     det_W=det_w, rate=rate, min_eig_W=min_eig,
                      max_boundary_G=max_g, mass_err=mass_err, spd_ok=spd_ok)
 
 
@@ -244,7 +249,7 @@ def initialize(spec, grid, u0, schedule=None):
         raise BoundaryIncompatible(
             f"max |h*(Y(x, grad u0))| = {state.max_boundary_G:.3e} on the "
             f"boundary (tolerance {init_tol:g})")
-    inside = float(np.max(state.G))
+    inside = float(np.max(spec.target.h(state.tmap)))
     if inside > init_tol:
         raise ImageMismatch(
             f"transport image leaves the closed target: max h* = {inside:.3e}")
@@ -327,19 +332,33 @@ def _boundary_beta(ctx, y):
     return nm.matvec2(nm.transpose2(nm.inv2(C)), ctx.spec.target.h_grad(y))
 
 
+def _oblique_beta(ctx, y, obliqueness_floor):
+    """beta at the ring image y; raises ObliquenessLost where beta . nu
+    falls below the floor."""
+    beta = _boundary_beta(ctx, y)
+    obl = float(np.min(np.sum(beta * ctx.ring_nu, axis=-1)))
+    if obl < obliqueness_floor:
+        raise ObliquenessLost(f"beta . nu = {obl:.3e} on the boundary ring")
+    return beta
+
+
 def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
-                      obliqueness_floor=1e-8):
+                      obliqueness_floor=1e-8, chord=None):
     """Newton-update the boundary ring of u_values so that G = 0 there.
 
     Mutates u_values in place; returns the Newton iteration count. The LU
-    factorization of the ring Jacobian is cached on the context and reused
-    chord-style across steps while it keeps converging (the ring geometry
-    drifts only O(dt) per step); it is rebuilt when progress slows.
+    factorization of the ring Jacobian is kept in ``chord`` and reused
+    across calls while it keeps converging; it is rebuilt when progress
+    slows. Without a chord the call factors afresh. Obliqueness
+    beta . nu >= obliqueness_floor is checked at the accepted ring image
+    on every call, and at every refactorization.
     """
     from scipy.linalg import lu_factor, lu_solve
 
     grid = ctx.grid
     spec = ctx.spec
+    if chord is None:
+        chord = Chord()
     b = u_values[-1].copy()
     u_m1, u_m2 = u_values[-2], u_values[-3]
     y_seed = tmap_seed[-1] if tmap_seed is not None else None
@@ -350,18 +369,14 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
         return spec.target.h(y), y
 
     def refresh_jacobian(y):
-        beta = _boundary_beta(ctx, y)
-        obl = np.sum(beta * ctx.ring_nu, axis=-1)
-        if np.min(obl) < obliqueness_floor:
-            raise ObliquenessLost(
-                f"beta . nu = {np.min(obl):.3e} on the boundary ring")
+        beta = _oblique_beta(ctx, y, obliqueness_floor)
         ji = ctx.ring_jinv
         a_r = (beta[:, 0] * ji[:, 0, 0] + beta[:, 1] * ji[:, 0, 1]) \
             * 3.0 / (2.0 * grid.dr)
         a_s = beta[:, 0] * ji[:, 1, 0] + beta[:, 1] * ji[:, 1, 1]
         jac = a_s[:, None] * ctx.dmat
         jac[np.arange(grid.n_s), np.arange(grid.n_s)] += a_r
-        ctx._ring_lu = lu_factor(jac)
+        chord.lu = lu_factor(jac)
 
     g, y = residual(b)
     y_seed = y
@@ -372,10 +387,10 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
         if iters >= cap:
             raise NewtonStall(
                 f"boundary projection stalled at max |G| = {err:.3e}")
-        if getattr(ctx, "_ring_lu", None) is None:
+        if chord.lu is None:
             refresh_jacobian(y)
             fresh = True
-        delta = lu_solve(ctx._ring_lu, -g)
+        delta = lu_solve(chord.lu, -g)
         lam = 1.0
         while True:
             g_new, y_new = residual(b + lam * delta)
@@ -390,13 +405,14 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
                     f"boundary projection cannot reduce |G| below {err:.3e}")
         if lam < 1.0 / 64.0 or (not fresh and err_new > 0.25 * err
                                 and err_new > tol):
-            ctx._ring_lu = None     # slow chord progress: force a rebuild
+            chord.lu = None         # slow chord progress: force a rebuild
             if lam < 1.0 / 64.0:
                 continue
         b = b + lam * delta
         g, y, y_seed = g_new, y_new, y_new
         err = err_new
         iters += 1
+    _oblique_beta(ctx, y, obliqueness_floor)
     u_values[-1] = b
     return iters
 
@@ -419,10 +435,11 @@ def policy_dt(state, c_stab=0.4):
     return c_stab * state.grid.h_min ** 2 / float(np.max(tr_winv))
 
 
-def step(state, dt, schedule=None, max_halvings=None):
+def step(state, dt, schedule=None, max_halvings=None, chord=None):
     """One explicit update u <- u + dt * rate at non-boundary nodes followed
     by the boundary projection; rejects and halves dt when positivity or the
-    projection fails."""
+    projection fails. ``chord`` carries the projection's LU across the steps
+    of a run; without one the projection factors afresh."""
     sched = schedule or Schedule()
     halvings_cap = sched.max_halvings if max_halvings is None else max_halvings
     if not state.spd_ok or state.rate is None:
@@ -441,7 +458,8 @@ def step(state, dt, schedule=None, max_halvings=None):
         try:
             iters = _project_boundary(
                 state.ctx, u_new, tmap_seed=state.tmap, tol=sched.boundary_tol,
-                cap=sched.boundary_cap, obliqueness_floor=sched.obliqueness_floor)
+                cap=sched.boundary_cap, obliqueness_floor=sched.obliqueness_floor,
+                chord=chord)
         except (NewtonStall, ObliquenessLost) as exc:
             last_fail = str(exc)
             attempt_dt *= 0.5
@@ -453,9 +471,8 @@ def step(state, dt, schedule=None, max_halvings=None):
                          if not new_state.spd_ok else "non-finite rate")
             attempt_dt *= 0.5
             continue
-        report = StepReport(dt=attempt_dt,
-                            interior_residual=float(np.max(np.abs(new_state.rate[:-1]))),
-                            boundary_newton_iters=iters, halvings=halving)
+        report = StepReport(dt=attempt_dt, boundary_newton_iters=iters,
+                            halvings=halving)
         return new_state, report
     raise StepRejected(
         f"step rejected after {halvings_cap} halvings (dt = {attempt_dt:.3e}): "
@@ -474,6 +491,7 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     snapshot_dt and the per-step monitor table is kept throughout."""
     sched = schedule or Schedule()
     state = initialize(spec, grid, u0, sched)
+    chord = Chord()
     snapshots = [Snapshot(0.0, state.u.copy(), state.rate.copy())]
     records = []
     k_snap = 1
@@ -482,7 +500,7 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     while not converged and state.t < sched.t_max - 1e-12:
         target_t = min(k_snap * sched.snapshot_dt, sched.t_max)
         dt = min(policy_dt(state, sched.c_stab), target_t - state.t)
-        state, rep = step(state, dt, sched)
+        state, rep = step(state, dt, sched, chord=chord)
         records.append(_record_row(state, rep.dt))
         if abs(state.t - target_t) < 1e-9:
             state.t = target_t
@@ -490,7 +508,7 @@ def run_to_convergence(spec, grid, u0, schedule=None):
                 snapshots.append(Snapshot(state.t, state.u.copy(),
                                           state.rate.copy()))
                 k_snap += 1
-        if np.max(np.abs(state.rate)) <= sched.stop_tol:
+        if records[-1][-1] <= sched.stop_tol:      # stationary_residual
             converged = True
             reason = f"rate below stop_tol at t = {state.t:.4f}"
     if not converged and not reason:

@@ -240,17 +240,7 @@ class CurvilinearGrid:
             raise ValueError("field belongs to a different grid")
         return f
 
-    def field_of(self, fn):
-        """Sample a callable of physical points into a scalar field."""
-        return self.scalar(fn(self.nodes))
-
     # -- logical derivatives -------------------------------------------------
-
-    def d_s(self, arr):
-        return np.fft.irfft(np.fft.rfft(arr, axis=1) * self._d1, n=self.n_s, axis=1).real
-
-    def d_ss(self, arr):
-        return np.fft.irfft(np.fft.rfft(arr, axis=1) * self._d2, n=self.n_s, axis=1).real
 
     def _ghost_row(self, arr):
         # value continuation across the center: x(-r, s) = x(r, s + 1/2)
@@ -287,64 +277,44 @@ class CurvilinearGrid:
 
     # -- physical derivatives -------------------------------------------------
 
-    def grad_values(self, arr):
-        """Physical gradient of a scalar node array, shape (n_r, n_s, 2)."""
-        fr = self.d_r(arr)
-        fs = self.d_s(arr)
+    def _physical_gradient(self, fr, fs):
+        """Map the logical derivatives (f_r, f_s) to the physical gradient."""
         ji = self.jinv
-        out = np.empty(arr.shape + (2,))
+        out = np.empty(fr.shape + (2,))
         out[..., 0] = ji[..., 0, 0] * fr + ji[..., 1, 0] * fs
         out[..., 1] = ji[..., 0, 1] * fr + ji[..., 1, 1] * fs
         return out
 
-    def hess_values(self, arr, grad=None):
-        """Physical Hessian of a scalar node array, shape (n_r, n_s, 2, 2)."""
-        fr = self.d_r(arr)
-        fs = self.d_s(arr)
-        frr = self.d_rr(arr)
-        fss = self.d_ss(arr)
-        # the radial stencils are row-local, so they commute with the
-        # spectral tangential derivative: either order gives the cross term
-        frs = self.d_r(fs)
-        ji = self.jinv
-        if grad is None:
-            gx = np.empty(arr.shape + (2,))
-            gx[..., 0] = ji[..., 0, 0] * fr + ji[..., 1, 0] * fs
-            gx[..., 1] = ji[..., 0, 1] * fr + ji[..., 1, 1] * fs
-        else:
-            gx = grad
-        # remove the mapping curvature from the logical Hessian
-        h_rs = frs - (self._x_rs[None, :, 0] * gx[..., 0]
-                      + self._x_rs[None, :, 1] * gx[..., 1])
-        h_ss = fss - (self._x_ss[..., 0] * gx[..., 0] + self._x_ss[..., 1] * gx[..., 1])
-        out = np.empty(arr.shape + (2, 2))
-        a, b = ji[..., 0, 0], ji[..., 1, 0]
-        c, d = ji[..., 0, 1], ji[..., 1, 1]
-        out[..., 0, 0] = a * a * frr + 2 * a * b * h_rs + b * b * h_ss
-        out[..., 0, 1] = a * c * frr + (a * d + b * c) * h_rs + b * d * h_ss
-        out[..., 1, 0] = out[..., 0, 1]
-        out[..., 1, 1] = c * c * frr + 2 * c * d * h_rs + d * d * h_ss
-        return out
+    def grad_values(self, arr):
+        """Physical gradient of a scalar node array, shape (n_r, n_s, 2).
+
+        The gradient-only path: bitwise equal to ``scalar_calculus(arr)[0]``
+        at about a quarter of its cost.
+        """
+        fs = np.fft.irfft(np.fft.rfft(arr, axis=1) * self._d1, n=self.n_s, axis=1)
+        return self._physical_gradient(self.d_r(arr), fs)
 
     def scalar_calculus(self, arr):
-        """Gradient and Hessian of one scalar array, sharing transforms.
+        """Physical gradient and Hessian of a scalar node array, shapes
+        (n_r, n_s, 2) and (n_r, n_s, 2, 2).
 
-        Equivalent to (grad_values, hess_values) but with one forward FFT of
-        the field; this is the flow stepper's hot path.
+        The grid's calculus kernel: one forward FFT of the field feeds both
+        angular derivatives. This is the flow stepper's hot path.
         """
         fhat = np.fft.rfft(arr, axis=1)
         fs = np.fft.irfft(fhat * self._d1, n=self.n_s, axis=1)
         fss = np.fft.irfft(fhat * self._d2, n=self.n_s, axis=1)
         fr = self.d_r(arr)
         frr = self.d_rr(arr)
+        # the radial stencils are row-local, so they commute with the
+        # spectral tangential derivative: either order gives the cross term
         frs = self.d_r(fs)
-        ji = self.jinv
-        gx = np.empty(arr.shape + (2,))
-        gx[..., 0] = ji[..., 0, 0] * fr + ji[..., 1, 0] * fs
-        gx[..., 1] = ji[..., 0, 1] * fr + ji[..., 1, 1] * fs
+        gx = self._physical_gradient(fr, fs)
+        # remove the mapping curvature from the logical Hessian
         h_rs = frs - (self._x_rs[None, :, 0] * gx[..., 0]
                       + self._x_rs[None, :, 1] * gx[..., 1])
         h_ss = fss - (self._x_ss[..., 0] * gx[..., 0] + self._x_ss[..., 1] * gx[..., 1])
+        ji = self.jinv
         hess = np.empty(arr.shape + (2, 2))
         a, b = ji[..., 0, 0], ji[..., 1, 0]
         c, d = ji[..., 0, 1], ji[..., 1, 1]
@@ -427,7 +397,7 @@ def hessian(grid, f):
     grid.check_field(f)
     if f.rank != "scalar":
         raise ValueError("hessian expects a scalar field")
-    return grid.matrix(grid.hess_values(f.data))
+    return grid.matrix(grid.scalar_calculus(f.data)[1])
 
 
 def integrate(grid, f):

@@ -21,13 +21,12 @@ Theta_k(x, t) = sup_x theta(., k-1) - theta(x, (k-1) + t), which are
 nonnegative by the maximum principle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _numerics as nm
-from .errors import (DegenerateDenominator, EllipticityLost, NonPositiveTheta,
-                     ObliquenessLost)
+from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
 from .grid import Field, directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
@@ -167,15 +166,6 @@ class HarnackSeries:
                 out[m] = np.max(self.F[m][valid])
         return out
 
-    def diff_harnack_series(self):
-        """max_x (w^{ij} f_i f_j - alpha df/dt) for every series time > 0."""
-        out = np.full(len(self.times), np.nan)
-        for m in range(len(self.times)):
-            valid = self.mask[m]
-            if np.any(valid):
-                out[m] = np.max((self.winv_quad[m] - self.alpha * self.dt_f[m])[valid])
-        return out
-
     def f_field(self, m, grid):
         return Field(np.nan_to_num(self.f[m], nan=0.0, neginf=0.0), "scalar",
                      self.grid_id)
@@ -185,31 +175,40 @@ class HarnackSeries:
                      self.grid_id)
 
 
-def gap_series_from_fields(trajectory, rate_fields, times, indices, base_sup,
-                           k, alpha, floor):
-    """Assemble a HarnackSeries from explicit rate fields.
-
-    This is the hook for testing candidate solutions other than the built-in
-    gaps; nothing is asserted about them.
-    """
-    m = len(times)
-    shape = rate_fields[0].shape
-    gap = np.empty((m,) + shape)
-    for i in range(m):
-        gap[i] = base_sup - rate_fields[i]
+def theta_special(trajectory, k=1, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR):
+    """The gap solution Theta_k(x, t) = sup theta(., k-1) - theta(x, (k-1)+t)
+    sampled on the trajectory's snapshot grid."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    i0 = trajectory.snapshot_index_at_time(float(k - 1))
+    snaps = trajectory.snapshots[i0:]
+    if len(snaps) < 3:
+        raise NonPositiveTheta(f"trajectory too short for gap solution k={k}")
+    times = np.array([s.t - snaps[0].t for s in snaps])
+    # keep the uniformly spaced cadence prefix (the run's final snapshot may
+    # sit off the cadence grid at the stopping time)
+    if len(times) > 2:
+        h = times[1] - times[0]
+        spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=1e-9)
+        cut = len(times) if spacing_ok.all() else int(np.argmin(spacing_ok)) + 1
+        snaps = snaps[:cut]
+        times = times[:cut]
+    if len(snaps) < 3:
+        raise NonPositiveTheta(f"trajectory too short for gap solution k={k}")
+    base_sup = float(np.max(snaps[0].rate))
+    gap = base_sup - np.stack([s.rate for s in snaps])
     mask = gap > floor
-    if not np.any(mask.reshape(m, -1).any(axis=1)):
+    alive = mask.reshape(len(snaps), -1).any(axis=1)
+    if not alive.any():
         raise NonPositiveTheta(
             f"gap solution k={k} is below the floor {floor:g} everywhere")
     # truncate trailing times where the gap has no positive part at all
-    alive = mask.reshape(m, -1).any(axis=1)
-    last = int(np.max(np.nonzero(alive)[0])) + 1
-    if last < 3:
+    m = int(np.max(np.nonzero(alive)[0])) + 1
+    if m < 3:
         raise NonPositiveTheta(
             f"gap solution k={k} has fewer than three usable snapshots")
-    m = last
-    times = np.asarray(times[:m], float)
-    indices = np.asarray(indices[:m], int)
+    times = times[:m]
+    indices = np.arange(i0, i0 + m)
     gap = gap[:m]
     mask = mask[:m]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,33 +242,6 @@ def gap_series_from_fields(trajectory, rate_fields, times, indices, base_sup,
                          times=times, snapshot_indices=indices, gap=gap, f=f,
                          dt_f=dt_f, grad_f=grad_f, winv_quad=winv_quad, F=F,
                          mask=mask, grid_id=grid._id)
-
-
-def theta_special(trajectory, k=1, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR):
-    """The gap solution Theta_k(x, t) = sup theta(., k-1) - theta(x, (k-1)+t)
-    sampled on the trajectory's snapshot grid."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    i0 = trajectory.snapshot_index_at_time(float(k - 1))
-    snaps = trajectory.snapshots[i0:]
-    if len(snaps) < 3:
-        raise NonPositiveTheta(f"trajectory too short for gap solution k={k}")
-    times = np.array([s.t - snaps[0].t for s in snaps])
-    # keep the uniformly spaced cadence prefix (the run's final snapshot may
-    # sit off the cadence grid at the stopping time)
-    if len(times) > 2:
-        h = times[1] - times[0]
-        spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=1e-9)
-        cut = len(times) if spacing_ok.all() else int(np.argmin(spacing_ok)) + 1
-        snaps = snaps[:cut]
-        times = times[:cut]
-    if len(snaps) < 3:
-        raise NonPositiveTheta(f"trajectory too short for gap solution k={k}")
-    base_sup = float(np.max(snaps[0].rate))
-    rate_fields = [s.rate for s in snaps]
-    indices = np.arange(i0, i0 + len(snaps))
-    return gap_series_from_fields(trajectory, rate_fields, times, indices,
-                                  base_sup, k, alpha, floor)
 
 
 # --- boundary derivative of F -------------------------------------------------

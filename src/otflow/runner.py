@@ -9,7 +9,6 @@ without re-simulating.
 """
 
 import os
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
