@@ -34,7 +34,7 @@ sched = flow.Schedule(stop_tol=1e-3, t_max=6.0, snapshot_dt=0.125)
 traj = flow.run_to_convergence(spec, g, flow.initial_linear_scaling(spec, g),
                                sched)
 print("converged:", traj.converged, "-", traj.reason)
-print("steps:", len(traj.step_records))
+print("super-steps:", len(traj.step_records))
 
 # %%
 # decay rates measured two ways: distance to the final potential, and the
@@ -45,7 +45,7 @@ print(f"sigma from |u - u_final|: {ufit.sigma:.4f}  (R^2 = {ufit.r2:.5f})")
 print(f"sigma from |rate|:        {tfit.sigma:.4f}")
 
 # %%
-# the per-step monitor table: mass balance and the rate extrema bracketing 0
+# the per-super-step monitor table: mass balance and the rate extrema bracketing 0
 rec = traj.step_records
 print("max |mass error|      :", rec[:, 4].max(), " (h^2 =", g.dr ** 2, ")")
 print("min of sup rate       :", rec[:, 2].min(), " (stays >= -tol)")

@@ -9,7 +9,9 @@
 <config|name> is a JSON file path or a bundled scenario name. The output
 root defaults to ./runs and can be set with the OTFLOW_OUTPUT_ROOT
 environment variable. Exit codes: 0 success, 2 validation/config failure,
-1 runtime failure.
+1 runtime failure. A run that fails writes error.json to its run directory;
+a config that fails to parse or validate (overrides included) writes it to
+<root>/<config file stem or scenario name>.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import sys
 
 from . import runner, serialize
 from .config import ConfigError, bundled_scenario_names, load_scenario
-from .errors import OTFlowError
+from .errors import OTFlowError, ScenarioNotFound
 
 
 def _parse_grid(text):
@@ -79,10 +81,18 @@ def _dispatch(args):
         return 0
 
     if args.command == "run":
-        config = load_scenario(args.config)
-        config = config.with_overrides(grid=args.grid, seed=args.seed,
-                                       stop_tol=args.stop_tol)
-        result = runner.run_scenario(config, output_root=args.out)
+        try:
+            config = load_scenario(args.config).with_overrides(
+                grid=args.grid, seed=args.seed, stop_tol=args.stop_tol)
+        except ScenarioNotFound:
+            raise
+        except ConfigError as exc:
+            # no validated config names the run: its directory is named
+            # after the config argument
+            name = os.path.splitext(os.path.basename(args.config))[0]
+            result = runner.config_failure(name, exc, output_root=args.out)
+        else:
+            result = runner.run_scenario(config, output_root=args.out)
         if result.status == 0:
             print(json.dumps({"outdir": result.outdir,
                               "summary": result.summary}, sort_keys=True))

@@ -10,11 +10,12 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .costs import make_cost
-from .domains import ProblemSpec, make_density, make_domain
-from .errors import ConfigError
+from .costs import available_costs, make_cost
+from .domains import (ProblemSpec, available_densities, available_domains,
+                      make_density, make_domain)
+from .errors import ConfigError, ScenarioNotFound
 from .flow import INITIAL_POTENTIALS, Schedule
-from .grid import CurvilinearGrid
+from .grid import MIN_N_R, MIN_N_S, CurvilinearGrid
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +42,37 @@ def _check_keys(section, mapping, allowed):
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in section '{section}' "
             f"(allowed: {sorted(allowed)})")
+
+
+def _check_choice(section, mapping, key, known):
+    """mapping[key] must name one of ``known``."""
+    value = mapping.get(key)
+    if value is None:
+        raise ConfigError(f"section '{section}' needs '{key}' (one of {known})")
+    if value not in known:
+        raise ConfigError(f"unknown {key} {value!r} in section '{section}' "
+                          f"(known: {known})")
+
+
+def _check_cost(cost):
+    _check_choice("cost", cost, "name", available_costs())
+    for key in [k for k in ("newton_tol", "h_fd") if k in cost]:
+        value = cost[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 < value < float("inf")):
+            raise ConfigError(f"cost '{key}' must be a positive number, "
+                              f"got {value!r}")
+
+
+def _check_grid(grid):
+    for key in ("n_r", "n_s"):
+        if not (isinstance(grid.get(key), int) and not isinstance(grid[key], bool)):
+            raise ConfigError(f"grid '{key}' must be an integer, got {grid.get(key)!r}")
+    if grid["n_r"] < MIN_N_R:
+        raise ConfigError(f"grid n_r = {grid['n_r']} is below the minimum {MIN_N_R}")
+    if grid["n_s"] < MIN_N_S or grid["n_s"] % 2:
+        raise ConfigError(f"grid n_s = {grid['n_s']} must be even and at least "
+                          f"{MIN_N_S}")
 
 
 @dataclass
@@ -72,10 +104,13 @@ class ScenarioConfig:
             if req not in raw:
                 raise ConfigError(f"missing required section '{req}'")
         _check_keys("cost", raw["cost"], _COST_KEYS)
-        _check_keys("source", raw["source"], _DOMAIN_KEYS)
-        _check_keys("target", raw["target"], _DOMAIN_KEYS)
-        _check_keys("source_density", raw["source_density"], _DENSITY_KEYS)
-        _check_keys("target_density", raw["target_density"], _DENSITY_KEYS)
+        _check_cost(raw["cost"])
+        for section in ("source", "target"):
+            _check_keys(section, raw[section], _DOMAIN_KEYS)
+            _check_choice(section, raw[section], "kind", available_domains())
+        for section in ("source_density", "target_density"):
+            _check_keys(section, raw[section], _DENSITY_KEYS)
+            _check_choice(section, raw[section], "name", available_densities())
         if raw.get("initial") is not None:
             _check_keys("initial", raw["initial"], _INITIAL_KEYS)
             kind = raw["initial"].get("kind")
@@ -83,6 +118,7 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown initial potential '{kind}' "
                                   f"(known: {sorted(INITIAL_POTENTIALS)})")
         _check_keys("grid", raw["grid"], _GRID_KEYS)
+        _check_grid(raw["grid"])
         _check_keys("time", raw["time"], _TIME_KEYS)
         _check_keys("tolerances", raw.get("tolerances", {}), _TOL_KEYS)
         _check_keys("audits", raw.get("audits", {}), _AUDIT_KEYS)
@@ -125,19 +161,18 @@ class ScenarioConfig:
     def build_problem(self):
         cost_params = dict(self.cost)
         cost_name = cost_params.pop("name")
-        cost = make_cost(cost_name)
-        if "newton_tol" in cost_params:
-            cost.newton_tol = float(cost_params["newton_tol"])
-        if "h_fd" in cost_params:
-            cost.h_fd = float(cost_params["h_fd"])
+        cost = make_cost(cost_name, **{k: float(v) for k, v in cost_params.items()})
         src_params = dict(self.source)
-        source = make_domain(src_params.pop("kind"), **src_params)
         tgt_params = dict(self.target)
-        target = make_domain(tgt_params.pop("kind"), **tgt_params)
         sd = dict(self.source_density)
-        rho = make_density(sd.pop("name"), source, **sd)
         td = dict(self.target_density)
-        rho_star = make_density(td.pop("name"), target, **td)
+        try:
+            source = make_domain(src_params.pop("kind"), **src_params)
+            target = make_domain(tgt_params.pop("kind"), **tgt_params)
+            rho = make_density(sd.pop("name"), source, **sd)
+            rho_star = make_density(td.pop("name"), target, **td)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid domain or density parameters: {exc}") from exc
         spec = ProblemSpec(source, target, cost, rho, rho_star,
                            mass_tol=float(self.tolerances.get("mass_tol", 1e-3)))
         grid = CurvilinearGrid(source, int(self.grid["n_r"]), int(self.grid["n_s"]))
@@ -166,17 +201,17 @@ class ScenarioConfig:
 
     def with_overrides(self, grid=None, seed=None, stop_tol=None,
                        output_dir=None):
-        cfg = ScenarioConfig.from_dict(self.to_dict())
+        """A validated copy with the given fields replaced."""
+        raw = self.to_dict()
         if grid is not None:
-            cfg.grid = {"n_r": int(grid[0]), "n_s": int(grid[1])}
+            raw["grid"] = {"n_r": int(grid[0]), "n_s": int(grid[1])}
         if seed is not None:
-            cfg.seed = int(seed)
+            raw["seed"] = int(seed)
         if stop_tol is not None:
-            cfg.time = dict(cfg.time)
-            cfg.time["stop_tol"] = float(stop_tol)
+            raw["time"] = dict(raw["time"], stop_tol=float(stop_tol))
         if output_dir is not None:
-            cfg.output_dir = output_dir
-        return cfg
+            raw["output_dir"] = output_dir
+        return ScenarioConfig.from_dict(raw)
 
 
 def bundled_scenario_names():
@@ -187,13 +222,16 @@ def bundled_scenario_names():
 def load_scenario(name_or_path):
     """A bundled scenario by name, or any config by file path."""
     if str(name_or_path).endswith(".json"):
-        return ScenarioConfig.from_file(name_or_path)
+        try:
+            return ScenarioConfig.from_file(name_or_path)
+        except FileNotFoundError as exc:
+            raise ScenarioNotFound(f"no config file '{name_or_path}'") from exc
     root = resources.files("otflow") / "scenarios"
     candidate = root / f"{name_or_path}.json"
     try:
         raw = json.loads(candidate.read_text())
     except FileNotFoundError:
-        raise ConfigError(
+        raise ScenarioNotFound(
             f"no bundled scenario '{name_or_path}' "
             f"(known: {bundled_scenario_names()})") from None
     return ScenarioConfig.from_dict(raw)

@@ -340,7 +340,7 @@ class DerivativeBundle:
 
 # --- built-in costs -------------------------------------------------------
 
-def _inner_product():
+def _inner_product(**params):
     def ev(x, y):
         return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
 
@@ -368,10 +368,10 @@ def _inner_product():
                      invert_x_fn=lambda q, y: np.broadcast_to(
                          q, np.broadcast_shapes(q.shape, y.shape)).copy(),
                      thirds_vanish=True, inverse_exact=True,
-                     cross_identity=True, hess_xx_vanishes=True)
+                     cross_identity=True, hess_xx_vanishes=True, **params)
 
 
-def _neg_half_sq_dist():
+def _neg_half_sq_dist(**params):
     def ev(x, y):
         d = x - y
         return -0.5 * (d[..., 0] ** 2 + d[..., 1] ** 2)
@@ -398,10 +398,10 @@ def _neg_half_sq_dist():
                      invert_y_fn=lambda x, p: x + p,
                      invert_x_fn=lambda q, y: y + q,
                      thirds_vanish=True, inverse_exact=True,
-                     cross_identity=True)
+                     cross_identity=True, **params)
 
 
-def _sqrt_one_plus_sq_dist():
+def _sqrt_one_plus_sq_dist(**params):
     # c = s(d) with d = x - y, s = sqrt(1 + |d|^2). Every y-derivative is a
     # d-derivative with flipped sign, so all orders come from s's d-derivatives.
     def _ds(x, y):
@@ -466,7 +466,8 @@ def _sqrt_one_plus_sq_dist():
         return y + d
 
     return CostModel("sqrt_one_plus_sq_dist", ev, gx, gy, cr, hxx, t_xxy, t_xyy,
-                     invert_y_fn=inv_y, invert_x_fn=inv_x, inverse_exact=True)
+                     invert_y_fn=inv_y, invert_x_fn=inv_x, inverse_exact=True,
+                     **params)
 
 
 _REGISTRY = {
@@ -477,11 +478,15 @@ _REGISTRY = {
 
 
 def register_cost(name, factory):
-    """Make a user cost addressable by name in scenario configs."""
+    """Make a user cost addressable by name in scenario configs. The factory
+    takes the solver keywords of a config's cost section (``newton_tol``,
+    ``h_fd``) and forwards them to :class:`CostModel`."""
     _REGISTRY[name] = factory
 
 
 def make_cost(name, **params):
+    """The registered cost ``name``, built with the CostModel keywords
+    ``params`` (for example newton_tol and h_fd)."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown cost '{name}'; known: {sorted(_REGISTRY)}")
     return _REGISTRY[name](**params)

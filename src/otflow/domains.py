@@ -260,6 +260,10 @@ def make_domain(kind, **params):
     return _DOMAINS[kind](**params)
 
 
+def available_domains():
+    return sorted(_DOMAINS)
+
+
 # --- densities --------------------------------------------------------------
 
 class Density:
@@ -358,6 +362,10 @@ def make_density(name, domain, **params):
     if name not in _DENSITIES:
         raise KeyError(f"unknown density '{name}'; known: {sorted(_DENSITIES)}")
     return _DENSITIES[name](domain, **params)
+
+
+def available_densities():
+    return sorted(_DENSITIES)
 
 
 # --- problem specification ---------------------------------------------------

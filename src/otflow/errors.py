@@ -107,3 +107,7 @@ class NoDecayWindow(OTFlowError):
 
 class ConfigError(OTFlowError):
     """Scenario configuration failed to parse or validate."""
+
+
+class ScenarioNotFound(ConfigError):
+    """No bundled scenario or config file by the requested name."""

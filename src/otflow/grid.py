@@ -15,8 +15,8 @@ centrally symmetric) at the innermost ring. Quadrature is the mapped midpoint
 product rule, second-order accurate.
 
 Pole treatment: a smooth function has angular mode k decaying like r^k toward
-the center, but an explicit step can only afford modes with k / r bounded by
-the radial stiffness. After each explicit step the flow projects each ring's
+the center, but an explicit stage can only afford modes with k / r bounded by
+the radial stiffness. After each explicit stage the flow projects each ring's
 unaffordable high modes onto their radial extrapolation from the innermost
 ring that carries them stably (factor (r_i / r_src)^k), which keeps the state
 consistent to O(r^k) while the time step scales with the radial spacing
@@ -51,12 +51,17 @@ class Field:
         return Field(self.data.copy(), self.rank, self.grid_id)
 
 
+#: the coarsest grid: radial rings, and angular nodes (which must be even)
+MIN_N_R = 4
+MIN_N_S = 8
+
+
 class CurvilinearGrid:
     def __init__(self, domain, n_r, n_s):
-        if n_r < 4:
-            raise ValueError("need at least 4 radial rings")
-        if n_s < 8 or n_s % 2:
-            raise ValueError("n_s must be even and at least 8")
+        if n_r < MIN_N_R:
+            raise ValueError(f"need at least {MIN_N_R} radial rings")
+        if n_s < MIN_N_S or n_s % 2:
+            raise ValueError(f"n_s must be even and at least {MIN_N_S}")
         self.domain = domain
         self.n_r = int(n_r)
         self.n_s = int(n_s)

@@ -1,11 +1,11 @@
 """Scenario execution: validate, run, and write the artifact directory.
 
 A run produces: manifest.json (config echo, snapshot index), the snapshot
-field files, diagnostics.csv (one row per accepted step), summary.json
-(decay rate, Harnack numbers, worst-case monitors), and the requested audit
-reports under audits/. Identical config and seed give byte-identical
-diagnostics output. Audits can also be replayed on a finished directory
-without re-simulating.
+field files, diagnostics.csv (one row per accepted super-step; its dt
+column is the super-step tau), summary.json (decay rate, Harnack numbers,
+worst-case monitors), and the requested audit reports under audits/.
+Identical config and seed give byte-identical diagnostics output. Audits
+can also be replayed on a finished directory without re-simulating.
 """
 
 import os
@@ -29,10 +29,12 @@ class RunResult:
     error: dict | None = None
 
 
+def _output_root(output_root=None):
+    return output_root or os.environ.get(OUTPUT_ROOT_ENV, "runs")
+
+
 def resolve_outdir(config, output_root=None):
-    root = output_root or os.environ.get(OUTPUT_ROOT_ENV, "runs")
-    sub = config.output_dir or config.name
-    return os.path.join(root, sub)
+    return os.path.join(_output_root(output_root), config.output_dir or config.name)
 
 
 def _error_report(outdir, kind, exc):
@@ -41,6 +43,13 @@ def _error_report(outdir, kind, exc):
         os.makedirs(outdir, exist_ok=True)
         serialize.write_json(os.path.join(outdir, "error.json"), payload)
     return payload
+
+
+def config_failure(name, exc, output_root=None):
+    """Exit-2 result for a config that failed to parse or validate; its
+    error.json goes to the run directory ``name`` under the output root."""
+    outdir = os.path.join(_output_root(output_root), name)
+    return RunResult(2, outdir, None, _error_report(outdir, type(exc).__name__, exc))
 
 
 def run_scenario(config, output_root=None):
@@ -65,15 +74,22 @@ def run_scenario(config, output_root=None):
     except OTFlowError as exc:
         return RunResult(1, outdir, None, _error_report(outdir, type(exc).__name__, exc))
     serialize.save_trajectory(outdir, trajectory, config.to_dict())
-    summary = build_summary(trajectory, config)
+    # the summary and the Harnack audit read the same gap series; when it
+    # cannot be built, each rebuilds it and reports the failure its own way
+    try:
+        series = linearized.theta_special(trajectory, k=1)
+    except (NonPositiveTheta, KeyError):
+        series = None
+    summary = build_summary(trajectory, config, series=series)
     serialize.write_json(os.path.join(outdir, "summary.json"), summary)
-    run_audits(trajectory, config, outdir)
+    run_audits(trajectory, config, outdir, series=series)
     return RunResult(0, outdir, summary)
 
 
-def build_summary(trajectory, config):
+def build_summary(trajectory, config, series=None):
     """Post-pass over a finished trajectory: decay fits plus the monitor
-    extremes, in the fixed summary-JSON key set."""
+    extremes, in the fixed summary-JSON key set. ``series`` is the
+    trajectory's k = 1 gap series, built here when not given."""
     fit_cfg = config.fit if config is not None else {}
     rate_fit = None
     harnack = None
@@ -86,7 +102,8 @@ def build_summary(trajectory, config):
         except NoDecayWindow:
             rate_fit = None
     try:
-        series = linearized.theta_special(trajectory, k=1)
+        if series is None:
+            series = linearized.theta_special(trajectory, k=1)
         harnack = diagnostics.harnack_ratio_series(series)
     except (NonPositiveTheta, DegenerateDenominator, KeyError):
         harnack = None
@@ -122,7 +139,7 @@ def fit_theta_decay(trajectory, min_samples=10):
 
 # --- audits -------------------------------------------------------------------
 
-def run_audits(trajectory, config, outdir):
+def run_audits(trajectory, config, outdir, series=None):
     toggles = config.audits if config is not None else {}
     audit_dir = os.path.join(outdir, "audits")
     if any(toggles.get(k) for k in ("convexity", "harnack", "km")):
@@ -131,7 +148,7 @@ def run_audits(trajectory, config, outdir):
         serialize.write_json(os.path.join(audit_dir, "convexity.json"),
                              convexity_audit(trajectory.spec, seed=config.seed))
     if toggles.get("harnack"):
-        harnack_audit(trajectory, audit_dir)
+        harnack_audit(trajectory, audit_dir, series=series)
     if toggles.get("km"):
         km_audit(trajectory, audit_dir)
 
@@ -153,11 +170,13 @@ def convexity_audit(spec, n_boundary=128, n_other=64, seed=0):
     }
 
 
-def harnack_audit(trajectory, audit_dir, n_nodes=16, k=1):
+def harnack_audit(trajectory, audit_dir, n_nodes=16, k=1, series=None):
     """Boundary audit CSV (t, node, F, both boundary derivatives, the three
-    closed-form terms) plus the scalar Harnack summary."""
+    closed-form terms) plus the scalar Harnack summary. ``series`` is the
+    trajectory's gap series of index k, built here when not given."""
     try:
-        series = linearized.theta_special(trajectory, k=k)
+        if series is None:
+            series = linearized.theta_special(trajectory, k=k)
     except NonPositiveTheta as exc:
         serialize.write_json(os.path.join(audit_dir, "harnack_summary.json"),
                              {"error": "NonPositiveTheta", "detail": str(exc)})

@@ -3,10 +3,10 @@
 A field file is one UTF-8 JSON header line (grid dimensions, mapping
 parameters, rank, time stamp) followed by the raw little-endian float64
 bytes of the node values. A trajectory directory holds a manifest, the
-snapshot field files, and the per-step diagnostics CSV whose header is the
-fixed column list of the stepping module. All floats in text outputs are
-written with repr (shortest round-trip), so identical runs produce identical
-bytes.
+snapshot field files, and the diagnostics CSV (one row per accepted
+super-step) whose header is the fixed column list of the stepping module.
+All floats in text outputs are written with repr (shortest round-trip), so
+identical runs produce identical bytes.
 """
 
 import json

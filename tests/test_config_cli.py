@@ -63,6 +63,19 @@ class TestConfigParsing:
         assert out.time["stop_tol"] == 1e-3
         assert cfg.grid["n_r"] == 64      # original untouched
 
+    def test_cost_solver_parameters_reach_the_model(self):
+        raw = load_scenario("offset_disks_sqrt").to_dict()
+        raw["cost"] = dict(raw["cost"], newton_tol=3e-11, h_fd=2e-4)
+        spec, _ = ScenarioConfig.from_dict(raw).build_problem()
+        assert (spec.cost.newton_tol, spec.cost.h_fd) == (3e-11, 2e-4)
+        default, _ = load_scenario("offset_disks_sqrt").build_problem()
+        assert (default.cost.newton_tol, default.cost.h_fd) == (1e-12, 1e-4)
+
+    @pytest.mark.parametrize("grid", [(2, 64), (16, 33), (16, 6)])
+    def test_invalid_grid_override_rejected(self, grid):
+        with pytest.raises(ConfigError, match="grid"):
+            load_scenario("disk_uniform_stationary").with_overrides(grid=grid)
+
     def test_audit_only_scenario_refuses_to_run(self):
         cfg = load_scenario("peanut_source_audit")
         spec, grid = cfg.build_problem()
@@ -156,6 +169,25 @@ class TestRunner:
             assert replayed[key] == pytest.approx(original[key], rel=1e-12)
 
 
+    def test_shared_gap_series_writes_the_same_bytes(self, tmp_path):
+        cfg = load_scenario("disk_cosine_perturbed").with_overrides(
+            grid=(16, 32), stop_tol=2e-3)
+        cfg.time = dict(cfg.time, t_max=4.0)
+        res = runner.run_scenario(cfg, output_root=str(tmp_path / "run"))
+        assert res.status == 0
+        # the same post-pass with each reader building its own series
+        traj, _ = serialize.load_trajectory(res.outdir)
+        alone = tmp_path / "alone"
+        os.makedirs(alone / "audits")
+        serialize.write_json(str(alone / "summary.json"),
+                             runner.build_summary(traj, cfg))
+        runner.harnack_audit(traj, str(alone / "audits"))
+        for name in ("summary.json", "audits/harnack.csv",
+                     "audits/harnack_summary.json"):
+            shared = open(os.path.join(res.outdir, name), "rb").read()
+            assert shared == (alone / name).read_bytes(), name
+
+
 class TestCLI:
     def run_cli(self, *argv):
         return cli_main(list(argv))
@@ -191,6 +223,44 @@ class TestCLI:
         assert code == 2
         err = capsys.readouterr().err
         assert "MassImbalance" in err
+
+    @pytest.mark.parametrize("section,value,match", [
+        ("cost", {"name": "no_such_cost"}, "no_such_cost"),
+        ("cost", {"name": "inner_product", "h_fd": -1.0}, "h_fd"),
+        ("source", {"radius": 1.0}, "kind"),
+        ("target", {"kind": "hexagon"}, "hexagon"),
+        ("target_density", {"name": "gaussian"}, "gaussian"),
+        ("source", {"kind": "blob", "radius": 1.0, "eps": 1.5}, "eps"),
+        ("grid", {"n_r": 3, "n_s": 64}, "n_r"),
+        ("grid", {"n_r": 16, "n_s": 33}, "n_s"),
+        ("grid", {"n_r": 16, "n_s": 6}, "n_s"),
+        ("grid", {"n_r": "16", "n_s": 32}, "n_r"),
+    ])
+    def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
+                                                     section, value, match):
+        bad = load_scenario("disk_uniform_stationary").to_dict()
+        bad[section] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code = self.run_cli("run", str(path), "--out", str(tmp_path / "runs"))
+        assert code == 2
+        # under the config's stem when parsing fails, under its name when
+        # building the problem does
+        [path] = (tmp_path / "runs").glob("*/error.json")
+        report = json.load(open(path))
+        assert report["error"] == "ConfigError"
+        assert match in report["detail"]
+        assert json.loads(capsys.readouterr().err) == report
+
+    @pytest.mark.parametrize("grid", ["2x64", "16x33"])
+    def test_invalid_grid_override_exit_2_with_error_json(self, tmp_path, capsys,
+                                                          grid):
+        code = self.run_cli("run", "disk_uniform_stationary", "--grid", grid,
+                            "--out", str(tmp_path))
+        assert code == 2
+        report = json.load(open(tmp_path / "disk_uniform_stationary" / "error.json"))
+        assert report["error"] == "ConfigError" and "grid" in report["detail"]
+        assert json.loads(capsys.readouterr().err) == report
 
     def test_unknown_scenario_exit_2(self, capsys):
         assert self.run_cli("run", "not_a_scenario") == 2

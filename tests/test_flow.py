@@ -1,12 +1,12 @@
-"""Flow stepping: initialization checks, the boundary projection, explicit
-stepping with rejection, and the per-step structural invariants."""
+"""Flow stepping: initialization checks, the boundary projection, RKL2
+super-stepping with rejection, and the per-step structural invariants."""
 
 import numpy as np
 import pytest
 
 from otflow import costs, domains, flow, grid
-from otflow.errors import (BoundaryIncompatible, NonPositiveDet, NotCConvex,
-                           ObliquenessLost, StepRejected)
+from otflow.errors import (BoundaryIncompatible, NewtonStall, NonPositiveDet,
+                           NotCConvex, ObliquenessLost, StepRejected)
 from otflow.km_geometry import transport_jacobian
 from otflow._numerics import det2, matvec2, norm2
 
@@ -181,6 +181,75 @@ class TestStep:
             st, rep = flow.step(st, big, max_halvings=12)
             seen_halving = seen_halving or rep.halvings > 0
         assert seen_halving and st.valid
+
+
+class TestSuperStep:
+    """The RKL2 integrator: its stage rule, its order, and its rejection."""
+
+    @pytest.mark.parametrize("ratio", [0.3, 1.0, 1.0 + 1e-9, 2.5, 3.5, 27.0,
+                                       156.25, 1e4])
+    def test_stage_rule_is_minimal(self, ratio):
+        dt_fe = 2e-4
+        tau = ratio * dt_fe
+        s = flow.rkl2_stages(tau, dt_fe)
+
+        def limit(n):
+            return (n * n + n - 2) / 4.0 * dt_fe
+
+        assert s >= 2 and limit(s) >= tau
+        assert s == 2 or limit(s - 1) < tau
+
+    def test_multi_stage_step_keeps_stationary_state(self, stationary_state):
+        tau = 20.0 * flow.policy_dt(stationary_state)
+        stages = flow.rkl2_stages(tau, flow.policy_dt(stationary_state))
+        assert stages >= 9
+        out, rep = flow.step(stationary_state, tau, stages=stages)
+        assert np.abs(out.u - stationary_state.u).max() <= 1e-12
+        assert (rep.halvings, rep.stages, rep.dt) == (0, stages, tau)
+
+    def test_second_order_in_tau(self, perturbed_spec):
+        g = grid.CurvilinearGrid(perturbed_spec.source, 16, 32)
+        start = flow.initialize(perturbed_spec, g,
+                                flow.initial_linear_scaling(perturbed_spec, g))
+        t_end = 0.25
+
+        def integrate(n):
+            st, tau, chord = start, t_end / n, flow.Chord()
+            for _ in range(n):
+                stages = flow.rkl2_stages(tau, flow.policy_dt(st))
+                st, rep = flow.step(st, tau, chord=chord, stages=stages)
+                assert rep.halvings == 0
+            return st.u
+
+        reference = integrate(64)           # tau / 8 of the finest below
+        errs = [np.abs(integrate(n) - reference).max() for n in (2, 4, 8)]
+        assert errs[-1] > 1e-8                  # above the reference's error
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine >= 3.5
+
+    def test_failing_stage_halves_tau_and_recovers(self, perturbed_spec,
+                                                    monkeypatch):
+        g = grid.CurvilinearGrid(perturbed_spec.source, 16, 32)
+        st = flow.initialize(perturbed_spec, g,
+                             flow.initial_linear_scaling(perturbed_spec, g))
+        tau = 10.0 * flow.policy_dt(st)
+        stages = flow.rkl2_stages(tau, flow.policy_dt(st))
+        expected, _ = flow.step(st, 0.5 * tau, stages=stages)
+        project = flow._project_boundary
+        calls = []
+
+        def stall_at_stage_3(*args, **kwargs):
+            calls.append(len(calls) + 1)
+            if len(calls) == 3:
+                raise NewtonStall("stage 3 stalls")
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "_project_boundary", stall_at_stage_3)
+        out, rep = flow.step(st, tau, stages=stages)
+        assert (rep.halvings, rep.dt, rep.stages) == (1, 0.5 * tau, stages)
+        assert len(calls) == 3 + stages       # the rejected attempt, then all
+        assert out.valid and out.t == st.t + 0.5 * tau
+        assert out.u.tobytes() == expected.u.tobytes()
 
 
 class TestRunToConvergence:
