@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     otflow run <config|name> [--grid NxM] [--seed S] [--stop-tol T] [--out DIR]
-    otflow audit-convexity <config|name>
+    otflow audit-convexity <config|name> [--out DIR]
     otflow audit-harnack <trajectory-dir>
     otflow audit-km <trajectory-dir>
     otflow replay-diagnostics <trajectory-dir>
@@ -9,9 +9,9 @@
 <config|name> is a JSON file path or a bundled scenario name. The output
 root defaults to ./runs and can be set with the OTFLOW_OUTPUT_ROOT
 environment variable. Exit codes: 0 success, 2 validation/config failure,
-1 runtime failure. A run that fails writes error.json to its run directory;
-a config that fails to parse or validate (overrides included) writes it to
-<root>/<config file stem or scenario name>.
+1 runtime failure. A failed run writes error.json to its run directory, a
+failed audit-convexity to its --out directory, and a config that fails to
+parse or validate (overrides included) to <root>/<config stem or name>.
 """
 
 import argparse
@@ -102,10 +102,15 @@ def _dispatch(args):
         return result.status
 
     if args.command == "audit-convexity":
-        config = load_scenario(args.config)
-        spec, _ = config.build_problem()
-        report = runner.convexity_audit(spec, seed=config.seed)
         out = args.out
+        try:
+            config = load_scenario(args.config)
+            spec, _ = config.build_problem()
+            report = runner.convexity_audit(spec, seed=config.seed)
+        except OTFlowError as exc:
+            if out and not isinstance(exc, ScenarioNotFound):
+                runner._error_report(out, type(exc).__name__, exc)
+            raise
         if out:
             os.makedirs(out, exist_ok=True)
             serialize.write_json(os.path.join(out, "convexity.json"), report)

@@ -131,7 +131,8 @@ class CostModel:
         """The same cost with flipped sign (minimization <-> maximization).
 
         The twist inverses survive negation because grad_x(-c)(x, y) = -p has
-        the same solution set as grad_x(c)(x, y) = p with p negated.
+        the same solution set as grad_x(c)(x, y) = p with p negated. The
+        cross Hessian becomes -C, so only ``cross_identity`` is dropped.
         """
         flip = "minimization" if self.sign_convention == "maximization" else "maximization"
 
@@ -147,7 +148,9 @@ class CostModel:
             neg3(self._third_xxy), neg3(self._third_xyy),
             invert_y_fn=inv_y, invert_x_fn=inv_x,
             newton_tol=self.newton_tol, newton_cap=self.newton_cap, h_fd=self.h_fd,
-            sign_convention=flip, thirds_vanish=self.thirds_vanish)
+            sign_convention=flip, thirds_vanish=self.thirds_vanish,
+            inverse_exact=self.inverse_exact,
+            hess_xx_vanishes=self.hess_xx_vanishes)
 
     # -- twist inversion --------------------------------------------------
 
@@ -275,9 +278,12 @@ class CostModel:
         return target.h(y)
 
     def oblique_beta(self, target, x, p, y=None, **kw):
-        """grad_p G(x, p) = (D_p Y)^T grad h*(Y) with D_p Y = C^{-1}."""
+        """grad_p G(x, p) = (D_p Y)^T grad h*(Y) with D_p Y = C^{-1}, the
+        oblique direction; ``p`` is not read when ``y`` is given."""
         if y is None:
             y = self.invert_Y(x, p, **kw)
+        if self.cross_identity:
+            return target.h_grad(y)
         P = nm.inv2(self.cross_hessian(x, y))     # (target, source) index order
         return nm.matvec2(nm.transpose2(P), target.h_grad(y))
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import DegenerateDenominator, NoDecayWindow
+from .flow import time_index
 
 
 @dataclass
@@ -23,8 +24,7 @@ class AlignmentReport:
 
 def wbeta_alignment(state):
     """Alignment of W beta with the outward normal on the boundary ring."""
-    beta = state.beta_field()[-1]
-    wbeta = nm.matvec2(state.W[-1], beta)
+    wbeta = nm.matvec2(state.W[-1], state.ring_beta())
     chi = nm.norm2(wbeta)
     nu = state.grid.boundary_normals
     sin = np.abs(nm.cross2(wbeta, nu)) / chi
@@ -167,15 +167,15 @@ def harnack_ratio_series(series, t_min=1.0, gap_floor=None):
     for m, t in enumerate(ts):
         if t < t_min - 1e-9:
             continue
-        target = t + 1.0
-        n = np.argmin(np.abs(ts - target))
-        if abs(ts[n] - target) > 1e-9:
+        try:
+            n = time_index(ts, t + 1.0)
+        except KeyError:
             continue
         sup_now = float(np.max(series.gap[m]))
         inf_next = float(np.min(series.gap[n]))
         if inf_next <= floor:
             raise DegenerateDenominator(
-                f"inf gap(., {target}) = {inf_next:.3e} at or below the floor")
+                f"inf gap(., {t + 1.0}) = {inf_next:.3e} at or below the floor")
         out_t.append(t)
         out_c.append(sup_now / inf_next)
     if not out_c:
@@ -216,8 +216,9 @@ def oscillation_decay(trajectory, eps, sigma, tol=1e-8, c_harnack=None):
     k_max = int(np.floor(ts[-1] + 1e-9))
     ks, sups, infs = [], [], []
     for k in range(0, k_max + 1):
-        i = np.argmin(np.abs(ts - k))
-        if abs(ts[i] - k) > 1e-9:
+        try:
+            i = time_index(ts, k)
+        except KeyError:
             continue
         ks.append(k)
         sups.append(float(np.max(trajectory.snapshots[i].rate)))

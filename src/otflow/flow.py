@@ -7,7 +7,9 @@ every interior update so that G(x, grad u) = h*(Y(x, grad u)) vanishes on the
 boundary ring. The projection is a Newton iteration on the ring values whose
 Jacobian couples each node to itself through the one-sided radial stencil and
 to the whole ring through the spectral tangential derivative; obliqueness of
-the direction field beta keeps the diagonal away from zero.
+the direction field beta = D_p G keeps the diagonal away from zero. beta
+comes only from ``CostModel.oblique_beta`` on the boundary ring: at the
+projection's ring image, and through ``FlowState.ring_beta`` for a state.
 
 Stability: a step is one Runge-Kutta-Legendre super-step of second order
 (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014). Its s stages
@@ -107,16 +109,12 @@ class FlowState:
             raise NonPositiveDet("det W <= 0 somewhere; no rate field")
         return Field(self.rate.copy(), "scalar", self.grid._id)
 
-    def beta_field(self):
-        """Oblique direction (D_p Y)^T grad h*(T) at every node."""
-        C = self.spec.cost.cross_hessian(self.grid.nodes, self.tmap)
-        P = nm.inv2(C)
-        return nm.matvec2(nm.transpose2(P), self.spec.target.h_grad(self.tmap))
-
-    def boundary_chi(self):
-        """|W beta| on the boundary ring."""
-        beta = self.beta_field()[-1]
-        return nm.norm2(nm.matvec2(self.W[-1], beta))
+    def ring_beta(self):
+        """Oblique direction beta = (D_p Y)^T grad h*(T) on the boundary
+        ring, shape (n_s, 2)."""
+        spec = self.spec
+        return spec.cost.oblique_beta(spec.target, self.ctx.ring_x,
+                                      self.grad_u[-1], y=self.tmap[-1])
 
 
 @dataclass
@@ -176,12 +174,18 @@ class Trajectory:
     def final_state(self):
         return self.state_at(len(self.snapshots) - 1)
 
-    def snapshot_index_at_time(self, t, tol=1e-9):
-        ts = self.times()
-        i = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[i] - t) > tol:
-            raise KeyError(f"no snapshot at t = {t}")
-        return i
+    def snapshot_index_at_time(self, t):
+        return time_index(self.times(), t)
+
+
+def time_index(times, t):
+    """The index of the snapshot time in ``times`` within 1e-9 of t;
+    KeyError when there is none."""
+    times = np.asarray(times)
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9:
+        raise KeyError(f"no snapshot at t = {t}")
+    return i
 
 
 def build_state(ctx, u_values, t, tmap_seed=None):
@@ -266,9 +270,7 @@ def initialize(spec, grid, u0, schedule=None):
             f"transport image leaves the closed target: max h* = {inside:.3e}")
     if state.max_boundary_G > sched.boundary_tol:
         # start the flow exactly on the boundary constraint
-        _project_boundary(ctx, u, tmap_seed=state.tmap, tol=sched.boundary_tol,
-                          cap=sched.boundary_cap,
-                          obliqueness_floor=sched.obliqueness_floor)
+        _project_boundary(ctx, u, tmap_seed=state.tmap, schedule=sched)
         state = build_state(ctx, u, 0.0, tmap_seed=state.tmap)
     # boundary coverage: every target boundary sample must be near a mapped node
     n_probe = 4 * grid.n_s
@@ -336,26 +338,19 @@ def _ring_gradient(ctx, b, u_m1, u_m2):
     return grad
 
 
-def _boundary_beta(ctx, y):
-    if ctx.spec.cost.cross_identity:
-        return ctx.spec.target.h_grad(y)
-    C = ctx.spec.cost.cross_hessian(ctx.ring_x, y)
-    return nm.matvec2(nm.transpose2(nm.inv2(C)), ctx.spec.target.h_grad(y))
-
-
 def _oblique_beta(ctx, y, obliqueness_floor):
     """beta at the ring image y; raises ObliquenessLost where beta . nu
     falls below the floor."""
-    beta = _boundary_beta(ctx, y)
+    beta = ctx.spec.cost.oblique_beta(ctx.spec.target, ctx.ring_x, None, y=y)
     obl = float(np.min(np.sum(beta * ctx.ring_nu, axis=-1)))
     if obl < obliqueness_floor:
         raise ObliquenessLost(f"beta . nu = {obl:.3e} on the boundary ring")
     return beta
 
 
-def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
-                      obliqueness_floor=1e-8, chord=None):
-    """Newton-update the boundary ring of u_values so that G = 0 there.
+def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
+    """Newton-update the boundary ring of u_values so that G = 0 there, to
+    the schedule's boundary_tol within boundary_cap iterations.
 
     Mutates u_values in place; returns the Newton iteration count. The LU
     factorization of the ring Jacobian is kept in ``chord`` and reused
@@ -366,6 +361,8 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
     """
     from scipy.linalg import lu_factor, lu_solve
 
+    sched = schedule or Schedule()
+    tol = sched.boundary_tol
     grid = ctx.grid
     spec = ctx.spec
     if chord is None:
@@ -380,7 +377,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
         return spec.target.h(y), y
 
     def refresh_jacobian(y):
-        beta = _oblique_beta(ctx, y, obliqueness_floor)
+        beta = _oblique_beta(ctx, y, sched.obliqueness_floor)
         ji = ctx.ring_jinv
         a_r = (beta[:, 0] * ji[:, 0, 0] + beta[:, 1] * ji[:, 0, 1]) \
             * 3.0 / (2.0 * grid.dr)
@@ -395,7 +392,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
     iters = 0
     fresh = False
     while err > tol:
-        if iters >= cap:
+        if iters >= sched.boundary_cap:
             raise NewtonStall(
                 f"boundary projection stalled at max |G| = {err:.3e}")
         if chord.lu is None:
@@ -423,7 +420,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, tol=1e-10, cap=30,
         g, y, y_seed = g_new, y_new, y_new
         err = err_new
         iters += 1
-    _oblique_beta(ctx, y, obliqueness_floor)
+    _oblique_beta(ctx, y, sched.obliqueness_floor)
     u_values[-1] = b
     return iters
 
@@ -432,9 +429,7 @@ def enforce_boundary(state, schedule=None):
     """Project the boundary values of u onto G = 0 and refresh the caches."""
     sched = schedule or Schedule()
     u = state.u.copy()
-    _project_boundary(state.ctx, u, tmap_seed=state.tmap,
-                      tol=sched.boundary_tol, cap=sched.boundary_cap,
-                      obliqueness_floor=sched.obliqueness_floor)
+    _project_boundary(state.ctx, u, tmap_seed=state.tmap, schedule=sched)
     return build_state(state.ctx, u, state.t, tmap_seed=state.tmap)
 
 
@@ -447,7 +442,7 @@ def enforce_boundary(state, schedule=None):
 SUPER_STEP_FRACTION = 0.25
 
 
-def policy_dt(state, c_stab=0.4):
+def policy_dt(state, c_stab=Schedule.c_stab):
     """Forward-Euler stability limit: c_stab h_min^2 / max trace(W^{-1})."""
     tr_winv = (state.W[..., 0, 0] + state.W[..., 1, 1]) / state.det_W
     return c_stab * state.grid.h_min ** 2 / float(np.max(tr_winv))
@@ -511,10 +506,8 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
         u = ctx.grid.apply_pole_projection(u)
         if not np.all(np.isfinite(u)):
             raise _StageFailed(f"non-finite potential at stage {j}")
-        iters += _project_boundary(
-            ctx, u, tmap_seed=prev.tmap, tol=sched.boundary_tol,
-            cap=sched.boundary_cap, obliqueness_floor=sched.obliqueness_floor,
-            chord=chord)
+        iters += _project_boundary(ctx, u, tmap_seed=prev.tmap, schedule=sched,
+                                   chord=chord)
         stage = build_state(ctx, u, state.t + tau, tmap_seed=prev.tmap)
         if not stage.spd_ok:
             raise _StageFailed(f"W lost positivity at stage {j} "
@@ -526,22 +519,21 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
     return prev, iters
 
 
-def step(state, tau, schedule=None, max_halvings=None, chord=None, stages=2):
+def step(state, tau, schedule=None, chord=None, stages=2):
     """One RKL2 super-step of length tau with ``stages`` stages, each
     followed by the pole and boundary projections; a failing stage rejects
-    the super-step, which is retried with half of tau. With the default two
-    stages, tau = policy_dt(state) is stable. ``chord`` carries the
-    projection's LU across the steps of a run; without one the projection
-    factors afresh."""
+    the super-step, which is retried with half of tau, up to the schedule's
+    max_halvings times. With the default two stages, tau = policy_dt(state)
+    is stable. ``chord`` carries the projection's LU across the steps of a
+    run; without one the projection factors afresh."""
     sched = schedule or Schedule()
-    halvings_cap = sched.max_halvings if max_halvings is None else max_halvings
     if not state.spd_ok or state.rate is None:
         raise NonPositiveDet("cannot step an invalid state")
     if stages < 2:
         raise ValueError("an RKL2 super-step needs at least 2 stages")
     attempt_tau = float(tau)
     last_fail = "unstable"
-    for halving in range(halvings_cap + 1):
+    for halving in range(sched.max_halvings + 1):
         try:
             new_state, iters = _rkl2_super_step(state, attempt_tau, stages,
                                                 sched, chord)
@@ -553,7 +545,7 @@ def step(state, tau, schedule=None, max_halvings=None, chord=None, stages=2):
                             halvings=halving, stages=stages)
         return new_state, report
     raise StepRejected(
-        f"step rejected after {halvings_cap} halvings (tau = {attempt_tau:.3e}, "
+        f"step rejected after {sched.max_halvings} halvings (tau = {attempt_tau:.3e}, "
         f"{stages} stages): {last_fail}")
 
 

@@ -37,6 +37,7 @@ import numpy as np
 from . import _numerics as nm
 from . import linearized
 from .errors import DegenerateImage, MetricDegenerate
+from .flow import time_index
 from .grid import directional_derivative_at_boundary
 
 
@@ -191,7 +192,7 @@ class IIReport:
 
 def _ring_w_data(state):
     grid = state.grid
-    beta = state.beta_field()[-1]
+    beta = state.ring_beta()
     W = state.W[-1]
     tau_e = grid.jac[-1, :, :, 1]                  # boundary velocity x_s
     norm_w = np.sqrt(nm.quadform2(W, tau_e))
@@ -331,9 +332,7 @@ def dbeta_gradnorm_boundary(state, series, j_node, t,
     solution, two ways: geometrically as -2 |beta|_w II^w(grad^w f, grad^w f)
     and by direct one-sided differencing of the scalar field. Returns
     (geometric, direct)."""
-    m = int(np.argmin(np.abs(series.times - t)))
-    if abs(series.times[m] - t) > 1e-9:
-        raise KeyError(f"series has no snapshot at offset t = {t}")
+    m = time_index(series.times, t)
     grid = state.grid
     j = int(j_node)
     beta, W, tau_e, norm_w, tau_unit, beta_w = _ring_w_data(state)
@@ -345,8 +344,7 @@ def dbeta_gradnorm_boundary(state, series, j_node, t,
     winv = nm.inv2(state.W)
     q = grid.scalar(nm.quadform2(winv, grad_f))
     direct = directional_derivative_at_boundary(
-        grid, q, j, state.beta_field()[-1, j],
-        obliqueness_floor=obliqueness_floor)
+        grid, q, j, beta[j], obliqueness_floor=obliqueness_floor)
     return geo, direct
 
 

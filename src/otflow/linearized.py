@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
+from .flow import time_index
 from .grid import Field, directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
@@ -42,10 +43,8 @@ class LinearizedCoeffs:
 
     winv: np.ndarray         # (n_r, n_s, 2, 2), inverse of W
     drift: np.ndarray        # (n_r, n_s, 2)
-    beta: np.ndarray         # (n_s, 2) on the boundary ring
     c1: float                # sampled min eigenvalue of winv (ellipticity)
     c2: float                # sampled min of beta . nu (obliqueness)
-    grid_id: int
 
 
 def build_coeffs(state, ellipticity_floor=1e-10, obliqueness_floor=1e-10):
@@ -67,10 +66,7 @@ def build_coeffs(state, ellipticity_floor=1e-10, obliqueness_floor=1e-10):
     x = grid.nodes
     y = state.tmap
     grad_log_rho_star = spec.rho_star.grad_log(y)
-    if cost.cross_identity:
-        pinv = None
-    else:
-        pinv = nm.inv2(cost.cross_hessian(x, y))
+    pinv = None if cost.cross_identity else nm.inv2(cost.cross_hessian(x, y))
     if cost.thirds_vanish:
         dp_a_contracted = 0.0
         tr_term = 0.0
@@ -90,15 +86,12 @@ def build_coeffs(state, ellipticity_floor=1e-10, obliqueness_floor=1e-10):
     else:
         dp_log_b = tr_term - np.einsum(
             '...r,...rk->...k', grad_log_rho_star, pinv)
-    drift = -dp_log_b - (dp_a_contracted if np.ndim(dp_a_contracted) else 0.0)
-    if not np.ndim(drift):
-        drift = np.zeros(x.shape)
-    beta = state.beta_field()[-1]
+    drift = -dp_log_b - dp_a_contracted
+    beta = state.ring_beta()
     c2 = float(np.min(np.sum(beta * grid.boundary_normals, axis=-1)))
     if c2 <= obliqueness_floor:
         raise ObliquenessLost(f"min beta . nu = {c2:.3e}")
-    return LinearizedCoeffs(winv=winv, drift=drift, beta=beta, c1=c1, c2=c2,
-                            grid_id=grid._id)
+    return LinearizedCoeffs(winv=winv, drift=drift, c1=c1, c2=c2)
 
 
 def apply_L(coeffs, grid, v_now, v_prev, dt):
@@ -246,13 +239,6 @@ def theta_special(trajectory, k=1, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR):
 
 # --- boundary derivative of F -------------------------------------------------
 
-def _series_time_index(series, t):
-    i = int(np.argmin(np.abs(series.times - t)))
-    if abs(series.times[i] - t) > 1e-9:
-        raise KeyError(f"series has no snapshot at offset t = {t}")
-    return i
-
-
 def dbetaF_direct(series, state, j_node, t, obliqueness_floor=1e-6):
     """One-sided finite-difference derivative of F along beta at boundary
     node j at series offset t.
@@ -261,7 +247,7 @@ def dbetaF_direct(series, state, j_node, t, obliqueness_floor=1e-6):
     mask: F is undefined there and differencing across the hole is
     meaningless.
     """
-    m = _series_time_index(series, t)
+    m = time_index(series.times, t)
     grid = state.grid
     j = int(j_node)
     window = (np.arange(j - 2, j + 3)) % grid.n_s
@@ -269,7 +255,7 @@ def dbetaF_direct(series, state, j_node, t, obliqueness_floor=1e-6):
         raise NonPositiveTheta(
             f"gap at offset {t} touches the floor near boundary node {j}")
     f_field = series.F_field(m)
-    beta = state.beta_field()[-1, j]
+    beta = state.ring_beta()[j]
     return directional_derivative_at_boundary(
         grid, f_field, j, beta, obliqueness_floor=obliqueness_floor)
 
@@ -308,7 +294,7 @@ def dbetaF_closed(series, state, j_node, t, mode="general"):
     """
     if mode not in ("general", "quadratic"):
         raise ValueError("mode must be 'general' or 'quadratic'")
-    m = _series_time_index(series, t)
+    m = time_index(series.times, t)
     grid = state.grid
     spec = state.spec
     j = int(j_node)
@@ -316,7 +302,7 @@ def dbetaF_closed(series, state, j_node, t, mode="general"):
     grad_f = series.grad_f[m][-1, j]
     grad_rate = grid.grad_values(state.rate)[-1, j]
     W = state.W[-1, j]
-    beta = state.beta_field()[-1, j]
+    beta = state.ring_beta()[j]
     chi = float(np.linalg.norm(W @ beta))
     tau = np.linalg.solve(W, grad_f)
     alpha = series.alpha
@@ -347,11 +333,10 @@ def boundary_tangency_defect(series, state, t):
     The normalization uses the ring maximum of |tau| so nodes where grad f
     happens to vanish do not turn roundoff into an O(1) ratio.
     """
-    m = _series_time_index(series, t)
+    m = time_index(series.times, t)
     grad_f = series.grad_f[m][-1]
     W = state.W[-1]
-    beta = state.beta_field()[-1]
-    wbeta = nm.matvec2(W, beta)
+    wbeta = nm.matvec2(W, state.ring_beta())
     tau = nm.solve2(W, grad_f)
     num = np.abs(np.sum(wbeta * tau, axis=-1))
     den = nm.norm2(wbeta) * float(np.max(nm.norm2(tau)))

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .errors import OTFlowError
-from .flow import STEP_COLUMNS, Snapshot, Trajectory
+from .flow import STEP_COLUMNS, FlowContext, Snapshot, Trajectory
 
 
 def _fmt(x):
@@ -39,10 +39,16 @@ def write_field(path, values, grid, rank="scalar", t=0.0, name=""):
 
 
 def read_field(path):
+    """(header, values); OTFlowError unless the header parses and the payload
+    holds exactly 8 bytes per value of its shape."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
-    return header, data.copy()
+        head, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(head.decode())
+        values = np.frombuffer(payload, dtype="<f8").reshape(header["shape"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise OTFlowError(f"corrupt field file {path}: {exc}") from None
+    return header, values.copy()
 
 
 def write_diagnostics_csv(path, records):
@@ -94,7 +100,6 @@ def save_trajectory(outdir, trajectory, config_dict):
 def load_trajectory(outdir):
     """Rebuild a Trajectory (with live flow context) from a directory."""
     from .config import ScenarioConfig
-    from .flow import FlowContext
 
     manifest_path = os.path.join(outdir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -104,15 +109,22 @@ def load_trajectory(outdir):
     config = ScenarioConfig.from_dict(manifest["config"])
     spec, grid = config.build_problem()
     ctx = FlowContext(spec, grid)
+    shape = [grid.n_r, grid.n_s]            # the grid of the manifest's config
     snapshots = []
     for entry in manifest["snapshots"]:
-        for key in ("u", "rate"):
-            path = os.path.join(outdir, entry[key])
+        fields = []
+        for name in (entry["u"], entry["rate"]):
+            path = os.path.join(outdir, name)
             if not os.path.exists(path):
-                raise OTFlowError(f"missing snapshot file {entry[key]} in {outdir}")
-        _, u = read_field(os.path.join(outdir, entry["u"]))
-        _, rate = read_field(os.path.join(outdir, entry["rate"]))
-        snapshots.append(Snapshot(t=float(entry["t"]), u=u, rate=rate))
+                raise OTFlowError(f"missing snapshot file {name} in {outdir}")
+            header, values = read_field(path)
+            field_grid = header.get("grid") or {}
+            if ([field_grid.get("n_r"), field_grid.get("n_s")] != shape
+                    or list(values.shape) != shape):
+                raise OTFlowError(f"snapshot file {name} in {outdir} is not a "
+                                  f"field on the manifest grid {shape}")
+            fields.append(values)
+        snapshots.append(Snapshot(float(entry["t"]), *fields))
     records = read_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"))
     return Trajectory(ctx=ctx, snapshots=snapshots, step_records=records,
                       converged=bool(manifest["converged"]),

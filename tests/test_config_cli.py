@@ -272,6 +272,41 @@ class TestCLI:
         assert report["delta"] == pytest.approx(1.0, rel=0.02)
         assert report["delta_star"] == pytest.approx(0.5, rel=0.02)
 
+    def test_audit_convexity_config_error_writes_error_json(self, tmp_path,
+                                                            capsys):
+        bad = load_scenario("disk_uniform_stationary").to_dict()
+        bad["cost"] = {"name": "nope"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "audit"
+        assert self.run_cli("audit-convexity", str(path), "--out", str(out)) == 2
+        report = json.load(open(out / "error.json"))
+        assert report["error"] == "ConfigError" and "nope" in report["detail"]
+        assert json.loads(capsys.readouterr().err) == report
+
+    @pytest.mark.parametrize("damage", ["truncated", "other_grid"])
+    def test_corrupt_snapshot_exit_1(self, tmp_path, capsys, damage):
+        code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
+                            "--stop-tol", "5e-3", "--out", str(tmp_path))
+        assert code == 0
+        outdir = json.loads(capsys.readouterr().out)["outdir"]
+        victim = os.path.join(outdir, "snap_0003_u.field")
+        if damage == "truncated":
+            with open(victim, "r+b") as fh:
+                fh.truncate(os.path.getsize(victim) - 8)
+        else:
+            # a well-formed field whose header names another grid
+            with open(victim, "rb") as fh:
+                header = json.loads(fh.readline())
+                payload = fh.read()
+            header["grid"]["n_r"] = 17
+            with open(victim, "wb") as fh:
+                fh.write((json.dumps(header) + "\n").encode() + payload)
+        assert self.run_cli("replay-diagnostics", outdir) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OTFlowError"
+        assert "snap_0003_u.field" in err["detail"]
+
     def test_truncated_trajectory_reports_missing_file(self, tmp_path, capsys):
         code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
                             "--stop-tol", "5e-3", "--out", str(tmp_path))

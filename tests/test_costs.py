@@ -286,8 +286,9 @@ class TestMTW:
         assert 2.8 <= ratio <= 5.5   # Richardson ratio near 4
 
 
-def test_negated_model_flips_derivatives_and_keeps_twist(rng):
-    c = costs.make_cost("sqrt_one_plus_sq_dist")
+@pytest.mark.parametrize("name", ALL_COSTS)
+def test_negated_model_flips_derivatives_and_keeps_twist(name, rng):
+    c = costs.make_cost(name)
     n = c.negated()
     x, y = sample_pairs(rng, n=5)
     np.testing.assert_allclose(n.eval(x, y), -c.eval(x, y))
@@ -295,6 +296,17 @@ def test_negated_model_flips_derivatives_and_keeps_twist(rng):
     p = n.grad_x(x, y)
     np.testing.assert_allclose(n.invert_Y(x, p), y, atol=1e-11)
     assert n.sign_convention == "minimization"
+    # flags that survive c -> -c are kept; the cross Hessian is now -C, so
+    # the identity fast path is dropped
+    assert (n.inverse_exact, n.hess_xx_vanishes, n.thirds_vanish) == (
+        c.inverse_exact, c.hess_xx_vanishes, c.thirds_vanish)
+    assert not n.cross_identity
+    # beta of the negated model is C^-T grad h* with its own cross Hessian
+    tgt = domains.Disk(1.0, (3.0, 0.0))
+    expected = np.linalg.solve(transpose2(n.cross_hessian(x, y)),
+                               tgt.h_grad(y)[..., None])[..., 0]
+    np.testing.assert_allclose(n.oblique_beta(tgt, x, p, y=y), expected,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_cross_inverse_index_convention(rng):

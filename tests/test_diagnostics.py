@@ -24,8 +24,8 @@ class TestAlignment:
             grid = stationary_state.grid
             W = stationary_state.W
 
-            def beta_field(self):
-                base = stationary_state.beta_field()
+            def ring_beta(self):
+                base = stationary_state.ring_beta()
                 rot = np.stack([-base[..., 1], base[..., 0]], axis=-1)
                 return 0.7 * base + 0.7 * rot
 
