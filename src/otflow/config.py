@@ -7,7 +7,7 @@ reproducible and diffable. Bundled scenarios live in the package's
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .costs import available_costs, make_cost
@@ -179,18 +179,17 @@ class ScenarioConfig:
         return spec, grid
 
     def build_schedule(self):
-        t = self.time
-        tol = self.tolerances
-        return Schedule(
-            stop_tol=float(t.get("stop_tol", 1e-8)),
-            t_max=float(t.get("t_max", 10.0)),
-            snapshot_dt=float(t.get("snapshot_dt", 0.25)),
-            c_stab=float(t.get("c_stab", 0.4)),
-            max_halvings=int(t.get("max_halvings", 12)),
-            boundary_tol=float(tol.get("boundary_tol", 1e-10)),
-            obliqueness_floor=float(tol.get("obliqueness_floor", 1e-8)),
-            init_boundary_tol=tol.get("init_boundary_tol"),
-            image_tol=tol.get("image_tol"))
+        """The run's Schedule from the ``time`` and ``tolerances`` sections;
+        a field that neither section sets keeps its ``Schedule`` default."""
+        given = {**self.time, **self.tolerances}
+        kwargs = {}
+        for f in fields(Schedule):
+            if f.name in given:
+                # an optional field (default None) holds a float when set
+                kind = float if f.default is None else type(f.default)
+                value = given[f.name]
+                kwargs[f.name] = None if value is None else kind(value)
+        return Schedule(**kwargs)
 
     def build_initial(self, spec, grid):
         if self.initial is None:

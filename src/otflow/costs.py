@@ -346,15 +346,23 @@ class DerivativeBundle:
 
 # --- built-in costs -------------------------------------------------------
 
+def _broadcast_copy(a, b):
+    """A new array holding a broadcast against b."""
+    a = np.asarray(a)
+    out = np.empty(np.broadcast(a, b).shape, a.dtype)
+    out[...] = a
+    return out
+
+
 def _inner_product(**params):
     def ev(x, y):
         return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
 
     def gx(x, y):
-        return np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape)).copy()
+        return _broadcast_copy(y, x)
 
     def gy(x, y):
-        return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)).copy()
+        return _broadcast_copy(x, y)
 
     def cr(x, y):
         shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
@@ -368,11 +376,10 @@ def _inner_product(**params):
         shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         return np.zeros(shape + (2, 2, 2))
 
+    # the twist maps are the identity, so each inverse is a gradient map:
+    # Y(x, p) = p and X(q, y) = q
     return CostModel("inner_product", ev, gx, gy, cr, hxx, t3, t3,
-                     invert_y_fn=lambda x, p: np.broadcast_to(
-                         p, np.broadcast_shapes(x.shape, p.shape)).copy(),
-                     invert_x_fn=lambda q, y: np.broadcast_to(
-                         q, np.broadcast_shapes(q.shape, y.shape)).copy(),
+                     invert_y_fn=gx, invert_x_fn=gy,
                      thirds_vanish=True, inverse_exact=True,
                      cross_identity=True, hess_xx_vanishes=True, **params)
 

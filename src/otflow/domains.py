@@ -67,9 +67,6 @@ class Domain:
         out[..., 1, 0] = cross
         return out
 
-    def contains(self, x, tol=0.0):
-        return self.h(x) < tol
-
     # -- boundary parametrization -------------------------------------------
 
     def boundary_param(self, s):

@@ -357,9 +357,11 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
     across calls while it keeps converging; it is rebuilt when progress
     slows. Without a chord the call factors afresh. Obliqueness
     beta . nu >= obliqueness_floor is checked at the accepted ring image
-    on every call, and at every refactorization.
+    on every call, and at every refactorization. A non-finite ring residual
+    raises NewtonStall.
     """
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgetrs
 
     sched = schedule or Schedule()
     tol = sched.boundary_tol
@@ -389,6 +391,9 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
     g, y = residual(b)
     y_seed = y
     err = float(np.max(np.abs(g)))
+    if not np.isfinite(err):
+        # dgetrs does not check its right-hand side
+        raise NewtonStall(f"non-finite boundary residual (max |G| = {err})")
     iters = 0
     fresh = False
     while err > tol:
@@ -398,7 +403,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
         if chord.lu is None:
             refresh_jacobian(y)
             fresh = True
-        delta = lu_solve(chord.lu, -g)
+        delta, _ = dgetrs(*chord.lu, -g)
         lam = 1.0
         while True:
             g_new, y_new = residual(b + lam * delta)

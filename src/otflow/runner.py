@@ -39,6 +39,12 @@ def resolve_outdir(config, output_root=None):
 
 def _error_report(outdir, kind, exc):
     payload = {"error": kind, "detail": str(exc)}
+    witness = getattr(exc, "witness", None)
+    if witness is not None:             # NotCConvex: W's worst node
+        i, j, x, eig = witness
+        payload["witness"] = {"node": [int(i), int(j)],
+                              "x": [float(v) for v in x],
+                              "min_eig_W": float(eig)}
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         serialize.write_json(os.path.join(outdir, "error.json"), payload)

@@ -104,16 +104,24 @@ def load_trajectory(outdir):
     manifest_path = os.path.join(outdir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise OTFlowError(f"missing manifest.json in {outdir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    config = ScenarioConfig.from_dict(manifest["config"])
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        raw_config = manifest["config"]
+        entries = [(float(e["t"]), e["u"], e["rate"])
+                   for e in manifest["snapshots"]]
+        converged = bool(manifest["converged"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise OTFlowError(f"corrupt manifest.json in {outdir}: "
+                          f"{type(exc).__name__}: {exc}") from None
+    config = ScenarioConfig.from_dict(raw_config)
     spec, grid = config.build_problem()
     ctx = FlowContext(spec, grid)
     shape = [grid.n_r, grid.n_s]            # the grid of the manifest's config
     snapshots = []
-    for entry in manifest["snapshots"]:
+    for t, *names in entries:
         fields = []
-        for name in (entry["u"], entry["rate"]):
+        for name in names:
             path = os.path.join(outdir, name)
             if not os.path.exists(path):
                 raise OTFlowError(f"missing snapshot file {name} in {outdir}")
@@ -124,10 +132,10 @@ def load_trajectory(outdir):
                 raise OTFlowError(f"snapshot file {name} in {outdir} is not a "
                                   f"field on the manifest grid {shape}")
             fields.append(values)
-        snapshots.append(Snapshot(float(entry["t"]), *fields))
+        snapshots.append(Snapshot(t, *fields))
     records = read_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"))
     return Trajectory(ctx=ctx, snapshots=snapshots, step_records=records,
-                      converged=bool(manifest["converged"]),
+                      converged=converged,
                       reason=manifest.get("reason", "")), manifest
 
 

@@ -1,16 +1,17 @@
 """Scenario configs, the runner's artifact contract, and the CLI."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from otflow import runner, serialize
+from otflow import config, flow, runner, serialize
 from otflow.cli import main as cli_main
 from otflow.config import (ConfigError, ScenarioConfig,
                            bundled_scenario_names, load_scenario)
-from otflow.flow import STEP_COLUMNS
+from otflow.flow import STEP_COLUMNS, Schedule
 
 SUMMARY_KEYS = {"sigma", "R2", "C_harnack", "eps", "max_mass_err",
                 "max_alignment", "stationary_residual", "K_measured"}
@@ -70,6 +71,28 @@ class TestConfigParsing:
         assert (spec.cost.newton_tol, spec.cost.h_fd) == (3e-11, 2e-4)
         default, _ = load_scenario("offset_disks_sqrt").build_problem()
         assert (default.cost.newton_tol, default.cost.h_fd) == (1e-12, 1e-4)
+
+    def test_empty_time_and_tolerances_build_the_default_schedule(self):
+        raw = load_scenario("disk_uniform_stationary").to_dict()
+        raw["time"], raw["tolerances"] = {}, {}
+        assert ScenarioConfig.from_dict(raw).build_schedule() == Schedule()
+
+    def test_every_schedule_key_reaches_the_schedule(self):
+        names = {f.name for f in dataclasses.fields(Schedule)}
+        keys = (config._TIME_KEYS | config._TOL_KEYS) - {"mass_tol"}
+        assert keys <= names
+        raw = load_scenario("disk_uniform_stationary").to_dict()
+        raw["time"] = {"stop_tol": 2e-8, "t_max": 3, "snapshot_dt": 0.5,
+                       "c_stab": 0.3, "max_halvings": 4}
+        raw["tolerances"] = {"boundary_tol": 1e-11, "obliqueness_floor": 1e-6,
+                             "init_boundary_tol": 1e-5, "image_tol": 0.1,
+                             "mass_tol": 1e-4}
+        sched = ScenarioConfig.from_dict(raw).build_schedule()
+        assert sched == Schedule(stop_tol=2e-8, t_max=3.0, snapshot_dt=0.5,
+                                 c_stab=0.3, max_halvings=4, boundary_tol=1e-11,
+                                 obliqueness_floor=1e-6, init_boundary_tol=1e-5,
+                                 image_tol=0.1)
+        assert type(sched.t_max) is float and type(sched.max_halvings) is int
 
     @pytest.mark.parametrize("grid", [(2, 64), (16, 33), (16, 6)])
     def test_invalid_grid_override_rejected(self, grid):
@@ -306,6 +329,50 @@ class TestCLI:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OTFlowError"
         assert "snap_0003_u.field" in err["detail"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "no_config", "no_snapshots",
+                                        "no_converged"])
+    def test_corrupt_manifest_exit_1(self, tmp_path, capsys, damage):
+        code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
+                            "--stop-tol", "5e-3", "--out", str(tmp_path))
+        assert code == 0
+        outdir = json.loads(capsys.readouterr().out)["outdir"]
+        path = os.path.join(outdir, "manifest.json")
+        if damage == "truncated":
+            text = '{"format": "otflow-traj'
+        else:
+            manifest = json.load(open(path))
+            del manifest[damage[3:]]
+            text = json.dumps(manifest)
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert self.run_cli("replay-diagnostics", outdir) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OTFlowError"
+        assert "manifest.json" in err["detail"]
+
+    def test_not_c_convex_start_reports_its_witness(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def concave_bump(spec, grid):
+            r2 = (grid.nodes ** 2).sum(-1)
+            return grid.scalar(r2 - 0.5 * r2 ** 2)
+
+        monkeypatch.setitem(flow.INITIAL_POTENTIALS, "linear_scaling",
+                            concave_bump)
+        code = self.run_cli("run", "disk_uniform_stationary", "--grid", "16x32",
+                            "--out", str(tmp_path))
+        assert code == 1
+        report = json.load(open(tmp_path / "disk_uniform_stationary"
+                                / "error.json"))
+        assert json.loads(capsys.readouterr().err) == report
+        assert report["error"] == "NotCConvex"
+        witness = report["witness"]
+        _, grid = load_scenario("disk_uniform_stationary").with_overrides(
+            grid=(16, 32)).build_problem()
+        i, j = witness["node"]
+        assert witness["x"] == grid.nodes[i, j].tolist()
+        assert witness["min_eig_W"] < 0
+        assert np.linalg.norm(witness["x"]) > 0.5   # in the concave zone
 
     def test_truncated_trajectory_reports_missing_file(self, tmp_path, capsys):
         code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",

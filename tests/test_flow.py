@@ -135,6 +135,15 @@ class TestBoundaryProjection:
                 schedule=flow.Schedule(obliqueness_floor=obl + 1e-6),
                 chord=chord)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_ring_residual_stalls(self, stationary_state, bad):
+        st = stationary_state
+        u = st.u.copy()
+        u[-1, 5] = bad
+        with pytest.raises(NewtonStall, match="non-finite"):
+            flow._project_boundary(st.ctx, u, tmap_seed=st.tmap)
+
     def test_projection_without_chord_is_order_independent(
             self, disk_pair_spec, grid32, stationary_state):
         fresh = flow.initialize(disk_pair_spec, grid32,

@@ -70,6 +70,100 @@ def test_gradient_paths_agree_bitwise(dom, rng):
     assert np.array_equal(g.grad_values(a), g.scalar_calculus(a)[0])
 
 
+def _reference_scalar_calculus(g, arr):
+    """The componentwise calculus the kernel's tables must reproduce bit for
+    bit: np.roll ghost rows across the center and strided ``jinv`` views."""
+    half = g.n_s // 2
+    dr = g.dr
+
+    def ghost(a, row):
+        return np.roll(a[row], -half, axis=0)
+
+    def d_r(a):
+        out = np.empty_like(a)
+        out[1:-1] = (a[2:] - a[:-2]) / (2 * dr)
+        if g.center_symmetric:
+            out[0] = (a[1] - ghost(a, 0)) / (2 * dr)
+            last = min(g.n_r - 3, int(np.searchsorted(g.r, 0.3)))
+            ext = np.concatenate([ghost(a, 1)[None], ghost(a, 0)[None], a], axis=0)
+            i = np.arange(last)
+            out[i] = (-ext[i + 4] + 8 * ext[i + 3]
+                      - 8 * ext[i + 1] + ext[i]) / (12 * dr)
+        else:
+            out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * dr)
+        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * dr)
+        return out
+
+    def d_rr(a):
+        out = np.empty_like(a)
+        out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / dr ** 2
+        if g.center_symmetric:
+            out[0] = (a[1] - 2 * a[0] + ghost(a, 0)) / dr ** 2
+        else:
+            out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / dr ** 2
+        out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / dr ** 2
+        return out
+
+    ji = g.jinv
+    a, b = ji[..., 0, 0], ji[..., 1, 0]
+    c, d = ji[..., 0, 1], ji[..., 1, 1]
+    fhat = np.fft.rfft(arr, axis=1)
+    fs = np.fft.irfft(fhat * g._d1, n=g.n_s, axis=1)
+    fss = np.fft.irfft(fhat * g._d2, n=g.n_s, axis=1)
+    fr, frr, frs = d_r(arr), d_rr(arr), d_r(fs)
+    gx = np.empty(arr.shape + (2,))
+    gx[..., 0] = a * fr + b * fs
+    gx[..., 1] = c * fr + d * fs
+    x_rs, x_ss = g._vp, g.r[:, None, None] * g._vpp
+    h_rs = frs - (x_rs[None, :, 0] * gx[..., 0] + x_rs[None, :, 1] * gx[..., 1])
+    h_ss = fss - (x_ss[..., 0] * gx[..., 0] + x_ss[..., 1] * gx[..., 1])
+    hess = np.empty(arr.shape + (2, 2))
+    hess[..., 0, 0] = a * a * frr + 2 * a * b * h_rs + b * b * h_ss
+    hess[..., 0, 1] = a * c * frr + (a * d + b * c) * h_rs + b * d * h_ss
+    hess[..., 1, 0] = hess[..., 0, 1]
+    hess[..., 1, 1] = c * c * frr + 2 * c * d * h_rs + d * d * h_ss
+    return gx, hess
+
+
+def _reference_pole_projection(g, values):
+    """The pole projection as a 2-D gather of each ring's source rings."""
+    cut = g._pole_cut
+    fhat = np.fft.rfft(values[:cut], axis=1)
+    n_m = fhat.shape[1]
+    cols = np.arange(n_m)[None, :]
+    # the plan's flat indices name a source ring and this column
+    src1, src2 = g._pole_take // n_m
+    assert np.all(g._pole_take % n_m == cols)
+    w1, w2 = g._pole_w
+    out = w1 * fhat[src1, cols] + w2 * fhat[src2, cols]
+    res = values.copy()
+    res[:cut] = np.fft.irfft(out, n=g.n_s, axis=1)
+    return res
+
+
+@pytest.mark.parametrize("dom,symmetric", [
+    (DISK, True),                               # wide inner stencil
+    (domains.Ellipse(1.3, 0.8), True),
+    (domains.CosineBlob(1.0, 0.2, 3), False),   # one-sided inner ring
+], ids=["disk", "ellipse", "blob"])
+@pytest.mark.parametrize("shape", [(4, 8), (24, 48), (32, 64)],
+                         ids=["4x8", "24x48", "32x64"])
+def test_kernels_match_the_componentwise_reference_bitwise(dom, symmetric, shape,
+                                                           rng):
+    g = CurvilinearGrid(dom, *shape)
+    assert g.center_symmetric == symmetric
+    assert g._pole_active
+    for f in (np.exp(g.nodes[..., 0] + 0.5 * g.nodes[..., 1]),
+              rng.normal(size=shape)):
+        grad, hess = g.scalar_calculus(f)
+        ref_grad, ref_hess = _reference_scalar_calculus(g, f)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(hess, ref_hess)
+        assert hess.flags.c_contiguous and grad.flags.c_contiguous
+        assert np.array_equal(g.apply_pole_projection(f),
+                              _reference_pole_projection(g, f))
+
+
 def test_integration_values(g32):
     assert abs(integrate(g32, g32.scalar(np.ones((32, 64)))) - np.pi) <= 1e-12
     rho = g32.scalar(np.full((32, 64), 1 / np.pi))
