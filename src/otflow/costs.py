@@ -120,13 +120,6 @@ class CostModel:
                            - self.cross_hessian(x, y - e)) / (2 * h)
         return out
 
-    def derivative_bundle(self, x, y):
-        """All derivatives at a single (x, y), for audits and tests."""
-        return DerivativeBundle(
-            value=self.eval(x, y), grad_x=self.grad_x(x, y), grad_y=self.grad_y(x, y),
-            hess_xx=self.hess_xx(x, y), cross=self.cross_hessian(x, y),
-            third_xxy=self.third_xxy(x, y), third_xyy=self.third_xyy(x, y))
-
     def negated(self):
         """The same cost with flipped sign (minimization <-> maximization).
 
@@ -326,22 +319,6 @@ class CostModel:
         apm = self.matrix_A(x, p - step, **kw)
         d2a = (app - 2.0 * a00 + apm) / h ** 2
         return nm.quadform2(d2a, eta) * xin ** 2
-
-
-class DerivativeBundle:
-    """Derivatives of a cost at one (x, y), with the symmetry facts attached."""
-
-    def __init__(self, value, grad_x, grad_y, hess_xx, cross, third_xxy, third_xyy):
-        self.value = value
-        self.grad_x = grad_x
-        self.grad_y = grad_y
-        self.hess_xx = hess_xx
-        self.cross = cross
-        self.third_xxy = third_xxy
-        self.third_xyy = third_xyy
-
-    def hess_xx_asymmetry(self):
-        return float(np.max(np.abs(self.hess_xx - nm.transpose2(self.hess_xx))))
 
 
 # --- built-in costs -------------------------------------------------------

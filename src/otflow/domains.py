@@ -16,7 +16,6 @@ and equality of total masses.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import _numerics as nm
 from .errors import BitwistFailure, DensityOutOfBounds, MassImbalance
@@ -428,6 +427,9 @@ def _sample_interior(domain, n, seed, dim_offset=0):
     extends (never reshuffles) a smaller sample: audit minima are monotone
     under sample growth.
     """
+    # scipy.stats is most of the package's import time; only this needs it
+    from scipy.stats import qmc
+
     lo = domain.star_center - 4.0
     hi = domain.star_center + 4.0
     if domain.kind == "disk":

@@ -14,19 +14,23 @@ projection's ring image, and through ``FlowState.ring_beta`` for a state.
 Stability: a step is one Runge-Kutta-Legendre super-step of second order
 (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014). Its s stages
 are each a forward-Euler-like update of the non-boundary rows, and the
-super-step tau is stable for tau <= (s^2 + s - 2)/4 dt_FE, where
-dt_FE = c_stab h_min^2 / max trace(W^{-1}) with c_stab = 0.4 is the explicit
-Euler limit; h_min is the smallest effective node spacing divided by sqrt(2)
-(the two space dimensions share the explicit stability budget; the angular
-spacing near the center is the post-projection effective one, see
-:mod:`otflow.grid`). Every stage is followed by the pole projection and the
-boundary projection, and its state is checked for positive definiteness of
-W and finiteness. A super-step with a failing stage is rejected and retried
-with half of tau. ``run_to_convergence`` takes tau as a fixed fraction of
-the snapshot cadence and the fewest stages that keep it stable.
+super-step tau is stable for tau <= (s^2 + s - 2)/4 dt_FE, where dt_FE is
+the explicit Euler limit. ``policy_dt`` bounds it a priori by
+c_stab h_min^2 / max trace(W^{-1}) with c_stab = 0.4; h_min is the smallest
+effective node spacing divided by sqrt(2) (the two space dimensions share
+the explicit stability budget; the angular spacing near the center is the
+post-projection effective one, see :mod:`otflow.grid`). Every stage is
+followed by the pole projection and the boundary projection, and its state
+is checked for positive definiteness of W and finiteness. A super-step with
+a failing stage is rejected and retried with half of tau.
+``run_to_convergence`` takes tau as a fixed fraction of the snapshot cadence
+and the fewest stages stable for a measured dt_FE, SPECTRAL_SAFETY * 2/|lam|
+with lam the stiffest eigenvalue of the stepper's own Jacobian, estimated by
+``stiffest_eigenvalue`` at the start and after every snapshot; ``policy_dt``
+is its floor.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,13 +152,20 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """A completed (or truncated) run: snapshots plus per-step records."""
+    """A completed (or truncated) run: snapshots plus per-step records.
+
+    ``step_reports`` and ``step_dt_fe`` hold, per accepted super-step, its
+    :class:`StepReport` and the forward-Euler step its stage count was
+    chosen for; they are kept in memory only (a loaded trajectory has
+    none)."""
 
     ctx: FlowContext
     snapshots: list
     step_records: np.ndarray    # (n_steps, len(STEP_COLUMNS))
     converged: bool
     reason: str
+    step_reports: list = field(default_factory=list)
+    step_dt_fe: list = field(default_factory=list)
 
     @property
     def grid(self):
@@ -445,12 +456,62 @@ def enforce_boundary(state, schedule=None):
 #: of about 7e-6 against a fine-step Euler run at 32x64 and at 64x128, stays
 #: far below the O(dr^2) spatial error
 SUPER_STEP_FRACTION = 0.25
+#: a run's forward-Euler step is this fraction of 2/|lambda_max|, the
+#: limit set by the measured stiffest eigenvalue (see stiffest_eigenvalue)
+SPECTRAL_SAFETY = 0.8
+#: forward-difference step of the stepper's Jacobian-vector product
+_JVP_EPS = 1e-6
+#: the power iteration stops once its Rayleigh quotient moves by less than
+#: this relative amount, or after _POWER_CAP products
+_POWER_RTOL = 0.002
+_POWER_CAP = 12
 
 
 def policy_dt(state, c_stab=Schedule.c_stab):
     """Forward-Euler stability limit: c_stab h_min^2 / max trace(W^{-1})."""
     tr_winv = (state.W[..., 0, 0] + state.W[..., 1, 1]) / state.det_W
     return c_stab * state.grid.h_min ** 2 / float(np.max(tr_winv))
+
+
+def stiffest_eigenvalue(state, schedule, chord, start=None):
+    """Power iteration for the stiffest eigenvalue of the stepper's own map
+    v -> rate[:-1] on the non-boundary rows, pole and boundary projections
+    included; returns lambda and the eigenvector estimate.
+
+    Each product is a forward difference of one stage evaluation at
+    ``state`` (the boundary Newton reuses the run's ``chord``). The
+    iteration starts from ``start`` or, without one, from the checkerboard
+    of each ring's highest free angular mode, and stops once the Rayleigh
+    quotient moves by less than _POWER_RTOL, or after _POWER_CAP products.
+    lambda is None when a perturbed evaluation fails."""
+    if start is None:
+        grid = state.grid
+        i, j = np.indices(state.u[:-1].shape)
+        k = grid.pole_kmax[:-1, None]
+        start = (-1.0) ** i * np.cos(2.0 * np.pi * k * j / grid.n_s)
+    y = start / np.max(np.abs(start))
+    base = state.rate[:-1]
+    lam = None
+    for _ in range(_POWER_CAP):
+        u = state.u.copy()
+        u[:-1] += _JVP_EPS * y
+        try:
+            rate = _project_stage(state.ctx, u, state.t, state.tmap, schedule,
+                                  chord)[0].rate
+        except (NewtonStall, ObliquenessLost):
+            return None, y
+        if rate is None:
+            return None, y
+        jy = (rate[:-1] - base) / _JVP_EPS
+        scale = float(np.max(np.abs(jy)))
+        if not (np.isfinite(scale) and scale > 0.0):
+            return None, y
+        rq = float(np.vdot(y, jy) / np.vdot(y, y))
+        y = jy / scale
+        if lam is not None and abs(rq - lam) <= _POWER_RTOL * abs(rq):
+            return rq, y
+        lam = rq
+    return lam, y
 
 
 def rkl2_stages(tau, dt_fe):
@@ -484,6 +545,16 @@ class _StageFailed(Exception):
     """A stage of a super-step left the admissible set."""
 
 
+def _project_stage(ctx, u, t, tmap_seed, sched, chord):
+    """The state at time t of a stage's raw potential u: its pole
+    projection, the Newton projection of its boundary ring, and the state
+    assembly. Returns the state and the Newton iteration count."""
+    u = ctx.grid.apply_pole_projection(u)
+    iters = _project_boundary(ctx, u, tmap_seed=tmap_seed, schedule=sched,
+                              chord=chord)
+    return build_state(ctx, u, t, tmap_seed=tmap_seed), iters
+
+
 def _rkl2_super_step(state, tau, stages, sched, chord):
     """One RKL2 super-step of length tau; returns the new state and the
     boundary Newton iterations of all stages.
@@ -508,18 +579,17 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
              + (mu_t[j] * tau) * prev.rate[:-1] + gamma_t[j] * tau_l0)
         u = prev.u.copy()               # the ring seeds the projection
         u[:-1] = y0 + d
-        u = ctx.grid.apply_pole_projection(u)
         if not np.all(np.isfinite(u)):
             raise _StageFailed(f"non-finite potential at stage {j}")
-        iters += _project_boundary(ctx, u, tmap_seed=prev.tmap, schedule=sched,
-                                   chord=chord)
-        stage = build_state(ctx, u, state.t + tau, tmap_seed=prev.tmap)
+        stage, n_newton = _project_stage(ctx, u, state.t + tau, prev.tmap,
+                                         sched, chord)
+        iters += n_newton
         if not stage.spd_ok:
             raise _StageFailed(f"W lost positivity at stage {j} "
                                f"(min eig {stage.min_eig_W:.3e})")
         if not np.all(np.isfinite(stage.rate)):
             raise _StageFailed(f"non-finite rate at stage {j}")
-        d_prev2, d_prev = d_prev, u[:-1] - y0
+        d_prev2, d_prev = d_prev, stage.u[:-1] - y0
         prev = stage
     return prev, iters
 
@@ -564,29 +634,41 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     """March the flow until the rate's sup norm falls below stop_tol or the
     horizon is reached. Each step is an RKL2 super-step of
     tau = SUPER_STEP_FRACTION * snapshot_dt (less to land on a snapshot) with
-    the fewest stages stable at c_stab; snapshots are taken exactly at
-    multiples of snapshot_dt, the stop rule is checked after every
-    super-step, and the monitor table has one row per accepted super-step."""
+    the fewest stages stable at dt_FE = max(policy_dt, SPECTRAL_SAFETY *
+    2/|lambda|), lambda being re-estimated at the start and after every
+    snapshot, warm-started from the previous eigenvector; snapshots are
+    taken exactly at multiples of snapshot_dt, the stop rule is checked after
+    every super-step, and the monitor table has one row per accepted
+    super-step."""
     sched = schedule or Schedule()
     state = initialize(spec, grid, u0, sched)
     chord = Chord()
     snapshots = [Snapshot(0.0, state.u.copy(), state.rate.copy())]
-    records = []
+    records, reports, dt_fes = [], [], []
     k_snap = 1
     converged = bool(np.max(np.abs(state.rate)) <= sched.stop_tol)
     reason = "stationary at start" if converged else ""
+    dt_spectral = eigvec = None
     while not converged and state.t < sched.t_max - 1e-12:
+        if dt_spectral is None:     # at the start and after every snapshot
+            lam, eigvec = stiffest_eigenvalue(state, sched, chord, eigvec)
+            dt_spectral = (SPECTRAL_SAFETY * 2.0 / -lam
+                           if lam is not None and lam < 0.0 else 0.0)
+        dt_fe = max(policy_dt(state, sched.c_stab), dt_spectral)
         target_t = min(k_snap * sched.snapshot_dt, sched.t_max)
         tau = min(SUPER_STEP_FRACTION * sched.snapshot_dt, target_t - state.t)
-        stages = rkl2_stages(tau, policy_dt(state, sched.c_stab))
+        stages = rkl2_stages(tau, dt_fe)
         state, rep = step(state, tau, sched, chord=chord, stages=stages)
         records.append(_record_row(state, rep.dt))
+        reports.append(rep)
+        dt_fes.append(dt_fe)
         if abs(state.t - target_t) < 1e-9:
             state.t = target_t
             if abs(target_t - k_snap * sched.snapshot_dt) < 1e-9:
                 snapshots.append(Snapshot(state.t, state.u.copy(),
                                           state.rate.copy()))
                 k_snap += 1
+                dt_spectral = None
         if records[-1][-1] <= sched.stop_tol:      # stationary_residual
             converged = True
             reason = f"rate below stop_tol at t = {state.t:.4f}"
@@ -597,4 +679,5 @@ def run_to_convergence(spec, grid, u0, schedule=None):
         snapshots.append(Snapshot(state.t, state.u.copy(), state.rate.copy()))
     table = np.array(records, float).reshape(-1, len(STEP_COLUMNS))
     return Trajectory(ctx=state.ctx, snapshots=snapshots, step_records=table,
-                      converged=converged, reason=reason)
+                      converged=converged, reason=reason, step_reports=reports,
+                      step_dt_fe=dt_fes)

@@ -346,3 +346,10 @@ def test_criterion_12_convexity_audits():
     details.append(f"nonconvex source detected: min form {rep.min_value:.3f} "
                    f"with reproducible witness at s={rep.argmin_s:.3f}")
     report("criterion 12 (convexity audits)", ok, "; ".join(details))
+
+
+def test_reference_runs_take_no_halvings(run64, run32_long):
+    # the measured stage count never needs a rejected super-step
+    for traj in (run64[0], run32_long):
+        assert len(traj.step_reports) == len(traj.step_records) > 0
+        assert sum(rep.halvings for rep in traj.step_reports) == 0

@@ -1,10 +1,13 @@
 """Flow stepping: initialization checks, the boundary projection, RKL2
 super-stepping with rejection, and the per-step structural invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from otflow import costs, diagnostics, domains, flow, grid
+from otflow.config import load_scenario
 from otflow.errors import (BoundaryIncompatible, NewtonStall, NonPositiveDet,
                            NotCConvex, ObliquenessLost, StepRejected)
 from otflow.km_geometry import transport_jacobian
@@ -261,6 +264,75 @@ class TestSuperStep:
         assert len(calls) == 3 + stages       # the rejected attempt, then all
         assert out.valid and out.t == st.t + 0.5 * tau
         assert out.u.tobytes() == expected.u.tobytes()
+
+
+def _perturbed_16x32():
+    cfg = load_scenario("disk_cosine_perturbed").with_overrides(grid=(16, 32))
+    spec, g = cfg.build_problem()
+    return spec, g, cfg.build_initial(spec, g), cfg.build_schedule()
+
+
+class TestSpectralStageCount:
+    """The run's stage count from the measured stiffest eigenvalue."""
+
+    def test_power_iteration_matches_dense_jacobian(self):
+        spec, g, u0, sched = _perturbed_16x32()
+        st = flow.initialize(spec, g, u0, sched)
+        chord = flow.Chord()
+        eps = 1e-6
+
+        def rate_map(v):
+            u = st.u.copy()
+            u[:-1] = v
+            u = g.apply_pole_projection(u)
+            flow._project_boundary(st.ctx, u, tmap_seed=st.tmap, schedule=sched,
+                                   chord=chord)
+            return flow.build_state(st.ctx, u, st.t, tmap_seed=st.tmap).rate[:-1]
+
+        v0 = st.u[:-1]
+        jac = np.empty((v0.size, v0.size))
+        for k in range(v0.size):
+            e = np.zeros(v0.size)
+            e[k] = eps
+            jac[:, k] = ((rate_map(v0 + e.reshape(v0.shape)) - st.rate[:-1])
+                         / eps).ravel()
+        lam_dense = float(np.min(np.linalg.eigvals(jac).real))
+        lam, _ = flow.stiffest_eigenvalue(st, sched, flow.Chord())
+        assert abs(lam - lam_dense) <= 0.03 * abs(lam_dense)
+        # the first super-step of the run from this state
+        traj = flow.run_to_convergence(spec, g, u0,
+                                       dataclasses.replace(sched, t_max=0.125))
+        assert (flow.policy_dt(st, sched.c_stab) < traj.step_dt_fe[0]
+                <= 2.0 / abs(lam_dense))
+
+    def test_perturbed_run_takes_fewer_evaluations(self, monkeypatch):
+        spec, g, u0, sched = _perturbed_16x32()
+        builds = []
+        stage_rule = []
+        build_state, step = flow.build_state, flow.step
+
+        def counting_build_state(*args, **kwargs):
+            builds.append(1)
+            return build_state(*args, **kwargs)
+
+        def checked_step(state, tau, schedule, chord, stages):
+            stage_rule.append((stages, flow.rkl2_stages(
+                tau, flow.policy_dt(state, schedule.c_stab))))
+            return step(state, tau, schedule, chord=chord, stages=stages)
+
+        monkeypatch.setattr(flow, "build_state", counting_build_state)
+        monkeypatch.setattr(flow, "step", checked_step)
+        traj = flow.run_to_convergence(spec, g, u0, sched)
+        assert traj.converged
+        reports = traj.step_reports
+        assert len(reports) == len(traj.step_dt_fe) == len(traj.step_records)
+        assert sum(rep.halvings for rep in reports) == 0
+        assert [rep.stages for rep in reports] == [s for s, _ in stage_rule]
+        assert all(s <= rule for s, rule in stage_rule)
+        # every build but initialize's is a stage or a product of the estimate
+        evaluations = len(builds) - 1
+        assert evaluations <= 0.8 * sum(rule for _, rule in stage_rule)
+        assert evaluations < 1977       # stages of this run with policy_dt alone
 
 
 class TestRunToConvergence:
