@@ -58,14 +58,12 @@ def sym_eig_range2(m):
     return half_tr - gap, half_tr + gap
 
 
-def quadform2(m, u, v=None):
-    """u^T m v (v defaults to u)."""
-    if v is None:
-        v = u
-    return (m[..., 0, 0] * u[..., 0] * v[..., 0]
-            + m[..., 0, 1] * u[..., 0] * v[..., 1]
-            + m[..., 1, 0] * u[..., 1] * v[..., 0]
-            + m[..., 1, 1] * u[..., 1] * v[..., 1])
+def quadform2(m, u):
+    """u^T m u."""
+    return (m[..., 0, 0] * u[..., 0] * u[..., 0]
+            + m[..., 0, 1] * u[..., 0] * u[..., 1]
+            + m[..., 1, 0] * u[..., 1] * u[..., 0]
+            + m[..., 1, 1] * u[..., 1] * u[..., 1])
 
 
 def cross2(u, v):

@@ -12,6 +12,8 @@ environment variable. Exit codes: 0 success, 2 validation/config failure,
 1 runtime failure. A failed run writes error.json to its run directory, a
 failed audit-convexity to its --out directory, and a config that fails to
 parse or validate (overrides included) to <root>/<config stem or name>.
+The audit sweeps are fixed Sobol prefixes: the seed is recorded in
+manifest.json but selects no sample.
 """
 
 import argparse

@@ -198,8 +198,7 @@ class ScenarioConfig:
                 "it supports audits only")
         return INITIAL_POTENTIALS[self.initial["kind"]](spec, grid)
 
-    def with_overrides(self, grid=None, seed=None, stop_tol=None,
-                       output_dir=None):
+    def with_overrides(self, grid=None, seed=None, stop_tol=None):
         """A validated copy with the given fields replaced."""
         raw = self.to_dict()
         if grid is not None:
@@ -208,8 +207,6 @@ class ScenarioConfig:
             raw["seed"] = int(seed)
         if stop_tol is not None:
             raw["time"] = dict(raw["time"], stop_tol=float(stop_tol))
-        if output_dir is not None:
-            raw["output_dir"] = output_dir
         return ScenarioConfig.from_dict(raw)
 
 

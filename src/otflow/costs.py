@@ -26,6 +26,9 @@ DEFAULT_H_FD = 1e-4
 #: floor on |det| of the cross Hessian before raising DegenerateCross
 CROSS_DET_FLOOR = 1e-12
 
+#: a twist inverse with h*(y) above this lies outside the target
+OUTSIDE_TOL = 1e-8
+
 
 class CostModel:
     """Derivative oracles for a transport cost and the calculus built on them.
@@ -147,12 +150,12 @@ class CostModel:
 
     # -- twist inversion --------------------------------------------------
 
-    def invert_Y(self, x, p, seed=None, target=None, outside_tol=1e-8):
+    def invert_Y(self, x, p, seed=None, target=None):
         """Solve grad_x c(x, y) = p for y by damped Newton.
 
         ``seed`` defaults to the closed-form inverse when the cost provides
         one, else to the target's star center, else to x. When ``target`` is
-        given, the converged point must satisfy h*(y) <= outside_tol.
+        given, the converged point must satisfy h*(y) <= OUTSIDE_TOL.
         """
         x = np.asarray(x, float)
         p = np.asarray(p, float)
@@ -171,34 +174,25 @@ class CostModel:
                          np.array(seed, float, copy=True), "invert_Y")
         if target is not None:
             worst = np.max(target.h(y))
-            if worst > outside_tol:
+            if worst > OUTSIDE_TOL:
                 raise OutsideTarget(
                     f"invert_Y converged outside the target: max h* = {worst:.3e}")
         return y
 
-    def invert_X(self, q, y, seed=None, source=None, outside_tol=1e-8):
-        """Solve grad_y c(x, y) = q for x (mirror of invert_Y)."""
+    def invert_X(self, q, y):
+        """Solve grad_y c(x, y) = q for x by damped Newton, seeded with the
+        closed-form inverse when the cost provides one, else with y."""
         q = np.asarray(q, float)
         y = np.asarray(y, float)
-        if self._invert_x is not None and self.inverse_exact and source is None:
+        if self._invert_x is not None and self.inverse_exact:
             return self._invert_x(q, y)
-        if seed is None:
-            if self._invert_x is not None:
-                seed = self._invert_x(q, y)
-            elif source is not None:
-                seed = np.broadcast_to(source.star_center, np.broadcast_shapes(
-                    q.shape, y.shape)).copy()
-            else:
-                seed = np.broadcast_to(y, np.broadcast_shapes(q.shape, y.shape)).copy()
-        x = self._newton(lambda xx: self.grad_y(xx, y) - q,
-                         lambda xx: nm.transpose2(self.cross_hessian(xx, y)),
-                         np.array(seed, float, copy=True), "invert_X")
-        if source is not None:
-            worst = np.max(source.h(x))
-            if worst > outside_tol:
-                raise OutsideTarget(
-                    f"invert_X converged outside the source: max h = {worst:.3e}")
-        return x
+        if self._invert_x is not None:
+            seed = self._invert_x(q, y)
+        else:
+            seed = np.broadcast_to(y, np.broadcast_shapes(q.shape, y.shape))
+        return self._newton(lambda xx: self.grad_y(xx, y) - q,
+                            lambda xx: nm.transpose2(self.cross_hessian(xx, y)),
+                            np.array(seed, float, copy=True), "invert_X")
 
     def _newton(self, residual, jacobian, z, label):
         res = residual(z)
@@ -228,66 +222,61 @@ class CostModel:
 
     # -- derived objects --------------------------------------------------
 
-    def matrix_A(self, x, p, y=None, **kw):
-        """A(x, p) = (D^2_x c)(x, Y(x, p)); pass ``y`` to reuse a known inverse."""
-        if y is None:
-            y = self.invert_Y(x, p, **kw)
-        return self.hess_xx(x, y)
+    def matrix_A(self, x, p):
+        """A(x, p) = (D^2_x c)(x, Y(x, p))."""
+        return self.hess_xx(x, self.invert_Y(x, p))
 
-    def matrix_A_alt(self, x, p, h=None, **kw):
+    def matrix_A_alt(self, x, p):
         """-(D_p Y)^{-1} D_x Y with both Jacobians of Y by central differences.
 
         Independent of :meth:`matrix_A`; kept for cross-validation.
         """
         x = np.asarray(x, float)
         p = np.asarray(p, float)
-        h = self.h_fd if h is None else h
+        h = self.h_fd
         shape = np.broadcast_shapes(x.shape, p.shape)
         dpY = np.empty(shape[:-1] + (2, 2))
         dxY = np.empty(shape[:-1] + (2, 2))
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            dpY[..., :, k] = (self.invert_Y(x, p + e, **kw)
-                              - self.invert_Y(x, p - e, **kw)) / (2 * h)
-            dxY[..., :, k] = (self.invert_Y(x + e, p, **kw)
-                              - self.invert_Y(x - e, p, **kw)) / (2 * h)
+            dpY[..., :, k] = (self.invert_Y(x, p + e)
+                              - self.invert_Y(x, p - e)) / (2 * h)
+            dxY[..., :, k] = (self.invert_Y(x + e, p)
+                              - self.invert_Y(x - e, p)) / (2 * h)
         return -nm.matmul2(nm.inv2(dpY), dxY)
 
-    def scalar_B(self, rho, rho_star, x, p, y=None, **kw):
+    def scalar_B(self, rho, rho_star, x, p):
         """|det D^2_{x,y} c(x, Y)| * rho(x) / rho*(Y) > 0."""
-        if y is None:
-            y = self.invert_Y(x, p, **kw)
+        y = self.invert_Y(x, p)
         det = nm.det2(self.cross_hessian(x, y))
         if np.min(np.abs(det)) < CROSS_DET_FLOOR:
             raise DegenerateCross(
                 f"|det cross Hessian| below {CROSS_DET_FLOOR:g} in scalar_B")
         return np.abs(det) * rho(x) / rho_star(y)
 
-    def boundary_G(self, target, x, p, y=None, **kw):
+    def boundary_G(self, target, x, p):
         """G(x, p) = h*(Y(x, p)); negative iff Y(x, p) is interior to the target."""
-        if y is None:
-            y = self.invert_Y(x, p, **kw)
-        return target.h(y)
+        return target.h(self.invert_Y(x, p))
 
-    def oblique_beta(self, target, x, p, y=None, **kw):
+    def oblique_beta(self, target, x, p, y=None):
         """grad_p G(x, p) = (D_p Y)^T grad h*(Y) with D_p Y = C^{-1}, the
         oblique direction; ``p`` is not read when ``y`` is given."""
         if y is None:
-            y = self.invert_Y(x, p, **kw)
+            y = self.invert_Y(x, p)
         if self.cross_identity:
             return target.h_grad(y)
         P = nm.inv2(self.cross_hessian(x, y))     # (target, source) index order
         return nm.matvec2(nm.transpose2(P), target.h_grad(y))
 
-    def G_hessian_p(self, target, x, p, y=None, **kw):
+    def G_hessian_p(self, target, x, p, y=None):
         """p-Hessian of G: P^T (D^2 h* - sum_j beta_j d_yy grad_x c_j) P.
 
         Assembled from the implicit-differentiation identities for Y rather
         than finite differences; P = C^{-1}.
         """
         if y is None:
-            y = self.invert_Y(x, p, **kw)
+            y = self.invert_Y(x, p)
         x = np.asarray(x, float)
         C = self.cross_hessian(x, y)
         P = nm.inv2(C)
@@ -297,7 +286,7 @@ class CostModel:
         core = target.h_hess(y) - K
         return nm.matmul2(nm.transpose2(P), nm.matmul2(core, P))
 
-    def mtw_tensor(self, x, p, xi, eta, h=None, **kw):
+    def mtw_tensor(self, x, p, xi, eta, h=None):
         """D_{p_i p_j} A_{k l} xi^i xi^j eta^k eta^l with eta projected off xi.
 
         Second central difference of A along xi in p; the classical curvature
@@ -314,9 +303,9 @@ class CostModel:
         eta = eta - (eta[..., 0] * uxi[..., 0] + eta[..., 1] * uxi[..., 1])[..., None] * uxi
         h = self.h_fd if h is None else h
         step = h * uxi
-        app = self.matrix_A(x, p + step, **kw)
-        a00 = self.matrix_A(x, p, **kw)
-        apm = self.matrix_A(x, p - step, **kw)
+        app = self.matrix_A(x, p + step)
+        a00 = self.matrix_A(x, p)
+        apm = self.matrix_A(x, p - step)
         d2a = (app - 2.0 * a00 + apm) / h ** 2
         return nm.quadform2(d2a, eta) * xin ** 2
 
@@ -467,15 +456,8 @@ _REGISTRY = {
 }
 
 
-def register_cost(name, factory):
-    """Make a user cost addressable by name in scenario configs. The factory
-    takes the solver keywords of a config's cost section (``newton_tol``,
-    ``h_fd``) and forwards them to :class:`CostModel`."""
-    _REGISTRY[name] = factory
-
-
 def make_cost(name, **params):
-    """The registered cost ``name``, built with the CostModel keywords
+    """The built-in cost ``name``, built with the CostModel keywords
     ``params`` (for example newton_tol and h_fd)."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown cost '{name}'; known: {sorted(_REGISTRY)}")

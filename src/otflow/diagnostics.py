@@ -119,10 +119,10 @@ def fit_envelope(t, y, features=("1", "t")):
     return EnvelopeFit(c1=c1, c2=c2)
 
 
-def sublinearity_stability(t, y, features=("1", "t")):
-    """Stability of the envelope bound under halving the horizon: the sup
-    distance between the [0, T/2]- and [0, T]-fitted bounds on the common
-    window, relative to the data scale."""
+def sublinearity_stability(t, y):
+    """Stability of the envelope bound c1 + c2 t under halving the horizon:
+    the sup distance between the [0, T/2]- and [0, T]-fitted bounds on the
+    common window, relative to the data scale."""
     t = np.asarray(t, float)
     y = np.asarray(y, float)
     keep = np.isfinite(y)
@@ -133,14 +133,11 @@ def sublinearity_stability(t, y, features=("1", "t")):
     m = t <= t_half
     if np.count_nonzero(m) < 4 or np.count_nonzero(~m) < 2:
         raise NoDecayWindow("series too short to compare horizons")
-    fit_half = fit_envelope(t[m], y[m], features)
-    fit_full = fit_envelope(t, y, features)
-
-    def evaluate(fit, tt):
-        return fit.c1 * _features(features[0], tt) + fit.c2 * _features(features[1], tt)
-
+    fit_half = fit_envelope(t[m], y[m])
+    fit_full = fit_envelope(t, y)
     probe = t[m]
-    gap = float(np.max(np.abs(evaluate(fit_half, probe) - evaluate(fit_full, probe))))
+    gap = float(np.max(np.abs((fit_half.c1 + fit_half.c2 * probe)
+                              - (fit_full.c1 + fit_full.c2 * probe))))
     scale = float(np.max(np.abs(y))) or 1.0
     return gap / scale, fit_half, fit_full
 
@@ -157,15 +154,14 @@ class HarnackRatioReport:
     sigma: float          # -log eps
 
 
-def harnack_ratio_series(series, t_min=1.0, gap_floor=None):
+def harnack_ratio_series(series):
     """C(t) = sup gap(., t) / inf gap(., t + 1) over the series times with
-    t >= t_min; the contraction factor eps = (C - 1)/C and rate -log eps are
+    t >= 1; the contraction factor eps = (C - 1)/C and rate -log eps are
     derived from the largest ratio."""
-    floor = series.floor if gap_floor is None else gap_floor
     ts = series.times
     out_t, out_c = [], []
     for m, t in enumerate(ts):
-        if t < t_min - 1e-9:
+        if t < 1.0 - 1e-9:
             continue
         try:
             n = time_index(ts, t + 1.0)
@@ -173,7 +169,7 @@ def harnack_ratio_series(series, t_min=1.0, gap_floor=None):
             continue
         sup_now = float(np.max(series.gap[m]))
         inf_next = float(np.min(series.gap[n]))
-        if inf_next <= floor:
+        if inf_next <= series.floor:
             raise DegenerateDenominator(
                 f"inf gap(., {t + 1.0}) = {inf_next:.3e} at or below the floor")
         out_t.append(t)
@@ -204,11 +200,12 @@ class OscillationReport:
         return self.sup_violations + self.inf_violations
 
 
-def oscillation_decay(trajectory, eps, sigma, tol=1e-8, c_harnack=None):
+def oscillation_decay(trajectory, eps, sigma, tol=1e-8):
     """Geometric decay envelope of the rate extrema at integer times.
 
     Checks sup(k+1) <= eps sup(k-1) + tol and
-    inf(k) >= -(C-1) sup(0) exp(-sigma (k-1)) - tol; reports the violation
+    inf(k) >= -(C-1) sup(0) exp(-sigma (k-1)) - tol with C = 1/(1 - eps),
+    the Harnack constant that eps derives from; reports the violation
     counts (an eps >= 1 input is reported as non-contractive rather than
     checked).
     """
@@ -228,7 +225,7 @@ def oscillation_decay(trajectory, eps, sigma, tol=1e-8, c_harnack=None):
     infs = np.array(infs)
     if not (0 < eps < 1):
         return OscillationReport(ks, sups, infs, 0, 0, contractive=False, tol=tol)
-    c_val = c_harnack if c_harnack is not None else 1.0 / (1.0 - eps)
+    c_val = 1.0 / (1.0 - eps)
     sup_viol = 0
     for idx in range(2, len(ks)):
         if sups[idx] > eps * sups[idx - 2] + tol:
@@ -244,11 +241,11 @@ def oscillation_decay(trajectory, eps, sigma, tol=1e-8, c_harnack=None):
 
 # --- run summary -------------------------------------------------------------------
 
-def measured_norm_bound(trajectory, n_cost_samples=256):
+def measured_norm_bound(trajectory):
     """A computable stand-in for the run's regularity scale: the largest of
     the potential's sup norm, gradient, Hessian, and rate over the snapshots,
     together with a sampled bound on the cost and its first two derivative
-    tensors over the visited product region."""
+    tensors at 256 sampled nodes of the final state."""
     grid = trajectory.grid
     spec = trajectory.spec
     out = 0.0
@@ -260,7 +257,7 @@ def measured_norm_bound(trajectory, n_cost_samples=256):
                   float(np.max(np.abs(hess))),
                   float(np.max(np.abs(snap.rate))))
     rng = np.random.default_rng(0)
-    idx = rng.integers(0, grid.n_r * grid.n_s, size=n_cost_samples)
+    idx = rng.integers(0, grid.n_r * grid.n_s, size=256)
     xs = grid.nodes.reshape(-1, 2)[idx]
     st = trajectory.final_state()
     ys = st.tmap.reshape(-1, 2)[idx]

@@ -81,7 +81,8 @@ class FlowContext:
 
 @dataclass
 class FlowState:
-    """Potential at one time with the derived fields the stepper reuses."""
+    """Potential at one time with the derived fields the stepper reuses.
+    ``rate`` is None exactly when W is not positive definite everywhere."""
 
     ctx: FlowContext
     u: np.ndarray
@@ -94,7 +95,6 @@ class FlowState:
     min_eig_W: float
     max_boundary_G: float
     mass_err: float
-    spd_ok: bool
 
     @property
     def grid(self):
@@ -106,7 +106,7 @@ class FlowState:
 
     @property
     def valid(self):
-        return self.spd_ok and self.rate is not None and np.all(np.isfinite(self.u))
+        return self.rate is not None and np.all(np.isfinite(self.u))
 
     def rate_field(self):
         if self.rate is None:
@@ -214,10 +214,9 @@ def build_state(ctx, u_values, t, tmap_seed=None):
     det_w = nm.det2(W)
     lo, _ = nm.sym_eig_range2(W)
     min_eig = float(np.min(lo))
-    spd_ok = bool(min_eig > 0.0)
     # the stepper needs h* only on the boundary ring
     max_g = float(np.max(np.abs(spec.target.h(tmap[-1]))))
-    if spd_ok:
+    if min_eig > 0.0:
         log_b = ctx.log_rho - np.log(spec.rho_star(tmap))
         if not cost.cross_identity:
             C = cost.cross_hessian(grid.nodes, tmap)
@@ -230,14 +229,14 @@ def build_state(ctx, u_values, t, tmap_seed=None):
         mass_err = np.inf
     return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap, W=W,
                      det_W=det_w, rate=rate, min_eig_W=min_eig,
-                     max_boundary_G=max_g, mass_err=mass_err, spd_ok=spd_ok)
+                     max_boundary_G=max_g, mass_err=mass_err)
 
 
 def interior_rhs(state):
     """The flow right-hand side log det W - log B at every node (boundary
     included through the one-sided stencils); this field is the potential's
     time derivative."""
-    if not state.spd_ok or state.rate is None:
+    if state.rate is None:
         raise NonPositiveDet(
             f"det W <= 0 (min eigenvalue {state.min_eig_W:.3e}); "
             "the flow left the cost-convex cone")
@@ -260,7 +259,7 @@ def initialize(spec, grid, u0, schedule=None):
     u = grid.apply_pole_projection(np.asarray(u0.data if isinstance(u0, Field)
                                               else u0, float).copy())
     state = build_state(ctx, u, 0.0)
-    if not state.spd_ok:
+    if state.rate is None:
         lo, _ = nm.sym_eig_range2(state.W)
         i, j = np.unravel_index(np.argmin(lo), lo.shape)
         raise NotCConvex(
@@ -441,11 +440,10 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
     return iters
 
 
-def enforce_boundary(state, schedule=None):
+def enforce_boundary(state):
     """Project the boundary values of u onto G = 0 and refresh the caches."""
-    sched = schedule or Schedule()
     u = state.u.copy()
-    _project_boundary(state.ctx, u, tmap_seed=state.tmap, schedule=sched)
+    _project_boundary(state.ctx, u, tmap_seed=state.tmap)
     return build_state(state.ctx, u, state.t, tmap_seed=state.tmap)
 
 
@@ -584,7 +582,7 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
         stage, n_newton = _project_stage(ctx, u, state.t + tau, prev.tmap,
                                          sched, chord)
         iters += n_newton
-        if not stage.spd_ok:
+        if stage.rate is None:
             raise _StageFailed(f"W lost positivity at stage {j} "
                                f"(min eig {stage.min_eig_W:.3e})")
         if not np.all(np.isfinite(stage.rate)):
@@ -602,7 +600,7 @@ def step(state, tau, schedule=None, chord=None, stages=2):
     is stable. ``chord`` carries the projection's LU across the steps of a
     run; without one the projection factors afresh."""
     sched = schedule or Schedule()
-    if not state.spd_ok or state.rate is None:
+    if state.rate is None:
         raise NonPositiveDet("cannot step an invalid state")
     if stages < 2:
         raise ValueError("an RKL2 super-step needs at least 2 stages")

@@ -33,6 +33,12 @@ from .errors import TangentDirection
 #: angular modes whose extrapolation factor falls below this are zeroed
 _SLAVE_FLOOR = 1e-18
 
+#: a matrix field asymmetric by more than this is rejected
+SYMMETRY_TOL = 1e-12
+
+#: a boundary direction whose cosine with the normal is below this is tangent
+TANGENCY_FLOOR = 1e-6
+
 
 @dataclass
 class Field:
@@ -257,14 +263,14 @@ class CurvilinearGrid:
             raise ValueError("vector field shape mismatch")
         return Field(arr, "vector", self._id)
 
-    def matrix(self, values, symmetrize=False, tol=1e-12):
+    def matrix(self, values, symmetrize=False):
         arr = np.asarray(values, float)
         if arr.shape != (self.n_r, self.n_s, 2, 2):
             raise ValueError("matrix field shape mismatch")
         asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
         if symmetrize:
             arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
-        elif asym > tol:
+        elif asym > SYMMETRY_TOL:
             raise ValueError(f"matrix field asymmetric by {asym:.3e}")
         return Field(arr, "matrix", self._id)
 
@@ -443,14 +449,14 @@ def integrate(grid, f):
     return float(np.sum(grid.weights * f.data))
 
 
-def directional_derivative_at_boundary(grid, f, j, direction, obliqueness_floor=1e-6):
+def directional_derivative_at_boundary(grid, f, j, direction):
     """Second-order one-sided derivative of f along ``direction`` at the
     boundary node with angular index j.
 
     Sample points are taken where the line through the node meets the two
     rings beneath the boundary, with ring values interpolated
     trigonometrically. ``direction`` need not be normalized; the result scales
-    with its length. Directions within ``obliqueness_floor`` of tangency are
+    with its length. Directions within TANGENCY_FLOOR of tangency are
     rejected.
     """
     grid.check_field(f)
@@ -463,9 +469,9 @@ def directional_derivative_at_boundary(grid, f, j, direction, obliqueness_floor=
         raise TangentDirection("zero direction")
     nu = grid.boundary_normals[j]
     cosang = float(np.dot(d, nu)) / dn
-    if abs(cosang) < obliqueness_floor:
+    if abs(cosang) < TANGENCY_FLOOR:
         raise TangentDirection(
-            f"direction is tangent to the boundary within {obliqueness_floor:g}")
+            f"direction is tangent to the boundary within {TANGENCY_FLOOR:g}")
     sign = 1.0
     dd = d / dn
     if cosang < 0:           # point the probe outward, flip the result back

@@ -40,6 +40,9 @@ from .errors import DegenerateImage, MetricDegenerate
 from .flow import time_index
 from .grid import directional_derivative_at_boundary
 
+#: an image curve slower than this at the evaluation point is degenerate
+VELOCITY_FLOOR = 1e-12
+
 
 class KMMetric:
     """The split pseudo-metric on the product space and its connection."""
@@ -237,7 +240,7 @@ def second_fundamental_form_w(state, j_node):
 
 
 def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
-                         step=1e-4, n_orient=256, velocity_floor=1e-12):
+                         step=1e-4):
     """Euclidean second-fundamental-form curvature of a gradient-coordinate
     image boundary, oriented by the outward normal of the image region.
 
@@ -257,7 +260,7 @@ def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
     else:
         raise ValueError("which must be 'source_image' or 'target_image'")
     # orientation from the signed area of the full image curve
-    s_all = np.arange(n_orient) / n_orient
+    s_all = np.arange(256) / 256
     q = img(s_all)
     area2 = float(np.sum(nm.cross2(q, np.roll(q, -1, axis=0))))
     orient = 1.0 if area2 > 0 else -1.0
@@ -265,14 +268,14 @@ def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
     qp = (img(s_eval + step) - img(s_eval - step)) / (2 * step)
     qpp = (img(s_eval + step) - 2 * img(s_eval) + img(s_eval - step)) / step ** 2
     speed = float(np.linalg.norm(qp))
-    if speed < velocity_floor:
+    if speed < VELOCITY_FLOOR:
         raise DegenerateImage(f"image curve velocity {speed:.3e} below floor")
     return orient * float(nm.cross2(qp, qpp)) / speed ** 3
 
 
-def _target_boundary_param_of(target, point, n_scan=720):
+def _target_boundary_param_of(target, point):
     """Boundary parameter of the target closest to ``point``."""
-    s_grid = np.arange(n_scan) / n_scan
+    s_grid = np.arange(720) / 720
     bp = target.boundary_param(s_grid)
     s = float(s_grid[np.argmin(((bp - point) ** 2).sum(-1))])
     for _ in range(60):
@@ -291,7 +294,7 @@ def _target_boundary_param_of(target, point, n_scan=720):
     return s % 1.0
 
 
-def verify_II_identity(state, j_node, step=1e-4):
+def verify_II_identity(state, j_node):
     """Evaluate both sides of the boundary curvature identity at boundary
     node j and return the comparison report."""
     grid = state.grid
@@ -312,10 +315,10 @@ def verify_II_identity(state, j_node, step=1e-4):
     dt_beta = DT @ beta[j]
 
     kappa_src = coordinate_domain_II(cost, "source_image", y0, spec.source,
-                                     grid.s[j], step=step)
+                                     grid.s[j])
     s_star = _target_boundary_param_of(spec.target, y0)
     kappa_tgt = coordinate_domain_II(cost, "target_image", x0, spec.target,
-                                     s_star, step=step)
+                                     s_star)
     term1 = float(np.linalg.norm(dt_beta)) * kappa_src * float(tau_hat @ tau_hat)
     term2 = float(np.linalg.norm(beta[j])) * kappa_tgt * float(taubar_hat @ taubar_hat)
     rhs = term1 + term2
@@ -326,8 +329,7 @@ def verify_II_identity(state, j_node, step=1e-4):
                     grid_shape=(grid.n_r, grid.n_s))
 
 
-def dbeta_gradnorm_boundary(state, series, j_node, t,
-                            obliqueness_floor=1e-6):
+def dbeta_gradnorm_boundary(state, series, j_node, t):
     """The boundary derivative along beta of |grad^w f|^2_w for the gap
     solution, two ways: geometrically as -2 |beta|_w II^w(grad^w f, grad^w f)
     and by direct one-sided differencing of the scalar field. Returns
@@ -343,8 +345,7 @@ def dbeta_gradnorm_boundary(state, series, j_node, t,
     geo = -2.0 * beta_w[j] * ii.intrinsic * a ** 2
     winv = nm.inv2(state.W)
     q = grid.scalar(nm.quadform2(winv, grad_f))
-    direct = directional_derivative_at_boundary(
-        grid, q, j, beta[j], obliqueness_floor=obliqueness_floor)
+    direct = directional_derivative_at_boundary(grid, q, j, beta[j])
     return geo, direct
 
 
@@ -377,7 +378,7 @@ def verify_weighted_laplacian_identity(state, v_now, v_prev, dt):
     return grid.scalar(residual)
 
 
-def map_chart_jacobian_check(cost, x0, y0, step=1e-6):
+def map_chart_jacobian_check(cost, x0, y0):
     """Max deviation between the Jacobian of the product chart
     Phi(x, y) = (grad_x c(x0, y), grad_y c(x, y0)) at (x0, y0) and twice the
     split metric there; zero in exact arithmetic."""
@@ -387,6 +388,7 @@ def map_chart_jacobian_check(cost, x0, y0, step=1e-6):
     def phi(x, y):
         return np.concatenate([cost.grad_x(x0, y), cost.grad_y(x, y0)])
 
+    step = 1e-6
     jac = np.zeros((4, 4))
     for g in range(4):
         e = np.zeros(4)

@@ -36,6 +36,10 @@ DEFAULT_ALPHA = 2.0
 #: positivity floor under which log Theta is not evaluated
 THETA_FLOOR = 1e-14
 
+#: the ellipticity constant (min eigenvalue of w^{ij}) and the obliqueness
+#: constant (min beta . nu) of the operator count as lost at or below this
+COEFF_FLOOR = 1e-10
+
 
 @dataclass
 class LinearizedCoeffs:
@@ -47,7 +51,7 @@ class LinearizedCoeffs:
     c2: float                # sampled min of beta . nu (obliqueness)
 
 
-def build_coeffs(state, ellipticity_floor=1e-10, obliqueness_floor=1e-10):
+def build_coeffs(state):
     """Assemble the linearized coefficients from a flow state.
 
     D_p A and D_p log B come from the cost's mixed third derivatives
@@ -61,7 +65,7 @@ def build_coeffs(state, ellipticity_floor=1e-10, obliqueness_floor=1e-10):
     winv = nm.inv2(state.W)
     lo, _ = nm.sym_eig_range2(winv)
     c1 = float(np.min(lo))
-    if c1 <= ellipticity_floor:
+    if c1 <= COEFF_FLOOR:
         raise EllipticityLost(f"min eigenvalue of w^(ij) = {c1:.3e}")
     x = grid.nodes
     y = state.tmap
@@ -89,7 +93,7 @@ def build_coeffs(state, ellipticity_floor=1e-10, obliqueness_floor=1e-10):
     drift = -dp_log_b - dp_a_contracted
     beta = state.ring_beta()
     c2 = float(np.min(np.sum(beta * grid.boundary_normals, axis=-1)))
-    if c2 <= obliqueness_floor:
+    if c2 <= COEFF_FLOOR:
         raise ObliquenessLost(f"min beta . nu = {c2:.3e}")
     return LinearizedCoeffs(winv=winv, drift=drift, c1=c1, c2=c2)
 
@@ -168,7 +172,7 @@ class HarnackSeries:
                      self.grid_id)
 
 
-def theta_special(trajectory, k=1, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR):
+def theta_special(trajectory, k=1):
     """The gap solution Theta_k(x, t) = sup theta(., k-1) - theta(x, (k-1)+t)
     sampled on the trajectory's snapshot grid."""
     if k < 1:
@@ -190,11 +194,11 @@ def theta_special(trajectory, k=1, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR):
         raise NonPositiveTheta(f"trajectory too short for gap solution k={k}")
     base_sup = float(np.max(snaps[0].rate))
     gap = base_sup - np.stack([s.rate for s in snaps])
-    mask = gap > floor
+    mask = gap > THETA_FLOOR
     alive = mask.reshape(len(snaps), -1).any(axis=1)
     if not alive.any():
         raise NonPositiveTheta(
-            f"gap solution k={k} is below the floor {floor:g} everywhere")
+            f"gap solution k={k} is below the floor {THETA_FLOOR:g} everywhere")
     # truncate trailing times where the gap has no positive part at all
     m = int(np.max(np.nonzero(alive)[0])) + 1
     if m < 3:
@@ -227,19 +231,19 @@ def theta_special(trajectory, k=1, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR):
         grad_f[i] = grid.grad_values(fi)
         winv_quad[i] = nm.quadform2(winv, grad_f[i])
         if times[i] > 0:
-            F[i] = times[i] * (winv_quad[i] - alpha * dt_f[i])
+            F[i] = times[i] * (winv_quad[i] - DEFAULT_ALPHA * dt_f[i])
     # nodes where the floor mask touched any time-stencil value carry
     # non-finite time derivatives; exclude them from the evaluable set
     mask &= np.isfinite(F) & np.isfinite(dt_f)
-    return HarnackSeries(k=k, alpha=alpha, floor=floor, base_sup=base_sup,
-                         times=times, snapshot_indices=indices, gap=gap, f=f,
-                         dt_f=dt_f, grad_f=grad_f, winv_quad=winv_quad, F=F,
-                         mask=mask, grid_id=grid._id)
+    return HarnackSeries(k=k, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR,
+                         base_sup=base_sup, times=times, snapshot_indices=indices,
+                         gap=gap, f=f, dt_f=dt_f, grad_f=grad_f,
+                         winv_quad=winv_quad, F=F, mask=mask, grid_id=grid._id)
 
 
 # --- boundary derivative of F -------------------------------------------------
 
-def dbetaF_direct(series, state, j_node, t, obliqueness_floor=1e-6):
+def dbetaF_direct(series, state, j_node, t):
     """One-sided finite-difference derivative of F along beta at boundary
     node j at series offset t.
 
@@ -256,8 +260,7 @@ def dbetaF_direct(series, state, j_node, t, obliqueness_floor=1e-6):
             f"gap at offset {t} touches the floor near boundary node {j}")
     f_field = series.F_field(m)
     beta = state.ring_beta()[j]
-    return directional_derivative_at_boundary(
-        grid, f_field, j, beta, obliqueness_floor=obliqueness_floor)
+    return directional_derivative_at_boundary(grid, f_field, j, beta)
 
 
 def _boundary_convexity_contraction(state, j_node, tau):

@@ -4,8 +4,8 @@ A run produces: manifest.json (config echo, snapshot index), the snapshot
 field files, diagnostics.csv (one row per accepted super-step; its dt
 column is the super-step tau), summary.json (decay rate, Harnack numbers,
 worst-case monitors), and the requested audit reports under audits/.
-Identical config and seed give byte-identical diagnostics output. Audits
-can also be replayed on a finished directory without re-simulating.
+Identical configs give byte-identical diagnostics output. Audits can also
+be replayed on a finished directory without re-simulating.
 """
 
 import os
@@ -66,7 +66,7 @@ def run_scenario(config, output_root=None):
         spec, grid = config.build_problem()
     except OTFlowError as exc:
         return RunResult(2, outdir, None, _error_report(outdir, type(exc).__name__, exc))
-    problems = domains.validate_spec(spec, seed=config.seed)
+    problems = domains.validate_spec(spec)
     if problems:
         detail = "; ".join(f"{type(p).__name__}: {p}" for p in problems)
         payload = {"error": type(problems[0]).__name__, "detail": detail}
@@ -77,18 +77,18 @@ def run_scenario(config, output_root=None):
         u0 = config.build_initial(spec, grid)
         schedule = config.build_schedule()
         trajectory = run_to_convergence(spec, grid, u0, schedule)
+        serialize.save_trajectory(outdir, trajectory, config.to_dict())
+        # the summary and the Harnack audit read the same gap series; when it
+        # cannot be built, each rebuilds it and reports the failure its own way
+        try:
+            series = linearized.theta_special(trajectory, k=1)
+        except (NonPositiveTheta, KeyError):
+            series = None
+        summary = build_summary(trajectory, config, series=series)
+        serialize.write_json(os.path.join(outdir, "summary.json"), summary)
+        run_audits(trajectory, config, outdir, series=series)
     except OTFlowError as exc:
         return RunResult(1, outdir, None, _error_report(outdir, type(exc).__name__, exc))
-    serialize.save_trajectory(outdir, trajectory, config.to_dict())
-    # the summary and the Harnack audit read the same gap series; when it
-    # cannot be built, each rebuilds it and reports the failure its own way
-    try:
-        series = linearized.theta_special(trajectory, k=1)
-    except (NonPositiveTheta, KeyError):
-        series = None
-    summary = build_summary(trajectory, config, series=series)
-    serialize.write_json(os.path.join(outdir, "summary.json"), summary)
-    run_audits(trajectory, config, outdir, series=series)
     return RunResult(0, outdir, summary)
 
 
@@ -137,10 +137,10 @@ def fit_u_decay(trajectory, tail_trim=2.0, window=None, min_samples=10):
     return diagnostics.fit_rate(ts, vals, window=window, min_samples=min_samples)
 
 
-def fit_theta_decay(trajectory, min_samples=10):
+def fit_theta_decay(trajectory):
     """Exponential fit of the rate field's sup norm from the step records."""
     rec = trajectory.step_records
-    return diagnostics.fit_rate(rec[:, 0], rec[:, 7], min_samples=min_samples)
+    return diagnostics.fit_rate(rec[:, 0], rec[:, 7])
 
 
 # --- audits -------------------------------------------------------------------
@@ -159,10 +159,13 @@ def run_audits(trajectory, config, outdir, series=None):
         km_audit(trajectory, audit_dir)
 
 
-def convexity_audit(spec, n_boundary=128, n_other=64, seed=0):
-    rep_c = domains.check_c_convexity(spec, n_boundary, n_other, seed=seed)
-    rep_s = domains.check_cstar_convexity(spec, n_boundary, n_other, seed=seed)
-    bit = domains.check_bitwist(spec, seed=seed)
+def convexity_audit(spec, seed=0):
+    """The two boundary convexity sweeps and the bi-twist sweep. Each is a
+    fixed Sobol prefix, so no sample depends on ``seed``; it is accepted
+    because callers pass the scenario seed, which manifest.json records."""
+    rep_c = domains.check_c_convexity(spec)
+    rep_s = domains.check_cstar_convexity(spec)
+    bit = domains.check_bitwist(spec)
     return {
         "delta": rep_c.min_value,
         "delta_star": rep_s.min_value,
@@ -176,19 +179,19 @@ def convexity_audit(spec, n_boundary=128, n_other=64, seed=0):
     }
 
 
-def harnack_audit(trajectory, audit_dir, n_nodes=16, k=1, series=None):
+def harnack_audit(trajectory, audit_dir, series=None):
     """Boundary audit CSV (t, node, F, both boundary derivatives, the three
-    closed-form terms) plus the scalar Harnack summary. ``series`` is the
-    trajectory's gap series of index k, built here when not given."""
+    closed-form terms) at 16 boundary nodes plus the scalar Harnack summary.
+    ``series`` is the k = 1 gap series, built here when not given."""
     try:
         if series is None:
-            series = linearized.theta_special(trajectory, k=k)
+            series = linearized.theta_special(trajectory, k=1)
     except NonPositiveTheta as exc:
         serialize.write_json(os.path.join(audit_dir, "harnack_summary.json"),
                              {"error": "NonPositiveTheta", "detail": str(exc)})
         return
     grid = trajectory.grid
-    nodes = np.linspace(0, grid.n_s, n_nodes, endpoint=False).astype(int)
+    nodes = np.linspace(0, grid.n_s, 16, endpoint=False).astype(int)
     lines = ["t,node,F,dbetaF_direct,dbetaF_closed,term1,term2,term3"]
     stride = max(1, (len(series.times) - 1) // 8)
     for m in range(1, len(series.times), stride):
@@ -238,11 +241,10 @@ def oscillation_tolerance(trajectory):
     return 1e-6 + 0.15 * dr ** 2
 
 
-def km_audit(trajectory, audit_dir, n_nodes=16, snapshot=-1):
-    state = trajectory.state_at(len(trajectory.snapshots) + snapshot
-                                if snapshot < 0 else snapshot)
-    grid = trajectory.grid
-    nodes = np.linspace(0, grid.n_s, n_nodes, endpoint=False).astype(int)
+def km_audit(trajectory, audit_dir):
+    """The curvature identity at 16 boundary nodes of the final state."""
+    state = trajectory.final_state()
+    nodes = np.linspace(0, trajectory.grid.n_s, 16, endpoint=False).astype(int)
     with open(os.path.join(audit_dir, "km.jsonl"), "w") as fh:
         for j in nodes:
             rep = km_geometry.verify_II_identity(state, int(j))

@@ -11,6 +11,7 @@ from otflow import config, flow, runner, serialize
 from otflow.cli import main as cli_main
 from otflow.config import (ConfigError, ScenarioConfig,
                            bundled_scenario_names, load_scenario)
+from otflow.errors import MetricDegenerate
 from otflow.flow import STEP_COLUMNS, Schedule
 
 SUMMARY_KEYS = {"sigma", "R2", "C_harnack", "eps", "max_mass_err",
@@ -373,6 +374,21 @@ class TestCLI:
         assert witness["x"] == grid.nodes[i, j].tolist()
         assert witness["min_eig_W"] < 0
         assert np.linalg.norm(witness["x"]) > 0.5   # in the concave zone
+
+    def test_post_run_failure_exit_1_with_error_json(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def degenerate(spec, seed=0):
+            raise MetricDegenerate("injected audit failure")
+
+        monkeypatch.setattr(runner, "convexity_audit", degenerate)
+        code = self.run_cli("run", "disk_uniform_stationary", "--grid", "16x32",
+                            "--out", str(tmp_path))
+        assert code == 1
+        report = json.load(open(tmp_path / "disk_uniform_stationary"
+                                / "error.json"))
+        assert json.loads(capsys.readouterr().err) == report
+        assert report == {"error": "MetricDegenerate",
+                          "detail": "injected audit failure"}
 
     def test_truncated_trajectory_reports_missing_file(self, tmp_path, capsys):
         code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",

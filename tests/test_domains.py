@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from otflow import costs, domains, grid
+from otflow._numerics import det2
 from otflow.domains import (CosineBlob, Disk, Ellipse, ProblemSpec,
                             c_convexity_form, check_bitwist,
                             check_c_convexity, check_cstar_convexity,
@@ -100,6 +101,33 @@ def _spec(cost_name, src, tgt, rho_star=None):
                        rho_star or uniform_density(tgt))
 
 
+def _dense_bitwist(spec, n_samples):
+    """check_bitwist's sweep as one (N, M) determinant array: the minimum,
+    its first argmin pair in row-major order (the first NaN, if any), and
+    the pair count."""
+    xs = domains._sample_interior(spec.source, n_samples // 2)
+    ys = domains._sample_interior(spec.target, n_samples // 2)
+    nb = max(16, 2 ** int(np.log2(np.sqrt(n_samples))))
+    sb = np.arange(nb) / nb
+    xs = np.concatenate([xs, spec.source.boundary_param(sb)], axis=0)
+    ys = np.concatenate([ys, spec.target.boundary_param(sb)], axis=0)
+    det = np.abs(det2(spec.cost.cross_hessian(xs[:, None], ys[None])))
+    i, j = np.unravel_index(np.argmin(det), det.shape)
+    return det[i, j], xs[i], ys[j], det.size
+
+
+class _NaNCross:
+    """Cross Hessians diag(2 + x_0 y_1, 1), NaN where x_0 > 0.3 and y_1 < 0."""
+
+    def cross_hessian(self, x, y):
+        x, y = np.broadcast_arrays(x, y)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 2.0 + x[..., 0] * y[..., 1]
+        out[..., 1, 1] = 1.0
+        out[(x[..., 0] > 0.3) & (y[..., 1] < 0.0)] = np.nan
+        return out
+
+
 class TestBitwist:
     @pytest.mark.parametrize("name", ["inner_product", "neg_half_sq_dist"])
     def test_identity_cross_hessians(self, name):
@@ -119,9 +147,24 @@ class TestBitwist:
 
     def test_minimum_monotone_under_sample_growth(self):
         spec = _spec("sqrt_one_plus_sq_dist", Disk(1.0), Disk(1.0, (3.0, 0.0)))
-        small = check_bitwist(spec, 512, seed=5)
-        big = check_bitwist(spec, 2048, seed=5)
+        small = check_bitwist(spec, 512)
+        big = check_bitwist(spec, 2048)
         assert big.min_abs_det <= small.min_abs_det + 1e-15
+
+    @pytest.mark.parametrize("spec", [
+        _spec("sqrt_one_plus_sq_dist", Disk(1.0), Disk(1.0, (3.0, 0.0))),
+        _spec("inner_product", Disk(1.0), Disk(2.0)),       # every pair ties
+        ProblemSpec(Disk(1.0), Disk(1.0), _NaNCross(),
+                    uniform_density(Disk(1.0)), uniform_density(Disk(1.0))),
+    ], ids=["sqrt", "inner_product", "nan"])
+    def test_row_scan_matches_the_dense_sweep_bitwise(self, spec):
+        rep = check_bitwist(spec, 256)
+        det, x, y, size = _dense_bitwist(spec, 256)
+        np.testing.assert_array_equal(rep.min_abs_det, det)
+        np.testing.assert_array_equal(rep.argmin_x, x)
+        np.testing.assert_array_equal(rep.argmin_y, y)
+        assert rep.n_samples == size
+        assert rep.ok == (det > spec.bitwist_margin)
 
 
 class TestConvexityAudits:
@@ -162,8 +205,8 @@ class TestConvexityAudits:
 
     def test_minima_nonincreasing_with_samples(self):
         spec = _spec("sqrt_one_plus_sq_dist", Disk(0.5), Disk(0.5, (1.2, 0.0)))
-        small = check_c_convexity(spec, 64, 16, seed=3)
-        big = check_c_convexity(spec, 128, 32, seed=3)
+        small = check_c_convexity(spec, 64, 16)
+        big = check_c_convexity(spec, 128, 32)
         assert big.min_value <= small.min_value + 1e-12
 
     def test_sqrt_pair_positive_margins(self, sqrt_pair_spec):

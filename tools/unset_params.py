@@ -1,0 +1,134 @@
+"""List the settable parameters of ``src/otflow`` that no call sets.
+
+For every function and method defined in ``src/otflow``, a parameter is
+*settable* when it has a default value or is a ``**`` catch-all. This scan
+reads every call in ``src``, ``tests``, ``demos``, ``perfbench`` and
+``tools`` and prints each settable parameter that no call sets, one per line:
+
+    <module>:<line>  <function>(<parameter>)
+
+A call matches a function by name: ``f(...)``, ``obj.f(...)`` and
+``Module.f(...)`` all count as calls to every function named ``f``, and a
+call to a class name counts as a call to its ``__init__``. A call sets a
+parameter by keyword or by position; a ``*args`` argument counts as
+setting every positional parameter and a ``**kwargs`` argument every
+parameter. A ``**`` parameter is set by a keyword that names no other
+parameter. Matching by name over-counts calls, so no call written out in
+those directories sets a listed parameter. Run from the root of a checkout:
+
+    python3 tools/unset_params.py
+"""
+
+import ast
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "otflow"
+CALLER_DIRS = ("src", "tests", "demos", "perfbench", "tools")
+
+
+def python_files(base):
+    return sorted(p for p in base.rglob("*.py") if "__pycache__" not in p.parts)
+
+
+def definitions():
+    """(path, def node, is_method, is_static, owner class name) for every
+    function in the package, nested ones included."""
+    out = []
+    for path in python_files(PACKAGE):
+        tree = ast.parse(path.read_text(), str(path))
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name)
+                elif isinstance(child, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in child.decorator_list)
+                    out.append((path, child, owner is not None, static, owner))
+                    visit(child, None)
+                else:
+                    visit(child, owner)
+
+        visit(tree, None)
+    return out
+
+
+def calls():
+    """Every call in the caller directories, keyed by the called name."""
+    by_name = defaultdict(list)
+    for sub in CALLER_DIRS:
+        for path in python_files(ROOT / sub):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    by_name[node.func.id].append(node)
+                elif isinstance(node.func, ast.Attribute):
+                    by_name[node.func.attr].append(node)
+    return by_name
+
+
+def settable(fn, bound):
+    """(positional index or None, name) of each defaulted or ``**`` parameter;
+    the index counts from the first argument a caller passes."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if bound else 0
+    out = []
+    first_default = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= first_default and i >= skip:
+            out.append((i - skip, arg.arg))
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            out.append((None, arg.arg))
+    if args.kwarg is not None:
+        out.append((None, "**" + args.kwarg.arg))
+    return out
+
+
+def is_set(call, index, name, named):
+    """Whether ``call`` can set the parameter ``name`` at ``index``."""
+    if any(kw.arg is None for kw in call.keywords):          # f(**kw)
+        return True
+    if name.startswith("**"):
+        return any(kw.arg not in named for kw in call.keywords)
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):   # f(*args)
+        return True
+    return index < len(call.args)
+
+
+def unset_parameters():
+    by_name = calls()
+    found = []
+    for path, fn, is_method, static, owner in definitions():
+        bound = is_method and not static
+        callers = list(by_name.get(fn.name, ()))
+        if fn.name == "__init__" and owner is not None:
+            callers += by_name.get(owner, ())
+        a = fn.args
+        named = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+        for index, name in settable(fn, bound):
+            if not any(is_set(c, index, name, named) for c in callers):
+                rel = path.relative_to(ROOT / "src").as_posix()
+                label = f"{owner}.{fn.name}" if owner else fn.name
+                found.append(f"{rel}:{fn.lineno}  {label}({name})")
+    return found
+
+
+def main():
+    found = unset_parameters()
+    for line in found:
+        print(line)
+    print(f"{len(found)} settable parameters that no call sets", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
