@@ -421,16 +421,51 @@ class BitwistReport:
         return self.min_abs_det > self.margin
 
 
+#: bits of the Sobol direction numbers (points are multiples of 2^-30)
+_SOBOL_BITS = 30
+
+
+def _sobol_directions():
+    """(bits, 2) direction numbers of the first two Sobol dimensions: the
+    van der Corput sequence, and the primitive polynomial x + 1 with
+    m_1 = 1."""
+    v = np.empty((_SOBOL_BITS, 2), np.int64)
+    v[:, 0] = 1 << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
+    v[0, 1] = 1 << (_SOBOL_BITS - 1)
+    for k in range(1, _SOBOL_BITS):
+        v[k, 1] = v[k - 1, 1] ^ (v[k - 1, 1] >> 1)
+    return v
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def _sobol_points(start, n):
+    """Points start, ..., start + n - 1 of the unscrambled 2-D Sobol
+    sequence (point 0 is the origin), shape (n, 2).
+
+    Point i is the XOR of the direction numbers over the set bits of its
+    Gray code i ^ (i >> 1), divided by 2^30; this is the sequence of
+    ``scipy.stats.qmc.Sobol(d=2, scramble=False)``, bit for bit, without
+    importing ``scipy.stats``.
+    """
+    i = np.arange(start, start + n, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    out = np.zeros((n, 2), np.int64)
+    for k in range(int(start + n).bit_length()):
+        out ^= ((gray >> k) & 1)[:, None] * _SOBOL_V[k]
+    return out / float(1 << _SOBOL_BITS)
+
+
 def _sample_interior(domain, n):
     """First n Sobol points of the bounding box that land inside the domain.
 
-    The unscrambled Sobol sequence is fixed, so every audit draws the same
-    points and a larger n extends (never reshuffles) a smaller sample: audit
-    minima are monotone under sample growth.
+    The unscrambled Sobol sequence (:func:`_sobol_points`) is fixed, so every
+    audit draws the same points and a larger n extends (never reshuffles) a
+    smaller sample: audit minima are monotone under sample growth. The
+    points are drawn in blocks of max(64, n), each continuing the sequence
+    where the last stopped, until n lie inside.
     """
-    # scipy.stats is most of the package's import time; only this needs it
-    from scipy.stats import qmc
-
     lo = domain.star_center - 4.0
     hi = domain.star_center + 4.0
     if domain.kind == "disk":
@@ -443,11 +478,11 @@ def _sample_interior(domain, n):
         r = domain.radius * (1 + domain.eps)
         lo = domain.center - r
         hi = domain.center + r
-    eng = qmc.Sobol(d=2, scramble=False)
     pts = []
-    got = 0
+    got = drawn = 0
     while got < n:
-        raw = eng.random(max(64, n))
+        raw = _sobol_points(drawn, max(64, n))
+        drawn += len(raw)
         cand = lo + raw * (hi - lo)
         inside = domain.h(cand) < 0
         pts.append(cand[inside])
@@ -462,6 +497,7 @@ def check_bitwist(spec, n_samples=4096):
     determinant often sit on the product boundary. The sweep scans one x
     against all ys at a time; the witness is the first minimum in row-major
     order over the (x, y) pairs, or the first NaN, which fails the check.
+    A ``cross_identity`` cost skips the sweep: its report is the sweep's.
     """
     nin = max(16, n_samples)
     xs = _sample_interior(spec.source, nin // 2)
@@ -471,6 +507,10 @@ def check_bitwist(spec, n_samples=4096):
     sb = np.arange(nb) / nb
     xs = np.concatenate([xs, spec.source.boundary_param(sb)], axis=0)
     ys = np.concatenate([ys, spec.target.boundary_param(sb)], axis=0)
+    if getattr(spec.cost, "cross_identity", False):
+        # |det I| is exactly 1 at every pair: the first pair is the witness
+        return BitwistReport(1.0, xs[0].copy(), ys[0].copy(),
+                             len(xs) * len(ys), spec.bitwist_margin)
     best, best_i, best_j = np.inf, 0, 0
     for i, x in enumerate(xs):
         det = np.abs(nm.det2(spec.cost.cross_hessian(x, ys)))

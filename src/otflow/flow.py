@@ -23,11 +23,15 @@ post-projection effective one, see :mod:`otflow.grid`). Every stage is
 followed by the pole projection and the boundary projection, and its state
 is checked for positive definiteness of W and finiteness. A super-step with
 a failing stage is rejected and retried with half of tau.
-``run_to_convergence`` takes tau as a fixed fraction of the snapshot cadence
-and the fewest stages stable for a measured dt_FE, SPECTRAL_SAFETY * 2/|lam|
+``run_to_convergence`` grades tau by the measured decay: the flow converges
+exponentially, so the RKL2 time error per unit time, about
+tau^2 sigma^2 sup |rate|, shrinks as the run goes on. tau starts at a
+quarter of the snapshot cadence and doubles each time sup |rate| has fallen
+4x since the start, up to the cadence itself (``graded_tau``). The stage
+count is the fewest stable for a measured dt_FE, SPECTRAL_SAFETY * 2/|lam|
 with lam the stiffest eigenvalue of the stepper's own Jacobian, estimated by
-``stiffest_eigenvalue`` at the start and after every snapshot; ``policy_dt``
-is its floor.
+``stiffest_eigenvalue``; ``policy_dt`` is its floor. Both tau and lam are
+chosen at the start and after every snapshot.
 """
 
 from dataclasses import dataclass, field
@@ -82,7 +86,9 @@ class FlowContext:
 @dataclass
 class FlowState:
     """Potential at one time with the derived fields the stepper reuses.
-    ``rate`` is None exactly when W is not positive definite everywhere."""
+    ``rate`` is None exactly when W is not positive definite everywhere.
+    The monitors ``min_eig_W``, ``max_boundary_G`` and ``mass_err`` are
+    computed when read: a stage only needs ``rate``."""
 
     ctx: FlowContext
     u: np.ndarray
@@ -92,9 +98,6 @@ class FlowState:
     W: np.ndarray
     det_W: np.ndarray
     rate: np.ndarray | None
-    min_eig_W: float
-    max_boundary_G: float
-    mass_err: float
 
     @property
     def grid(self):
@@ -103,6 +106,25 @@ class FlowState:
     @property
     def spec(self):
         return self.ctx.spec
+
+    @property
+    def min_eig_W(self):
+        """Smallest eigenvalue of W over the grid."""
+        return float(np.min(nm.sym_eig_range2(self.W)[0]))
+
+    @property
+    def max_boundary_G(self):
+        """max |h*(T)| on the boundary ring, the only place G is imposed."""
+        return float(np.max(np.abs(self.spec.target.h(self.tmap[-1]))))
+
+    @property
+    def mass_err(self):
+        """|mass of exp(rate) rho - target mass|; inf for an invalid state."""
+        if self.rate is None:
+            return np.inf
+        mass = float(np.sum(self.grid.weights * np.exp(self.rate)
+                            * self.ctx.rho_nodes))
+        return abs(mass - self.ctx.target_mass)
 
     @property
     def valid(self):
@@ -212,24 +234,16 @@ def build_state(ctx, u_values, t, tmap_seed=None):
     else:
         W = hess - cost.hess_xx(grid.nodes, tmap)
     det_w = nm.det2(W)
-    lo, _ = nm.sym_eig_range2(W)
-    min_eig = float(np.min(lo))
-    # the stepper needs h* only on the boundary ring
-    max_g = float(np.max(np.abs(spec.target.h(tmap[-1]))))
-    if min_eig > 0.0:
+    rate = None
+    # a symmetric 2x2 W is positive definite iff W_00 > 0 and det W > 0
+    if np.all(W[..., 0, 0] > 0.0) and np.all(det_w > 0.0):
         log_b = ctx.log_rho - np.log(spec.rho_star(tmap))
         if not cost.cross_identity:
             C = cost.cross_hessian(grid.nodes, tmap)
             log_b = log_b + np.log(np.abs(nm.det2(C)))
         rate = np.log(det_w) - log_b
-        mass = float(np.sum(grid.weights * np.exp(rate) * ctx.rho_nodes))
-        mass_err = abs(mass - ctx.target_mass)
-    else:
-        rate = None
-        mass_err = np.inf
     return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap, W=W,
-                     det_W=det_w, rate=rate, min_eig_W=min_eig,
-                     max_boundary_G=max_g, mass_err=mass_err)
+                     det_W=det_w, rate=rate)
 
 
 def interior_rhs(state):
@@ -270,15 +284,16 @@ def initialize(spec, grid, u0, schedule=None):
     # O(h^2) boundary defect, so the compatibility tolerance scales with it
     init_tol = (sched.init_boundary_tol if sched.init_boundary_tol is not None
                 else 1e-7 + 5.0 * grid.dr ** 2)
-    if state.max_boundary_G > init_tol:
+    max_g = state.max_boundary_G
+    if max_g > init_tol:
         raise BoundaryIncompatible(
-            f"max |h*(Y(x, grad u0))| = {state.max_boundary_G:.3e} on the "
+            f"max |h*(Y(x, grad u0))| = {max_g:.3e} on the "
             f"boundary (tolerance {init_tol:g})")
     inside = float(np.max(spec.target.h(state.tmap)))
     if inside > init_tol:
         raise ImageMismatch(
             f"transport image leaves the closed target: max h* = {inside:.3e}")
-    if state.max_boundary_G > sched.boundary_tol:
+    if max_g > sched.boundary_tol:
         # start the flow exactly on the boundary constraint
         _project_boundary(ctx, u, tmap_seed=state.tmap, schedule=sched)
         state = build_state(ctx, u, 0.0, tmap_seed=state.tmap)
@@ -449,10 +464,11 @@ def enforce_boundary(state):
 
 # --- stepping ----------------------------------------------------------------
 
-#: a run's super-step tau is this fraction of snapshot_dt (shortened to land
-#: on the next snapshot); on the reference scenario its time error, max |du|
-#: of about 7e-6 against a fine-step Euler run at 32x64 and at 64x128, stays
-#: far below the O(dr^2) spatial error
+#: a run's first super-step tau is this power-of-two fraction of
+#: snapshot_dt (shortened to land on the next snapshot), and graded_tau
+#: never goes below it; on the reference scenario the time error, max |du|
+#: of about 6.5e-6 against a fine-step run at 32x64 and at 64x128, is set in
+#: the first snapshot interval and stays far below the O(dr^2) spatial error
 SUPER_STEP_FRACTION = 0.25
 #: a run's forward-Euler step is this fraction of 2/|lambda_max|, the
 #: limit set by the measured stiffest eigenvalue (see stiffest_eigenvalue)
@@ -512,6 +528,21 @@ def stiffest_eigenvalue(state, schedule, chord, start=None):
     return lam, y
 
 
+def graded_tau(snapshot_dt, sup_rate, sup_rate0):
+    """The super-step for a run whose sup |rate| fell from sup_rate0 at the
+    start to sup_rate: the largest snapshot_dt / 2^m, m = 0, 1, ..., that is
+    at least SUPER_STEP_FRACTION * snapshot_dt and keeps the RKL2 time error
+    per unit time, about tau^2 sigma^2 sup |rate|, within its value at the
+    start, tau^2 sup_rate <= (SUPER_STEP_FRACTION snapshot_dt)^2 sup_rate0.
+    tau doubles each time sup |rate| falls 4x, up to snapshot_dt."""
+    floor = SUPER_STEP_FRACTION * snapshot_dt
+    budget = floor * floor * sup_rate0
+    tau = snapshot_dt
+    while tau > floor and tau * tau * sup_rate > budget:
+        tau *= 0.5
+    return tau
+
+
 def rkl2_stages(tau, dt_fe):
     """The fewest stages s >= 2 whose RKL2 stability limit
     (s^2 + s - 2)/4 * dt_fe covers the super-step tau."""
@@ -562,7 +593,9 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
     D_j = mu_j D_{j-1} + nu_j D_{j-2} + mu~_j tau L(Y_{j-1}) + gamma~_j tau L(Y_0),
     which for j = 1 is D_1 = mu~_1 tau L(Y_0).
     Each stage is projected (pole, then boundary ring) and rebuilt before
-    it feeds the next, so D_j is taken after the projections.
+    it feeds the next, so D_j is taken after the projections. The ring's
+    Newton starts from the previous stage's ring moved to keep its one-sided
+    radial difference.
     """
     mu, nu, mu_t, gamma_t = _rkl2_coefficients(stages)
     ctx = state.ctx
@@ -577,6 +610,9 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
              + (mu_t[j] * tau) * prev.rate[:-1] + gamma_t[j] * tau_l0)
         u = prev.u.copy()               # the ring seeds the projection
         u[:-1] = y0 + d
+        # predict the ring so that its one-sided radial difference
+        # (3 u[-1] - 4 u[-2] + u[-3]) / (2 dr) keeps its last value
+        u[-1] += (4.0 * (u[-2] - prev.u[-2]) - (u[-3] - prev.u[-3])) / 3.0
         if not np.all(np.isfinite(u)):
             raise _StageFailed(f"non-finite potential at stage {j}")
         stage, n_newton = _project_stage(ctx, u, state.t + tau, prev.tmap,
@@ -630,13 +666,15 @@ def _record_row(state, dt):
 
 def run_to_convergence(spec, grid, u0, schedule=None):
     """March the flow until the rate's sup norm falls below stop_tol or the
-    horizon is reached. Each step is an RKL2 super-step of
-    tau = SUPER_STEP_FRACTION * snapshot_dt (less to land on a snapshot) with
-    the fewest stages stable at dt_FE = max(policy_dt, SPECTRAL_SAFETY *
-    2/|lambda|), lambda being re-estimated at the start and after every
-    snapshot, warm-started from the previous eigenvector; snapshots are
-    taken exactly at multiples of snapshot_dt, the stop rule is checked after
-    every super-step, and the monitor table has one row per accepted
+    horizon is reached. Each step is an RKL2 super-step of tau =
+    graded_tau(snapshot_dt, sup |rate|, sup |rate(0)|) (less to land on a
+    snapshot or on t_max): snapshot_dt/4 at the start, doubling each time
+    sup |rate| has fallen 4x, up to snapshot_dt. It has the fewest stages
+    stable at dt_FE = max(policy_dt, SPECTRAL_SAFETY * 2/|lambda|). tau and
+    lambda are chosen at the start and after every snapshot, lambda
+    warm-started from the previous eigenvector; snapshots are taken exactly
+    at multiples of snapshot_dt, the stop rule is checked after every
+    super-step, and the monitor table has one row per accepted
     super-step."""
     sched = schedule or Schedule()
     state = initialize(spec, grid, u0, sched)
@@ -644,7 +682,8 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     snapshots = [Snapshot(0.0, state.u.copy(), state.rate.copy())]
     records, reports, dt_fes = [], [], []
     k_snap = 1
-    converged = bool(np.max(np.abs(state.rate)) <= sched.stop_tol)
+    sup_rate0 = float(np.max(np.abs(state.rate)))
+    converged = sup_rate0 <= sched.stop_tol
     reason = "stationary at start" if converged else ""
     dt_spectral = eigvec = None
     while not converged and state.t < sched.t_max - 1e-12:
@@ -652,9 +691,12 @@ def run_to_convergence(spec, grid, u0, schedule=None):
             lam, eigvec = stiffest_eigenvalue(state, sched, chord, eigvec)
             dt_spectral = (SPECTRAL_SAFETY * 2.0 / -lam
                            if lam is not None and lam < 0.0 else 0.0)
+            tau_graded = graded_tau(sched.snapshot_dt,
+                                    float(np.max(np.abs(state.rate))),
+                                    sup_rate0)
         dt_fe = max(policy_dt(state, sched.c_stab), dt_spectral)
         target_t = min(k_snap * sched.snapshot_dt, sched.t_max)
-        tau = min(SUPER_STEP_FRACTION * sched.snapshot_dt, target_t - state.t)
+        tau = min(tau_graded, target_t - state.t)
         stages = rkl2_stages(tau, dt_fe)
         state, rep = step(state, tau, sched, chord=chord, stages=stages)
         records.append(_record_row(state, rep.dt))

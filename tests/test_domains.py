@@ -1,8 +1,13 @@
 """Domain library, densities, and the standing-hypothesis audits."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import otflow
 from otflow import costs, domains, grid
 from otflow._numerics import det2
 from otflow.domains import (CosineBlob, Disk, Ellipse, ProblemSpec,
@@ -165,6 +170,48 @@ class TestBitwist:
         np.testing.assert_array_equal(rep.argmin_y, y)
         assert rep.n_samples == size
         assert rep.ok == (det > spec.bitwist_margin)
+
+    def test_cross_identity_cost_skips_the_sweep(self, monkeypatch):
+        spec = _spec("neg_half_sq_dist", Disk(1.0), Disk(2.0, (3.0, 0.0)))
+        calls = []
+        cross = spec.cost.cross_hessian
+        monkeypatch.setattr(spec.cost, "cross_hessian",
+                            lambda *a: calls.append(1) or cross(*a))
+        rep = check_bitwist(spec, 4096)
+        assert calls == []
+        assert rep.min_abs_det == 1.0 and rep.ok
+        assert rep.n_samples == (2048 + 64) ** 2
+        np.testing.assert_array_equal(
+            rep.argmin_x, domains._sample_interior(spec.source, 1)[0])
+        np.testing.assert_array_equal(
+            rep.argmin_y, domains._sample_interior(spec.target, 1)[0])
+
+
+class TestSobol:
+    def test_matches_scipy_bitwise_across_continued_draws(self):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        eng = qmc.Sobol(d=2, scramble=False)
+        start = 0
+        for n in (64, 1024, 4096, 8192):
+            expected = eng.random(n)
+            got = domains._sobol_points(start, n)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            start += n
+
+    def test_audits_do_not_import_scipy_stats(self):
+        code = ("import sys\n"
+                "import otflow.runner\n"
+                "from otflow.config import load_scenario\n"
+                "spec, _ = load_scenario('disk_cosine_perturbed')"
+                ".build_problem()\n"
+                "otflow.runner.convexity_audit(spec)\n"
+                "print('scipy.stats' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(otflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestConvexityAudits:

@@ -11,7 +11,7 @@ from otflow.config import load_scenario
 from otflow.errors import (BoundaryIncompatible, NewtonStall, NonPositiveDet,
                            NotCConvex, ObliquenessLost, StepRejected)
 from otflow.km_geometry import transport_jacobian
-from otflow._numerics import det2, matvec2, norm2
+from otflow._numerics import det2, matvec2, norm2, sym_eig_range2
 
 
 class TestInitialize:
@@ -335,6 +335,54 @@ class TestSpectralStageCount:
         assert evaluations < 1977       # stages of this run with policy_dt alone
 
 
+class TestGradedSuperStep:
+    """The run's super-step grows as sup |rate| decays."""
+
+    def test_thresholds_cap_and_floor(self):
+        dt, r0 = 0.125, 3.7
+        assert flow.graded_tau(dt, 10.0 * r0, r0) == dt / 4     # floor
+        assert flow.graded_tau(dt, r0, r0) == dt / 4
+        assert flow.graded_tau(dt, r0 / 4 * (1 + 1e-12), r0) == dt / 4
+        assert flow.graded_tau(dt, r0 / 4, r0) == dt / 2
+        assert flow.graded_tau(dt, r0 / 16 * (1 + 1e-12), r0) == dt / 2
+        assert flow.graded_tau(dt, r0 / 16, r0) == dt
+        assert flow.graded_tau(dt, 1e-9 * r0, r0) == dt          # cap
+        assert flow.graded_tau(dt, 0.0, r0) == dt
+
+    def test_graded_run_keeps_the_worst_time_error(self, monkeypatch):
+        spec, g, u0, sched = _perturbed_16x32()
+        sched = dataclasses.replace(sched, t_max=2.3)     # not on the cadence
+        graded = flow.graded_tau
+
+        def run(tau_rule):
+            monkeypatch.setattr(flow, "graded_tau", tau_rule)
+            return flow.run_to_convergence(spec, g, u0, sched)
+
+        reference = run(lambda dt, rate, rate0: dt / 64)
+        pinned = run(lambda dt, rate, rate0: dt / 4)
+        traj = run(graded)
+        assert not traj.converged and traj.snapshots[-1].t == 2.3
+        dt = sched.snapshot_dt
+        reports = traj.step_reports
+        assert sum(rep.halvings for rep in reports) == 0
+        assert all(rep.dt in (dt / 4, dt / 2, dt) for rep in reports[:-1])
+        assert reports[-1].dt == pytest.approx(2.3 - 2.25)    # to t_max
+        assert {rep.dt for rep in reports} >= {dt / 4, dt / 2, dt}
+        assert len(reports) < 0.7 * len(pinned.step_reports)
+        times = traj.times()
+        np.testing.assert_allclose(times[:-1], dt * np.arange(len(times) - 1),
+                                   rtol=0, atol=1e-12)
+
+        def worst(tr):
+            return max(np.abs(s.u - reference.snapshots[
+                reference.snapshot_index_at_time(s.t)].u).max()
+                for s in tr.snapshots)
+
+        # both 6.47e-6, set at t = 0.125 before the step grows
+        assert worst(traj) <= 1.01 * worst(pinned)
+        assert worst(traj) <= 0.01 * g.dr ** 2
+
+
 class TestRunToConvergence:
     def test_stationary_start_exits_immediately(self, disk_pair_spec, grid32):
         u0 = flow.initial_linear_scaling(disk_pair_spec, grid32)
@@ -386,6 +434,32 @@ class TestRunToConvergence:
             sched) for _ in range(2)]
         assert np.array_equal(runs[0].step_records, runs[1].step_records)
         assert np.array_equal(runs[0].snapshots[-1].u, runs[1].snapshots[-1].u)
+
+    def test_monitor_rows_match_an_eager_recomputation(self, perturbed_spec,
+                                                       monkeypatch):
+        g = grid.CurvilinearGrid(perturbed_spec.source, 16, 32)
+        sched = flow.Schedule(stop_tol=1e-15, t_max=0.3, snapshot_dt=0.1)
+        record_row = flow._record_row
+        rows = []
+
+        def eager_row(state, dt):
+            row = record_row(state, dt)
+            lo, _ = sym_eig_range2(state.W)
+            h_ring = perturbed_spec.target.h(state.tmap[-1])
+            mass = float(np.sum(g.weights * np.exp(state.rate)
+                                * state.ctx.rho_nodes))
+            rows.append((row, (abs(mass - state.ctx.target_mass),
+                               float(np.max(np.abs(h_ring))),
+                               float(np.min(lo)))))
+            return row
+
+        monkeypatch.setattr(flow, "_record_row", eager_row)
+        traj = flow.run_to_convergence(
+            perturbed_spec, g, flow.initial_linear_scaling(perturbed_spec, g),
+            sched)
+        assert len(rows) == len(traj.step_records) > 0
+        for row, eager in rows:
+            assert np.array(row[4:7]).tobytes() == np.array(eager).tobytes()
 
 
 class TestStructuralInvariants:
