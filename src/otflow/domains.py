@@ -20,6 +20,10 @@ import numpy as np
 from . import _numerics as nm
 from .errors import BitwistFailure, DensityOutOfBounds, MassImbalance
 
+#: steps of the centered-difference fallbacks for grad h and the Hessian of h
+H_GRAD_STEP = 1e-6
+H_HESS_STEP = 1e-4
+
 
 class Domain:
     """A smooth bounded star-shaped planar domain.
@@ -41,8 +45,9 @@ class Domain:
     def h(self, x):
         raise NotImplementedError
 
-    def h_grad(self, x, step=1e-6):
+    def h_grad(self, x):
         x = np.asarray(x, float)
+        step = H_GRAD_STEP
         g = np.empty(x.shape)
         for k in range(2):
             e = np.zeros(2)
@@ -50,8 +55,9 @@ class Domain:
             g[..., k] = (self.h(x + e) - self.h(x - e)) / (2 * step)
         return g
 
-    def h_hess(self, x, step=1e-4):
+    def h_hess(self, x):
         x = np.asarray(x, float)
+        step = H_HESS_STEP
         out = np.empty(x.shape[:-1] + (2, 2))
         h0 = self.h(x)
         for k in range(2):
@@ -87,13 +93,10 @@ class Domain:
         return np.stack([t[..., 1], -t[..., 0]], axis=-1)
 
     def curvature(self, s):
-        """Signed curvature from centered differences of the parametrization."""
-        s = np.asarray(s, float)
-        step = 1e-5
-        v = (self.boundary_param(s + step) - self.boundary_param(s - step)) / (2 * step)
-        a = (self.boundary_param(s + step) - 2 * self.boundary_param(s)
-             + self.boundary_param(s - step)) / step ** 2
-        return nm.cross2(v, a) / nm.norm2(v) ** 3
+        """Signed curvature cross(v', v'') / |v'|^3 from the analytic
+        boundary velocity and acceleration."""
+        v = self.boundary_velocity(s)
+        return nm.cross2(v, self.boundary_accel(s)) / nm.norm2(v) ** 3
 
     @property
     def area(self):
@@ -114,11 +117,11 @@ class Disk(Domain):
     def h(self, x):
         return nm.norm2(np.asarray(x, float) - self.center) - self.radius
 
-    def h_grad(self, x, step=None):
+    def h_grad(self, x):
         d = np.asarray(x, float) - self.center
         return d / nm.norm2(d)[..., None]
 
-    def h_hess(self, x, step=None):
+    def h_hess(self, x):
         d = np.asarray(x, float) - self.center
         r = nm.norm2(d)
         n = d / r[..., None]

@@ -124,7 +124,6 @@ class CurvilinearGrid:
         self._d2 = -self._kvec ** 2
 
         self.boundary_normals = domain.outward_normal(self.s)
-        self.boundary_curvature = domain.curvature(self.s)
 
         # Radial truncation error in the first derivative is amplified by the
         # 1/r metric factors near the center; a wider centered stencil on the
@@ -368,18 +367,19 @@ class CurvilinearGrid:
     # -- boundary helpers -------------------------------------------------------
 
     def ring_values_at(self, row_values, s_eval):
-        """Trigonometric interpolation of one ring's values at parameters s."""
+        """Trigonometric interpolation of one ring's values at parameters s:
+        a float for a scalar s, an array for an array of them."""
         fhat = np.fft.rfft(row_values)
         n = self.n_s
         k = np.arange(fhat.shape[0])
-        s_eval = np.atleast_1d(np.asarray(s_eval, float))
-        phase = np.exp(2j * np.pi * np.outer(s_eval, k))
+        s_arr = np.atleast_1d(np.asarray(s_eval, float))
+        phase = np.exp(2j * np.pi * np.outer(s_arr, k))
         scale = np.full(fhat.shape[0], 2.0)
         scale[0] = 1.0
         if n % 2 == 0:
             scale[-1] = 1.0
         vals = (phase * (scale * fhat)).real.sum(axis=1) / n
-        return vals if vals.shape[0] > 1 else float(vals[0])
+        return float(vals[0]) if np.ndim(s_eval) == 0 else vals
 
     def d_s_ring(self, row_values):
         """Spectral d/ds of values on a single ring (any trailing axes)."""
@@ -400,30 +400,44 @@ class CurvilinearGrid:
     def ring_line_intersection(self, i_ring, x0, direction, s_seed):
         """Parameter s where the ring r_i meets the line x0 - t * direction.
 
-        Returns (s, t) with t > 0 measured along the unit direction.
+        Returns (s, t) with t > 0 measured along the unit direction. Takes
+        one line (x0 and direction of shape (2,), a float seed) or a batch
+        (shapes (k, 2) and (k,)); each line runs its own Newton iteration,
+        frozen where its scalar form would stop, and a batch returns arrays.
         """
         c = self.domain.star_center
         r = self.r[i_ring]
+        x0 = np.asarray(x0, float)
         d = np.asarray(direction, float)
-        d = d / np.linalg.norm(d)
-        s = float(s_seed)
+        d = d / nm.norm_stack(d)[..., None]
+        s = np.array(s_seed, float)
+        live = np.ones(s.shape, bool)
         for _ in range(60):
             p = c + r * (self.domain.boundary_param(s) - c)
             vel = r * self.domain.boundary_velocity(s)
             g = nm.cross2(p - x0, -d)
             dg = nm.cross2(vel, -d)
-            if abs(dg) < 1e-14:
-                break
-            step = g / dg
-            s -= step
-            if abs(step) < 1e-15:
+            live &= ~(np.abs(dg) < 1e-14)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g / dg
+            s = np.where(live, s - step, s)
+            live &= ~(np.abs(step) < 1e-15)
+            if not live.any():
                 break
         p = c + r * (self.domain.boundary_param(s) - c)
-        t = float(np.dot(x0 - p, d))
+        t = np.vecdot(x0 - p, d)
+        if s.ndim == 0:
+            return float(s % 1.0), float(t)
         return s % 1.0, t
 
 
 # --- public operators --------------------------------------------------------
+
+def boundary_nodes(j):
+    """(whether j is one int node, the nodes as an int array): the boundary
+    evaluators treat one node as a batch of one."""
+    return np.ndim(j) == 0, np.atleast_1d(np.asarray(j)).astype(int)
+
 
 def gradient(grid, f):
     """Physical-space gradient of a scalar field."""
@@ -456,38 +470,48 @@ def directional_derivative_at_boundary(grid, f, j, direction):
     Sample points are taken where the line through the node meets the two
     rings beneath the boundary, with ring values interpolated
     trigonometrically. ``direction`` need not be normalized; the result scales
-    with its length. Directions within TANGENCY_FLOOR of tangency are
-    rejected.
+    with its length. A zero direction, one within TANGENCY_FLOOR of
+    tangency, and a probe line that does not enter the interior are refused.
+
+    An int j with a direction of shape (2,) returns a float and raises
+    TangentDirection on a refusal. An array of nodes with directions of
+    shape (k, 2) returns an array, NaN at each refused node.
     """
     grid.check_field(f)
     if f.rank != "scalar":
         raise ValueError("directional derivative expects a scalar field")
-    j = int(j)
-    d = np.asarray(direction, float)
-    dn = np.linalg.norm(d)
-    if dn == 0:
-        raise TangentDirection("zero direction")
+    one, j = boundary_nodes(j)
+    d = np.broadcast_to(np.asarray(direction, float), j.shape + (2,))
+
+    def refuse(bad, message):
+        if one and bad[0]:
+            raise TangentDirection(message)
+
+    dn = nm.norm_stack(d)
+    refuse(dn == 0, "zero direction")
     nu = grid.boundary_normals[j]
-    cosang = float(np.dot(d, nu)) / dn
-    if abs(cosang) < TANGENCY_FLOOR:
-        raise TangentDirection(
-            f"direction is tangent to the boundary within {TANGENCY_FLOOR:g}")
-    sign = 1.0
-    dd = d / dn
-    if cosang < 0:           # point the probe outward, flip the result back
-        dd = -dd
-        sign = -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosang = np.vecdot(d, nu) / dn
+        dd = d / dn[:, None]
+    tangent = np.abs(cosang) < TANGENCY_FLOOR
+    refuse(tangent, f"direction is tangent to the boundary within {TANGENCY_FLOOR:g}")
+    refused = (dn == 0) | tangent
+    # point the probe outward, flip the result back; a refused node probes
+    # along its normal so that its Newton iteration stays finite
+    sign = np.where(cosang < 0, -1.0, 1.0)
+    dd = np.where(refused[:, None], nu, sign[:, None] * dd)
     x0 = grid.nodes[-1, j]
     s_seed = grid.s[j]
     f0 = f.data[-1, j]
     ts, fs = [], []
     for i_ring in (grid.n_r - 2, grid.n_r - 3):
         s_i, t_i = grid.ring_line_intersection(i_ring, x0, dd, s_seed)
-        if t_i <= 0:
-            raise TangentDirection("probe line does not enter the interior")
+        refuse(t_i <= 0, "probe line does not enter the interior")
+        refused |= t_i <= 0
         ts.append(t_i)
         fs.append(grid.ring_values_at(f.data[i_ring], s_i))
         s_seed = s_i
     # derivative along the inward ray, then flip to the requested direction
     dfd_in = nm.one_sided_first(ts[0], ts[1], f0, fs[0], fs[1])
-    return sign * (-dfd_in) * dn
+    out = np.where(refused, np.nan, sign * (-dfd_in) * dn)
+    return float(out[0]) if one else out

@@ -28,6 +28,12 @@ The same metric drives the weighted Laplacian: with weight
 phi = log |det C(x,T)| - log rho*(T) - (1/2) log det W, the linearized flow
 operator equals the phi-weighted Laplace-Beltrami operator of w minus the
 time derivative, which ``verify_weighted_laplacian_identity`` measures.
+
+The boundary evaluators (``second_fundamental_form_w``,
+``verify_II_identity``) take one boundary node, an int, or an array of
+nodes; an array gives arrays, one entry per node, from one evaluation of
+the ring's and the grid's fields (beta, the Christoffel field of w, the
+transport Jacobian), and an image curve that degenerates at any node raises.
 """
 
 from dataclasses import dataclass
@@ -38,7 +44,7 @@ from . import _numerics as nm
 from . import linearized
 from .errors import DegenerateImage, MetricDegenerate
 from .flow import time_index
-from .grid import directional_derivative_at_boundary
+from .grid import boundary_nodes, directional_derivative_at_boundary
 
 #: an image curve slower than this at the evaluation point is degenerate
 VELOCITY_FLOOR = 1e-12
@@ -171,7 +177,9 @@ class IIPair:
 
 @dataclass
 class IIReport:
-    """Both sides of the boundary curvature identity at one boundary node."""
+    """Both sides of the boundary curvature identity at one boundary node,
+    or at each node of a node array (every field but ``grid_shape`` is then
+    an array with one entry per node)."""
 
     node: int
     lhs: float
@@ -192,6 +200,17 @@ class IIReport:
                 "rel_error": self.rel_error,
                 "grid": list(self.grid_shape)}
 
+    def at(self, i):
+        """The one-node report of entry i of a node-array report."""
+        return IIReport(node=int(self.node[i]), lhs=float(self.lhs[i]),
+                        rhs=float(self.rhs[i]),
+                        term_source_image=float(self.term_source_image[i]),
+                        term_target_image=float(self.term_target_image[i]),
+                        ii_intrinsic=float(self.ii_intrinsic[i]),
+                        ii_ambient=float(self.ii_ambient[i]),
+                        rel_error=float(self.rel_error[i]),
+                        grid_shape=self.grid_shape)
+
 
 def _ring_w_data(state):
     grid = state.grid
@@ -205,12 +224,24 @@ def _ring_w_data(state):
 
 
 def second_fundamental_form_w(state, j_node):
-    """II^w(tau, tau) for the w-unit boundary tangent at node j, computed
+    """II^w(tau, tau) for the w-unit boundary tangent at node(s) j, computed
     intrinsically (Christoffel symbols of w) and through the ambient
-    connection of the split metric; returns both values."""
+    connection of the split metric; returns both values, as floats for an
+    int j and as arrays for an array of nodes."""
+    one, j = boundary_nodes(j_node)
+    pair = _second_fundamental_form(state, j, _ring_w_data(state),
+                                    transport_jacobian(state)[-1])
+    if one:
+        return IIPair(intrinsic=float(pair.intrinsic[0]),
+                      ambient=float(pair.ambient[0]))
+    return pair
+
+
+def _second_fundamental_form(state, j, ring, DT):
+    """Both II^w evaluations at the nodes j (an int array), from the ring
+    data of ``_ring_w_data`` and the ring's transport Jacobian DT."""
     grid = state.grid
-    j = int(j_node)
-    beta, W, tau_e, norm_w, tau_unit, beta_w = _ring_w_data(state)
+    beta, W, tau_e, norm_w, tau_unit, beta_w = ring
     if np.min(beta_w) <= 0:
         raise MetricDegenerate("w-norm of beta vanished on the boundary")
 
@@ -218,24 +249,24 @@ def second_fundamental_form_w(state, j_node):
     nhat = beta / beta_w[:, None]
     dnhat = grid.d_s_ring(nhat)
     gamma_w = metric_christoffel(grid, state.W)[-1]
-    corr = np.einsum('kab,a,b->k', gamma_w[j], tau_e[j], nhat[j])
-    cov = (dnhat[j] + corr) / norm_w[j]
-    ii_intr = float(cov @ W[j] @ tau_unit[j])
+    corr = np.einsum('...kab,...a,...b->...k', gamma_w[j], tau_e[j], nhat[j])
+    cov = (dnhat[j] + corr) / norm_w[j][:, None]
+    ii_intr = nm.bilinear_stack(cov, W[j], tau_unit[j])
 
     # ambient: II = -|beta|_w^{-1} h(beta (+) DT beta, nabla^h_U V)
-    DT = transport_jacobian(state)[-1]
     V = np.concatenate([tau_unit, np.einsum('skl,sl->sk', DT, tau_unit)], axis=-1)
     dV = grid.d_s_ring(V)
     x0 = grid.nodes[-1, j]
     y0 = state.tmap[-1, j]
     km = KMMetric(state.spec.cost)
     gam_h = km.christoffel(x0, y0)
-    U4 = np.concatenate([tau_e[j], DT[j] @ tau_e[j]]) / norm_w[j]
-    corr4 = np.einsum('dgl,g,l->d', gam_h, U4, V[j])
-    cov4 = dV[j] / norm_w[j] + corr4
-    beta4 = np.concatenate([beta[j], DT[j] @ beta[j]])
-    flat = km.metric(x0, y0) @ beta4
-    ii_amb = float(-(flat @ cov4) / beta_w[j])
+    U4 = (np.concatenate([tau_e[j], nm.matvec_stack(DT[j], tau_e[j])], axis=-1)
+          / norm_w[j][:, None])
+    corr4 = np.einsum('...dgl,...g,...l->...d', gam_h, U4, V[j])
+    cov4 = dV[j] / norm_w[j][:, None] + corr4
+    beta4 = np.concatenate([beta[j], nm.matvec_stack(DT[j], beta[j])], axis=-1)
+    flat = nm.matvec_stack(km.metric(x0, y0), beta4)
+    ii_amb = -np.vecdot(flat, cov4) / beta_w[j]
     return IIPair(intrinsic=ii_intr, ambient=ii_amb)
 
 
@@ -248,85 +279,101 @@ def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
     under x -> grad_y c(x, anchor); 'target_image': the image of
     ``boundary_domain`` (the target) under y -> grad_x c(anchor, y). Returns
     the signed curvature at parameter ``s_eval`` (the second fundamental form
-    against a tangent vector v is curvature * |v|^2).
+    against a tangent vector v is curvature * |v|^2): a float for one anchor
+    (2,) and parameter, an array for anchors (k, 2) and parameters (k,).
     """
     anchor = np.asarray(anchor, float)
     if which == "source_image":
-        def img(s):
-            return cost.grad_y(boundary_domain.boundary_param(s), anchor)
+        def img(s, a):
+            return cost.grad_y(boundary_domain.boundary_param(s), a)
     elif which == "target_image":
-        def img(s):
-            return cost.grad_x(anchor, boundary_domain.boundary_param(s))
+        def img(s, a):
+            return cost.grad_x(a, boundary_domain.boundary_param(s))
     else:
         raise ValueError("which must be 'source_image' or 'target_image'")
-    # orientation from the signed area of the full image curve
+    # orientation from the signed area of each full image curve
     s_all = np.arange(256) / 256
-    q = img(s_all)
-    area2 = float(np.sum(nm.cross2(q, np.roll(q, -1, axis=0))))
-    orient = 1.0 if area2 > 0 else -1.0
-    s_eval = float(s_eval)
-    qp = (img(s_eval + step) - img(s_eval - step)) / (2 * step)
-    qpp = (img(s_eval + step) - 2 * img(s_eval) + img(s_eval - step)) / step ** 2
-    speed = float(np.linalg.norm(qp))
-    if speed < VELOCITY_FLOOR:
-        raise DegenerateImage(f"image curve velocity {speed:.3e} below floor")
-    return orient * float(nm.cross2(qp, qpp)) / speed ** 3
+    q = img(s_all, anchor[..., None, :])
+    area2 = np.sum(nm.cross2(q, np.roll(q, -1, axis=-2)), axis=-1)
+    orient = np.where(area2 > 0, 1.0, -1.0)
+    s_eval = np.asarray(s_eval, float)
+    qp = (img(s_eval + step, anchor) - img(s_eval - step, anchor)) / (2 * step)
+    qpp = (img(s_eval + step, anchor) - 2 * img(s_eval, anchor)
+           + img(s_eval - step, anchor)) / step ** 2
+    speed = nm.norm_stack(qp)
+    if np.any(speed < VELOCITY_FLOOR):
+        raise DegenerateImage(
+            f"image curve velocity {np.min(speed):.3e} below floor")
+    kappa = orient * nm.cross2(qp, qpp) / speed ** 3
+    return float(kappa) if kappa.ndim == 0 else kappa
 
 
 def _target_boundary_param_of(target, point):
-    """Boundary parameter of the target closest to ``point``."""
+    """Boundary parameter of the target closest to ``point``: a float for
+    one point (2,), an array for points (k, 2), each from its own Newton
+    iteration, frozen where its scalar form would stop."""
+    point = np.asarray(point, float)
     s_grid = np.arange(720) / 720
     bp = target.boundary_param(s_grid)
-    s = float(s_grid[np.argmin(((bp - point) ** 2).sum(-1))])
+    dist2 = ((bp - point[..., None, :]) ** 2).sum(-1)
+    s = s_grid[np.argmin(dist2, axis=-1)]
+    live = np.ones(s.shape, bool)
     for _ in range(60):
         p = target.boundary_param(s)
         v = target.boundary_velocity(s)
         a = target.boundary_accel(s)
-        g = float((p - point) @ v)
-        dg = float(v @ v + (p - point) @ a)
-        if abs(dg) < 1e-14:
+        g = np.vecdot(p - point, v)
+        dg = np.vecdot(v, v) + np.vecdot(p - point, a)
+        live &= ~(np.abs(dg) < 1e-14)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snew = s - g / dg
+        moved = np.abs(snew - s)
+        s = np.where(live, snew, s)
+        live &= ~(moved < 1e-15)
+        if not live.any():
             break
-        snew = s - g / dg
-        if abs(snew - s) < 1e-15:
-            s = snew
-            break
-        s = snew
-    return s % 1.0
+    return float(s % 1.0) if s.ndim == 0 else s % 1.0
 
 
 def verify_II_identity(state, j_node):
     """Evaluate both sides of the boundary curvature identity at boundary
-    node j and return the comparison report."""
+    node(s) j and return the comparison report: one-node fields for an int
+    j, arrays for an array of nodes, from one evaluation of the ring's and
+    the grid's fields."""
     grid = state.grid
     spec = state.spec
     cost = spec.cost
-    j = int(j_node)
-    beta, W, tau_e, norm_w, tau_unit, beta_w = _ring_w_data(state)
-    ii = second_fundamental_form_w(state, j)
+    one, j = boundary_nodes(j_node)
+    ring = _ring_w_data(state)
+    beta, W, tau_e, norm_w, tau_unit, beta_w = ring
+    DT_ring = transport_jacobian(state)[-1]
+    ii = _second_fundamental_form(state, j, ring, DT_ring)
     lhs = 2.0 * beta_w[j] * ii.intrinsic
 
     x0 = grid.nodes[-1, j]
     y0 = state.tmap[-1, j]
     C = cost.cross_hessian(x0, y0)
-    DT = transport_jacobian(state)[-1, j]
+    DT = DT_ring[j]
     tau = tau_unit[j]
-    tau_hat = C.T @ tau
-    taubar_hat = C @ (DT @ tau)
-    dt_beta = DT @ beta[j]
+    tau_hat = nm.matvec_stack(nm.transpose2(C), tau)
+    taubar_hat = nm.matvec_stack(C, nm.matvec_stack(DT, tau))
+    dt_beta = nm.matvec_stack(DT, beta[j])
 
     kappa_src = coordinate_domain_II(cost, "source_image", y0, spec.source,
                                      grid.s[j])
     s_star = _target_boundary_param_of(spec.target, y0)
     kappa_tgt = coordinate_domain_II(cost, "target_image", x0, spec.target,
                                      s_star)
-    term1 = float(np.linalg.norm(dt_beta)) * kappa_src * float(tau_hat @ tau_hat)
-    term2 = float(np.linalg.norm(beta[j])) * kappa_tgt * float(taubar_hat @ taubar_hat)
+    term1 = nm.norm_stack(dt_beta) * kappa_src * np.vecdot(tau_hat, tau_hat)
+    term2 = nm.norm_stack(beta[j]) * kappa_tgt * np.vecdot(taubar_hat, taubar_hat)
     rhs = term1 + term2
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return IIReport(node=j, lhs=lhs, rhs=rhs, term_source_image=term1,
-                    term_target_image=term2, ii_intrinsic=ii.intrinsic,
-                    ii_ambient=ii.ambient, rel_error=rel,
-                    grid_shape=(grid.n_r, grid.n_s))
+    rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                                         1e-300)
+    rep = IIReport(node=j, lhs=lhs, rhs=rhs, term_source_image=term1,
+                   term_target_image=term2, ii_intrinsic=ii.intrinsic,
+                   ii_ambient=ii.ambient, rel_error=rel,
+                   grid_shape=(grid.n_r, grid.n_s))
+    return rep.at(0) if one else rep
 
 
 def dbeta_gradnorm_boundary(state, series, j_node, t):

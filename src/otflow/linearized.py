@@ -19,6 +19,12 @@ boundary directional derivative along beta admits the closed forms
 implemented here. The special solutions used throughout are the gaps
 Theta_k(x, t) = sup_x theta(., k-1) - theta(x, (k-1) + t), which are
 nonnegative by the maximum principle.
+
+The boundary derivatives of F take one boundary node (an int, giving
+floats) or an array of nodes (giving arrays, one entry per node). A node
+array is one evaluation of the ring's fields for all of its nodes; where
+the one-node call would raise on a refused node (the floor mask touches
+its window, or the probe direction is refused), its entry is NaN.
 """
 
 from dataclasses import dataclass
@@ -28,7 +34,7 @@ import numpy as np
 from . import _numerics as nm
 from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
 from .flow import time_index
-from .grid import Field, directional_derivative_at_boundary
+from .grid import Field, boundary_nodes, directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
 DEFAULT_ALPHA = 2.0
@@ -245,34 +251,38 @@ def theta_special(trajectory, k=1):
 
 def dbetaF_direct(series, state, j_node, t):
     """One-sided finite-difference derivative of F along beta at boundary
-    node j at series offset t.
+    node(s) j at series offset t.
 
     Refuses nodes whose sampling neighborhood touches the positivity-floor
     mask: F is undefined there and differencing across the hole is
-    meaningless.
+    meaningless. An int j returns a float and raises on a refusal (this one,
+    or the probe's TangentDirection); an array of nodes returns an array
+    with NaN at each refused node.
     """
     m = time_index(series.times, t)
     grid = state.grid
-    j = int(j_node)
-    window = (np.arange(j - 2, j + 3)) % grid.n_s
-    if not series.mask[m][-3:, window].all():
+    one, j = boundary_nodes(j_node)
+    window = (j[:, None] + np.arange(-2, 3)) % grid.n_s
+    clear = series.mask[m][-3:, window].all(axis=(0, 2))
+    if one and not clear[0]:
         raise NonPositiveTheta(
-            f"gap at offset {t} touches the floor near boundary node {j}")
-    f_field = series.F_field(m)
+            f"gap at offset {t} touches the floor near boundary node {j[0]}")
     beta = state.ring_beta()[j]
-    return directional_derivative_at_boundary(grid, f_field, j, beta)
+    vals = directional_derivative_at_boundary(grid, series.F_field(m), j, beta)
+    vals = np.where(clear, vals, np.nan)
+    return float(vals[0]) if one else vals
 
 
-def _boundary_convexity_contraction(state, j_node, tau):
-    """(Dnu - c^(r,l) c_(ij,r) nu^l)-form at boundary node j contracted with
-    the (not necessarily unit) tangent vector tau."""
+def _boundary_convexity_contraction(state, j, tau):
+    """(Dnu - c^(r,l) c_(ij,r) nu^l)-form at the boundary nodes j (an int
+    array) contracted with the (not necessarily unit) tangent vectors tau,
+    shape (k, 2)."""
     grid = state.grid
     spec = state.spec
-    j = int(j_node)
     s_j = grid.s[j]
     tan = spec.source.boundary_tangent(s_j)
-    kappa = float(spec.source.curvature(s_j))
-    tau_t = float(np.dot(tau, tan))
+    kappa = spec.source.curvature(s_j)
+    tau_t = np.vecdot(tau, tan)
     first = kappa * tau_t ** 2
     if getattr(spec.cost, "thirds_vanish", False):
         return first
@@ -281,52 +291,54 @@ def _boundary_convexity_contraction(state, j_node, tau):
     thirds = spec.cost.third_xxy(x, y)              # [i, j, r]
     cinv = nm.inv2(spec.cost.cross_hessian(x, y))   # [r, l]
     nu = grid.boundary_normals[j]
-    w = cinv.T @ nu                                 # w_r = c^(r,l) nu^l
-    corr = np.einsum('ijr,i,j,r->', thirds, tau, tau, w)
+    w = nm.matvec_stack(nm.transpose2(cinv), nu)    # w_r = c^(r,l) nu^l
+    corr = np.einsum('...ijr,...i,...j,...r->...', thirds, tau, tau, w)
     return first - corr
 
 
 def dbetaF_closed(series, state, j_node, t, mode="general"):
-    """Closed-form boundary derivative of F along beta at node j, offset t.
+    """Closed-form boundary derivative of F along beta at node(s) j, offset t.
 
     Returns (value, (term1, term2, term3)): the curvature-form term, the
     -G_pp(grad f, grad f) term, and the +alpha G_pp(grad f, grad theta) term,
     each already multiplied by t. ``mode='quadratic'`` uses the specialization
     valid for the inner-product cost (W = D^2 u, beta = grad h*(grad u));
-    ``mode='general'`` assembles the full G_pp from the cost calculus.
+    ``mode='general'`` assembles the full G_pp from the cost calculus. An
+    int j gives floats; an array of nodes gives arrays, one entry per node,
+    from one evaluation of the ring's fields.
     """
     if mode not in ("general", "quadratic"):
         raise ValueError("mode must be 'general' or 'quadratic'")
     m = time_index(series.times, t)
     grid = state.grid
     spec = state.spec
-    j = int(j_node)
+    one, j = boundary_nodes(j_node)
     t_val = float(series.times[m])
     grad_f = series.grad_f[m][-1, j]
     grad_rate = grid.grad_values(state.rate)[-1, j]
     W = state.W[-1, j]
     beta = state.ring_beta()[j]
-    chi = float(np.linalg.norm(W @ beta))
-    tau = np.linalg.solve(W, grad_f)
+    chi = nm.norm_stack(nm.matvec_stack(W, beta))
+    tau = np.linalg.solve(W, grad_f[..., None])[..., 0]
     alpha = series.alpha
-    x = grid.nodes[-1, j]
     if mode == "quadratic":
         s_j = grid.s[j]
-        kappa = float(spec.source.curvature(s_j))
+        kappa = spec.source.curvature(s_j)
         tan = spec.source.boundary_tangent(s_j)
-        tau_t = float(np.dot(tau, tan))
-        hstar_hess = spec.target.h_hess(state.grad_u[-1, j])
+        tau_t = np.vecdot(tau, tan)
+        g_pp = spec.target.h_hess(state.grad_u[-1, j])
         term1 = -t_val * chi * kappa * tau_t ** 2
-        term2 = -t_val * float(grad_f @ hstar_hess @ grad_f)
-        term3 = t_val * alpha * float(grad_rate @ hstar_hess @ grad_f)
     else:
         form = _boundary_convexity_contraction(state, j, tau)
-        g_pp = spec.cost.G_hessian_p(spec.target, x, state.grad_u[-1, j],
-                                     y=state.tmap[-1, j])
+        g_pp = spec.cost.G_hessian_p(spec.target, grid.nodes[-1, j],
+                                     state.grad_u[-1, j], y=state.tmap[-1, j])
         term1 = -t_val * chi * form
-        term2 = -t_val * float(grad_f @ g_pp @ grad_f)
-        term3 = t_val * alpha * float(grad_rate @ g_pp @ grad_f)
-    return term1 + term2 + term3, (term1, term2, term3)
+    term2 = -t_val * nm.bilinear_stack(grad_f, g_pp, grad_f)
+    term3 = t_val * alpha * nm.bilinear_stack(grad_rate, g_pp, grad_f)
+    value = term1 + term2 + term3
+    if one:
+        return float(value[0]), (float(term1[0]), float(term2[0]), float(term3[0]))
+    return value, (term1, term2, term3)
 
 
 def boundary_tangency_defect(series, state, t):

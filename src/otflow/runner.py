@@ -5,7 +5,9 @@ field files, diagnostics.csv (one row per accepted super-step; its dt
 column is the super-step tau), summary.json (decay rate, Harnack numbers,
 worst-case monitors), and the requested audit reports under audits/.
 Identical configs give byte-identical diagnostics output. Audits can also
-be replayed on a finished directory without re-simulating.
+be replayed on a finished directory without re-simulating. The boundary
+audits evaluate all of their nodes in one call per audited time; a node
+the direct boundary derivative refuses reads NaN in harnack.csv.
 """
 
 import os
@@ -182,7 +184,9 @@ def convexity_audit(spec, seed=0):
 def harnack_audit(trajectory, audit_dir, series=None):
     """Boundary audit CSV (t, node, F, both boundary derivatives, the three
     closed-form terms) at 16 boundary nodes plus the scalar Harnack summary.
-    ``series`` is the k = 1 gap series, built here when not given."""
+    Each audited time takes one node-array call of each boundary
+    derivative; F and the direct derivative read NaN at the nodes they
+    refuse. ``series`` is the k = 1 gap series, built here when not given."""
     try:
         if series is None:
             series = linearized.theta_special(trajectory, k=1)
@@ -198,15 +202,12 @@ def harnack_audit(trajectory, audit_dir, series=None):
         t = float(series.times[m])
         idx = int(series.snapshot_indices[m])
         state = trajectory.state_at(idx)
-        for j in nodes:
-            f_here = float(series.F[m][-1, j]) if series.mask[m][-1, j] else float("nan")
-            try:
-                dd = linearized.dbetaF_direct(series, state, j, t)
-            except OTFlowError:
-                dd = float("nan")
-            dc, terms = linearized.dbetaF_closed(series, state, j, t, "general")
-            vals = ",".join(repr(float(v)) for v in (f_here, dd, dc, *terms))
-            lines.append(f"{t!r},{int(j)},{vals}")
+        f_here = np.where(series.mask[m][-1, nodes], series.F[m][-1, nodes], np.nan)
+        dd = linearized.dbetaF_direct(series, state, nodes, t)
+        dc, terms = linearized.dbetaF_closed(series, state, nodes, t, "general")
+        for row in zip(nodes, f_here, dd, dc, *terms):
+            vals = ",".join(repr(float(v)) for v in row[1:])
+            lines.append(f"{t!r},{int(row[0])},{vals}")
     with open(os.path.join(audit_dir, "harnack.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     summary = {}
@@ -242,13 +243,14 @@ def oscillation_tolerance(trajectory):
 
 
 def km_audit(trajectory, audit_dir):
-    """The curvature identity at 16 boundary nodes of the final state."""
+    """The curvature identity at 16 boundary nodes of the final state, from
+    one node-array call."""
     state = trajectory.final_state()
     nodes = np.linspace(0, trajectory.grid.n_s, 16, endpoint=False).astype(int)
+    rep = km_geometry.verify_II_identity(state, nodes)
     with open(os.path.join(audit_dir, "km.jsonl"), "w") as fh:
-        for j in nodes:
-            rep = km_geometry.verify_II_identity(state, int(j))
-            fh.write(serialize.json.dumps(rep.as_dict(), sort_keys=True) + "\n")
+        for i in range(len(nodes)):
+            fh.write(serialize.json.dumps(rep.at(i).as_dict(), sort_keys=True) + "\n")
 
 
 def replay_diagnostics(outdir):

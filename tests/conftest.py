@@ -88,5 +88,15 @@ def sqrt_state_48(sqrt_pair_spec):
 
 
 @pytest.fixture(scope="session")
+def sqrt_run_16():
+    """The bundled ``offset_disks_sqrt`` scenario run at 16x32: a cost whose
+    mixed thirds do not vanish."""
+    cfg = load_scenario("offset_disks_sqrt").with_overrides(grid=(16, 32))
+    spec, g = cfg.build_problem()
+    return flow.run_to_convergence(spec, g, cfg.build_initial(spec, g),
+                                   cfg.build_schedule())
+
+
+@pytest.fixture(scope="session")
 def bundled_perturbed_config():
     return load_scenario("disk_cosine_perturbed")

@@ -7,6 +7,8 @@ gradient oracle (residual) and by round trips.
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from otflow import costs, domains
 from otflow._numerics import det2, inv2, matmul2, transpose2
@@ -124,6 +126,20 @@ class TestTwistInversion:
         p = base.grad_x(x, y)
         with pytest.raises(NonConvergence):
             c.invert_Y(x, p, seed=x + np.array([40.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ALL_COSTS)
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(x=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       angle=st.floats(0.0, 2 * np.pi), radius=st.floats(0.0, 0.95))
+def test_twist_inverse_solves_the_twist_equation(name, x, angle, radius):
+    # grad_x c(x, Y(x, p)) = p; the sqrt cost's twist map reaches |p| < 1 only
+    c = costs.make_cost(name)
+    scale = 1.0 if name == "sqrt_one_plus_sq_dist" else 3.0
+    x = np.array(x)
+    p = scale * radius * np.array([np.cos(angle), np.sin(angle)])
+    np.testing.assert_allclose(c.grad_x(x, c.invert_Y(x, p)), p, rtol=0, atol=1e-12)
 
 
 class TestMatrixA:

@@ -53,6 +53,24 @@ def test_curvature_oracle_matches_closed_forms():
     assert expect_blob.min() < 0   # the test shape really is nonconvex
 
 
+def test_analytic_curvature_matches_closed_forms():
+    s = np.linspace(0, 1, 97, endpoint=False)
+    ang = 2 * np.pi * s
+    np.testing.assert_allclose(Disk(1.3, (0.2, -0.1)).curvature(s), 1 / 1.3,
+                               rtol=0, atol=1e-12)
+    a, b = 1.4, 0.7
+    expect = a * b / (a ** 2 * np.sin(ang) ** 2 + b ** 2 * np.cos(ang) ** 2) ** 1.5
+    np.testing.assert_allclose(Ellipse(a, b, (0.0, 0.5)).curvature(s), expect,
+                               rtol=0, atol=1e-12)
+    R, eps, k = 0.9, 0.15, 3
+    r = R * (1 + eps * np.cos(k * ang))
+    rp = -R * eps * k * np.sin(k * ang)
+    rpp = -R * eps * k ** 2 * np.cos(k * ang)
+    expect = (r ** 2 + 2 * rp ** 2 - r * rpp) / (r ** 2 + rp ** 2) ** 1.5
+    np.testing.assert_allclose(CosineBlob(R, eps, k, (1.0, 0.0)).curvature(s),
+                               expect, rtol=0, atol=1e-12)
+
+
 def test_areas_match_quadrature():
     for dom in LIBRARY:
         g = grid.CurvilinearGrid(dom, 48, 96)

@@ -234,6 +234,46 @@ class TestBoundaryDirectionalDerivative:
             directional_derivative_at_boundary(g32, f, 7, tan)
 
 
+class TestBoundaryNodeArrays:
+    def test_ring_line_intersection_matches_line_circle(self, g32):
+        # on the unit disk the ring r_i is the circle of radius r_i, so the
+        # line x0 - t d first meets it at t = x0.d - sqrt((x0.d)^2 - |x0|^2 + r_i^2)
+        j = np.arange(0, g32.n_s, 3)
+        tilt = np.linspace(-1.0, 1.0, len(j))
+        ang = 2 * np.pi * g32.s[j] + tilt
+        d = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        x0 = g32.nodes[-1, j]
+        for i_ring in (g32.n_r - 2, g32.n_r - 3):
+            s, t = g32.ring_line_intersection(i_ring, x0, d, g32.s[j])
+            rho = g32.r[i_ring]
+            xd = np.sum(x0 * d, axis=-1)
+            t_exact = xd - np.sqrt(xd ** 2 - np.sum(x0 ** 2, axis=-1) + rho ** 2)
+            p = x0 - t_exact[:, None] * d
+            s_exact = np.arctan2(p[:, 1], p[:, 0]) / (2 * np.pi) % 1.0
+            assert np.abs(t - t_exact).max() <= 1e-13
+            ds = (s - s_exact + 0.5) % 1.0 - 0.5
+            assert np.abs(ds).max() <= 1e-13
+            for k in range(len(j)):
+                assert g32.ring_line_intersection(i_ring, x0[k], d[k], g32.s[j[k]]) \
+                    == (s[k], t[k])
+
+    def test_refused_nodes_read_nan(self, g32):
+        f = g32.scalar(np.exp(g32.nodes[..., 0]))
+        j = np.arange(6)
+        d = g32.boundary_normals[j] + np.array([0.3, -0.2])
+        d[2] = 0.0                                  # zero direction
+        d[4] = DISK.boundary_tangent(g32.s[4])      # tangent
+        vals = directional_derivative_at_boundary(g32, f, j, d)
+        for k in range(len(j)):
+            if k in (2, 4):
+                with pytest.raises(TangentDirection):
+                    directional_derivative_at_boundary(g32, f, int(j[k]), d[k])
+                assert np.isnan(vals[k])
+            else:
+                one = directional_derivative_at_boundary(g32, f, int(j[k]), d[k])
+                assert one == vals[k]
+
+
 class TestFieldValidation:
     def test_shape_checks(self, g32):
         with pytest.raises(ValueError):

@@ -119,6 +119,19 @@ class TestIIIdentityGeneralCost:
             rep = km.verify_II_identity(st, j)
             assert rep.rel_error <= 0.02
 
+    def test_node_array_equals_one_node_calls(self, sqrt_run_16,
+                                              stationary_state):
+        for st in (sqrt_run_16.final_state(), stationary_state):
+            nodes = np.arange(0, st.grid.n_s, 3)
+            rep = km.verify_II_identity(st, nodes)
+            pair = km.second_fundamental_form_w(st, nodes)
+            for i, j in enumerate(nodes):
+                assert rep.at(i).as_dict() == \
+                    km.verify_II_identity(st, int(j)).as_dict()
+                one = km.second_fundamental_form_w(st, int(j))
+                assert (pair.intrinsic[i], pair.ambient[i]) == \
+                    (one.intrinsic, one.ambient)
+
     def test_identity_error_shrinks_under_refinement(self, sqrt_pair_spec):
         errs = []
         for n in (24, 48):

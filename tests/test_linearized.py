@@ -1,6 +1,8 @@
 """Linearized operator, gap solutions, and the boundary derivative of the
 Li-Yau quantity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,82 @@ class TestBoundaryDerivativeOfF:
         ser.grad_f[m][-1, 5] = 0.0          # synthetic: grad f = 0 at node 5
         val, terms = linearized.dbetaF_closed(ser, st, 5, 1.0, "general")
         assert abs(val) <= 1e-14 and abs(terms[0]) <= 1e-14
+
+
+def one_node_stack(call, nodes):
+    """Per node, the one-node result of ``call(j)`` (a list of floats), or
+    NaN where the call refuses the node; returns (rows, refused nodes)."""
+    rows, refused = [], []
+    for j in nodes:
+        try:
+            rows.append(call(int(j)))
+        except NonPositiveTheta:
+            refused.append(int(j))
+            rows.append([np.nan])
+    return np.array(rows), refused
+
+
+class TestNodeArrays:
+    """A node-array call equals the stacked one-node calls bit for bit,
+    with NaN exactly where the one-node call raises."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def doctored(ref_run_32):
+        ser = linearized.theta_special(ref_run_32, k=1)
+        m = int(np.argmin(np.abs(ser.times - 1.0)))
+        mask = ser.mask.copy()
+        mask[m][-2, [5, 20, 21]] = False        # the floor touches three windows
+        ser = dataclasses.replace(ser, mask=mask)
+        st = ref_run_32.state_at(int(ser.snapshot_indices[m]))
+        return ser, st, 1.0
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def sqrt_series(sqrt_run_16):
+        ser = linearized.theta_special(sqrt_run_16, k=1)
+        return ser, sqrt_run_16
+
+    @staticmethod
+    def check_direct(ser, st, t):
+        nodes = np.arange(st.grid.n_s)
+        batch = linearized.dbetaF_direct(ser, st, nodes, t)
+        rows, refused = one_node_stack(
+            lambda j: [linearized.dbetaF_direct(ser, st, j, t)], nodes)
+        assert batch.tobytes() == rows[:, 0].tobytes()
+        assert list(np.nonzero(np.isnan(batch))[0]) == refused
+        return refused
+
+    @staticmethod
+    def check_closed(ser, st, t, mode):
+        nodes = np.arange(st.grid.n_s)
+        value, terms = linearized.dbetaF_closed(ser, st, nodes, t, mode)
+
+        def one(j):
+            v, one_terms = linearized.dbetaF_closed(ser, st, j, t, mode)
+            return [v, *one_terms]
+
+        rows, refused = one_node_stack(one, nodes)
+        assert refused == []
+        assert np.stack([value, *terms], axis=1).tobytes() == rows.tobytes()
+
+    def test_direct_nan_where_the_floor_refuses(self, doctored):
+        refused = self.check_direct(*doctored)
+        assert {3, 4, 5, 6, 7, 18, 19, 20, 21, 22, 23} <= set(refused)
+
+    @pytest.mark.parametrize("mode", ["general", "quadratic"])
+    def test_closed_modes(self, doctored, mode):
+        self.check_closed(*doctored, mode)
+
+    def test_sqrt_cost(self, sqrt_series):
+        ser, traj = sqrt_series
+        assert not traj.spec.cost.thirds_vanish
+        for m in (1, len(ser.times) - 1):
+            st = traj.state_at(int(ser.snapshot_indices[m]))
+            t = float(ser.times[m])
+            refused = self.check_direct(ser, st, t)
+            assert len(refused) < st.grid.n_s
+            self.check_closed(ser, st, t, "general")
 
 
 class TestMaxPrincipleMonitor:

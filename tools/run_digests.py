@@ -4,12 +4,14 @@ Runs every bundled scenario that declares an initial potential at 16x32,
 and ``disk_cosine_perturbed`` also at 32x64, each through
 ``runner.run_scenario`` into a temporary directory, and prints for each run
 
-    <sha256>  <scenario> <n_r>x<n_s> exit=<status>
+    <sha256>  <sha256 outside audits/>  <scenario> <n_r>x<n_s> exit=<status>
 
-The digest covers every file the run writes (manifest, snapshot fields,
-diagnostics.csv, summary.json, audits, or error.json), with its path
-relative to the run directory. Two checkouts that print the same lines
-produced byte-identical run directories. Run from the root of a checkout:
+The first digest covers every file the run writes (manifest, snapshot
+fields, diagnostics.csv, summary.json, audits, or error.json), with its
+path relative to the run directory; the second covers the same files except
+those under ``audits/``. Two checkouts that print the same lines produced
+byte-identical run directories; two that differ only in the first digest
+differ only in their audit files. Run from the root of a checkout:
 
     python3 tools/run_digests.py
 
@@ -41,13 +43,17 @@ def runs():
     return [(name, SMALL) for name in names] + list(EXTRA)
 
 
-def directory_digest(root):
-    """sha256 over the sorted relative paths and the bytes of every file."""
+def directory_digest(root, skip_audits=False):
+    """sha256 over the sorted relative paths and the bytes of every file,
+    leaving out those under ``audits/`` when ``skip_audits`` is set."""
     digest = hashlib.sha256()
     root = Path(root)
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root)
+        if skip_audits and rel.parts[0] == "audits":
+            continue
         data = path.read_bytes()
-        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(f"{rel.as_posix()}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
 
@@ -58,7 +64,8 @@ def main():
             cfg = config.load_scenario(name).with_overrides(grid=grid)
             out_root = os.path.join(scratch, f"{name}_{grid[0]}x{grid[1]}")
             result = runner.run_scenario(cfg, output_root=out_root)
-            print(f"{directory_digest(result.outdir)}  {name} "
+            print(f"{directory_digest(result.outdir)}  "
+                  f"{directory_digest(result.outdir, skip_audits=True)}  {name} "
                   f"{grid[0]}x{grid[1]} exit={result.status}", flush=True)
 
 

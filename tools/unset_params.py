@@ -9,7 +9,9 @@ reads every call in ``src``, ``tests``, ``demos``, ``perfbench`` and
 
 A call matches a function by name: ``f(...)``, ``obj.f(...)`` and
 ``Module.f(...)`` all count as calls to every function named ``f``, and a
-call to a class name counts as a call to its ``__init__``. A call sets a
+call to a class name counts as a call to its ``__init__``. A call through
+a package class, ``Class.f(obj, ...)`` or ``module.Class.f(obj, ...)``,
+passes ``obj`` as the ``self`` of an instance method ``f``. A call sets a
 parameter by keyword or by position; a ``*args`` argument counts as
 setting every positional parameter and a ``**kwargs`` argument every
 parameter. A ``**`` parameter is set by a keyword that names no other
@@ -34,8 +36,8 @@ def python_files(base):
 
 
 def definitions():
-    """(path, def node, is_method, is_static, owner class name) for every
-    function in the package, nested ones included."""
+    """(path, def node, is_method, decorator names, owner class name) for
+    every function in the package, nested ones included."""
     out = []
     for path in python_files(PACKAGE):
         tree = ast.parse(path.read_text(), str(path))
@@ -45,9 +47,9 @@ def definitions():
                 if isinstance(child, ast.ClassDef):
                     visit(child, child.name)
                 elif isinstance(child, ast.FunctionDef):
-                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                 for d in child.decorator_list)
-                    out.append((path, child, owner is not None, static, owner))
+                    decorators = {d.id for d in child.decorator_list
+                                  if isinstance(d, ast.Name)}
+                    out.append((path, child, owner is not None, decorators, owner))
                     visit(child, None)
                 else:
                     visit(child, owner)
@@ -90,8 +92,20 @@ def settable(fn, bound):
     return out
 
 
-def is_set(call, index, name, named):
-    """Whether ``call`` can set the parameter ``name`` at ``index``."""
+def through_class(call, classes):
+    """Whether ``call`` is written ``Class.f(...)`` or ``module.Class.f(...)``
+    for a package class."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    owner = func.value
+    name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    return name in classes
+
+
+def is_set(call, index, name, named, shift=0):
+    """Whether ``call`` can set the parameter ``name`` at ``index``; ``shift``
+    is 1 when the call's first positional argument is ``self``."""
     if any(kw.arg is None for kw in call.keywords):          # f(**kw)
         return True
     if name.startswith("**"):
@@ -102,21 +116,26 @@ def is_set(call, index, name, named):
         return False
     if any(isinstance(a, ast.Starred) for a in call.args):   # f(*args)
         return True
-    return index < len(call.args)
+    return index + shift < len(call.args)
 
 
 def unset_parameters():
     by_name = calls()
+    defs = definitions()
+    classes = {owner for *_, owner in defs if owner is not None}
     found = []
-    for path, fn, is_method, static, owner in definitions():
-        bound = is_method and not static
+    for path, fn, is_method, decorators, owner in defs:
+        bound = is_method and "staticmethod" not in decorators
+        instance = bound and "classmethod" not in decorators
         callers = list(by_name.get(fn.name, ()))
         if fn.name == "__init__" and owner is not None:
             callers += by_name.get(owner, ())
         a = fn.args
         named = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
         for index, name in settable(fn, bound):
-            if not any(is_set(c, index, name, named) for c in callers):
+            if not any(is_set(c, index, name, named,
+                              int(instance and through_class(c, classes)))
+                       for c in callers):
                 rel = path.relative_to(ROOT / "src").as_posix()
                 label = f"{owner}.{fn.name}" if owner else fn.name
                 found.append(f"{rel}:{fn.lineno}  {label}({name})")
