@@ -3,11 +3,14 @@
 A scenario is a single JSON document with a versioned schema; parsing is
 strict (unknown keys are rejected at every level) so configs stay
 reproducible and diffable. Bundled scenarios live in the package's
-``scenarios/`` directory and are addressable by name.
+``scenarios/`` directory and are addressable by name. A config sets the
+problem, the grid and the run's :class:`~otflow.flow.Schedule`; the
+numerical tolerances are module constants of ``flow``, ``costs`` and
+``domains``.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .costs import available_costs, make_cost
@@ -22,13 +25,11 @@ SCHEMA_VERSION = 1
 _TOP_KEYS = {"schema_version", "name", "cost", "source", "target",
              "source_density", "target_density", "initial", "grid", "time",
              "tolerances", "audits", "fit", "seed", "output_dir"}
-_COST_KEYS = {"name", "newton_tol", "h_fd"}
+_COST_KEYS = {"name"}
 _DOMAIN_KEYS = {"kind", "radius", "center", "a", "b", "eps", "k"}
 _DENSITY_KEYS = {"name", "eps", "k", "scale"}
 _GRID_KEYS = {"n_r", "n_s"}
-_TIME_KEYS = {"stop_tol", "t_max", "snapshot_dt", "c_stab", "max_halvings"}
-_TOL_KEYS = {"boundary_tol", "mass_tol", "obliqueness_floor", "image_tol",
-             "init_boundary_tol"}
+_TIME_KEYS = {"stop_tol", "t_max", "snapshot_dt"}
 _AUDIT_KEYS = {"convexity", "harnack", "km"}
 _FIT_KEYS = {"window", "u_tail_trim", "min_samples"}
 _INITIAL_KEYS = {"kind"}
@@ -54,13 +55,11 @@ def _check_choice(section, mapping, key, known):
                           f"(known: {known})")
 
 
-def _check_cost(cost):
-    _check_choice("cost", cost, "name", available_costs())
-    for key in [k for k in ("newton_tol", "h_fd") if k in cost]:
-        value = cost[key]
+def _check_time(time):
+    for key, value in time.items():
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not 0.0 < value < float("inf")):
-            raise ConfigError(f"cost '{key}' must be a positive number, "
+            raise ConfigError(f"time '{key}' must be a positive number, "
                               f"got {value!r}")
 
 
@@ -86,7 +85,6 @@ class ScenarioConfig:
     initial: dict | None
     grid: dict
     time: dict
-    tolerances: dict = field(default_factory=dict)
     audits: dict = field(default_factory=dict)
     fit: dict = field(default_factory=dict)
     seed: int = 0
@@ -104,7 +102,7 @@ class ScenarioConfig:
             if req not in raw:
                 raise ConfigError(f"missing required section '{req}'")
         _check_keys("cost", raw["cost"], _COST_KEYS)
-        _check_cost(raw["cost"])
+        _check_choice("cost", raw["cost"], "name", available_costs())
         for section in ("source", "target"):
             _check_keys(section, raw[section], _DOMAIN_KEYS)
             _check_choice(section, raw[section], "kind", available_domains())
@@ -120,7 +118,10 @@ class ScenarioConfig:
         _check_keys("grid", raw["grid"], _GRID_KEYS)
         _check_grid(raw["grid"])
         _check_keys("time", raw["time"], _TIME_KEYS)
-        _check_keys("tolerances", raw.get("tolerances", {}), _TOL_KEYS)
+        _check_time(raw["time"])
+        # manifests written when the section held tolerances echo
+        # "tolerances": {}; an empty section still loads
+        _check_keys("tolerances", raw.get("tolerances", {}), set())
         _check_keys("audits", raw.get("audits", {}), _AUDIT_KEYS)
         _check_keys("fit", raw.get("fit", {}), _FIT_KEYS)
         return cls(name=raw["name"], cost=dict(raw["cost"]),
@@ -130,7 +131,6 @@ class ScenarioConfig:
                    initial=None if raw.get("initial") is None
                    else dict(raw["initial"]),
                    grid=dict(raw["grid"]), time=dict(raw["time"]),
-                   tolerances=dict(raw.get("tolerances", {})),
                    audits=dict(raw.get("audits", {})),
                    fit=dict(raw.get("fit", {})),
                    seed=int(raw.get("seed", 0)),
@@ -151,17 +151,14 @@ class ScenarioConfig:
             "cost": self.cost, "source": self.source, "target": self.target,
             "source_density": self.source_density,
             "target_density": self.target_density, "initial": self.initial,
-            "grid": self.grid, "time": self.time,
-            "tolerances": self.tolerances, "audits": self.audits,
+            "grid": self.grid, "time": self.time, "audits": self.audits,
             "fit": self.fit, "seed": self.seed, "output_dir": self.output_dir,
         }
 
     # -- builders ---------------------------------------------------------
 
     def build_problem(self):
-        cost_params = dict(self.cost)
-        cost_name = cost_params.pop("name")
-        cost = make_cost(cost_name, **{k: float(v) for k, v in cost_params.items()})
+        cost = make_cost(self.cost["name"])
         src_params = dict(self.source)
         tgt_params = dict(self.target)
         sd = dict(self.source_density)
@@ -173,23 +170,14 @@ class ScenarioConfig:
             rho_star = make_density(td.pop("name"), target, **td)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid domain or density parameters: {exc}") from exc
-        spec = ProblemSpec(source, target, cost, rho, rho_star,
-                           mass_tol=float(self.tolerances.get("mass_tol", 1e-3)))
+        spec = ProblemSpec(source, target, cost, rho, rho_star)
         grid = CurvilinearGrid(source, int(self.grid["n_r"]), int(self.grid["n_s"]))
         return spec, grid
 
     def build_schedule(self):
-        """The run's Schedule from the ``time`` and ``tolerances`` sections;
-        a field that neither section sets keeps its ``Schedule`` default."""
-        given = {**self.time, **self.tolerances}
-        kwargs = {}
-        for f in fields(Schedule):
-            if f.name in given:
-                # an optional field (default None) holds a float when set
-                kind = float if f.default is None else type(f.default)
-                value = given[f.name]
-                kwargs[f.name] = None if value is None else kind(value)
-        return Schedule(**kwargs)
+        """The run's Schedule from the ``time`` section; a key it does not
+        set keeps its ``Schedule`` default."""
+        return Schedule(**{k: float(v) for k, v in self.time.items()})
 
     def build_initial(self, spec, grid):
         if self.initial is None:

@@ -20,8 +20,14 @@ import numpy as np
 from . import _numerics as nm
 from .errors import DegenerateCross, NonConvergence, OutsideTarget
 
-#: default step for finite-difference third/fourth derivative fallbacks
-DEFAULT_H_FD = 1e-4
+#: step of the finite-difference fallbacks: the mixed third derivatives,
+#: ``matrix_A_alt`` and the default of ``mtw_tensor``
+H_FD = 1e-4
+
+#: the twist inversions' Newton stops at residual NEWTON_TOL and raises
+#: NonConvergence after NEWTON_CAP iterations
+NEWTON_TOL = 1e-12
+NEWTON_CAP = 50
 
 #: floor on |det| of the cross Hessian before raising DegenerateCross
 CROSS_DET_FLOOR = 1e-12
@@ -41,7 +47,7 @@ class CostModel:
         Analytic oracles; each takes (x, y) arrays of shape (..., 2).
     third_xxy_fn, third_xyy_fn : callables or None
         Analytic mixed third derivatives; centered finite differences with
-        step ``h_fd`` are used when absent.
+        step H_FD are used when absent.
     invert_y_fn, invert_x_fn : callables or None
         Closed-form twist inverses, used to seed (and usually to finish)
         the Newton inversion.
@@ -52,7 +58,6 @@ class CostModel:
     def __init__(self, name, eval_fn, grad_x_fn, grad_y_fn, cross_fn, hess_xx_fn,
                  third_xxy_fn=None, third_xyy_fn=None,
                  invert_y_fn=None, invert_x_fn=None,
-                 newton_tol=1e-12, newton_cap=50, h_fd=DEFAULT_H_FD,
                  sign_convention="maximization", thirds_vanish=False,
                  inverse_exact=False, cross_identity=False,
                  hess_xx_vanishes=False):
@@ -66,9 +71,6 @@ class CostModel:
         self._third_xyy = third_xyy_fn
         self._invert_y = invert_y_fn
         self._invert_x = invert_x_fn
-        self.newton_tol = float(newton_tol)
-        self.newton_cap = int(newton_cap)
-        self.h_fd = float(h_fd)
         self.sign_convention = sign_convention
         self.thirds_vanish = bool(thirds_vanish)
         # fast-path declarations: the closed-form inverse solves the twist
@@ -101,7 +103,7 @@ class CostModel:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (2, 2, 2))
-        h = self.h_fd
+        h = H_FD
         for r in range(2):
             e = np.zeros(2)
             e[r] = h
@@ -115,7 +117,7 @@ class CostModel:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (2, 2, 2))
-        h = self.h_fd
+        h = H_FD
         for q in range(2):
             e = np.zeros(2)
             e[q] = h
@@ -143,7 +145,6 @@ class CostModel:
             neg3(self._cross), neg3(self._hess_xx),
             neg3(self._third_xxy), neg3(self._third_xyy),
             invert_y_fn=inv_y, invert_x_fn=inv_x,
-            newton_tol=self.newton_tol, newton_cap=self.newton_cap, h_fd=self.h_fd,
             sign_convention=flip, thirds_vanish=self.thirds_vanish,
             inverse_exact=self.inverse_exact,
             hess_xx_vanishes=self.hess_xx_vanishes)
@@ -197,8 +198,8 @@ class CostModel:
     def _newton(self, residual, jacobian, z, label):
         res = residual(z)
         err = nm.norm2(res)
-        tol = self.newton_tol
-        for _ in range(self.newton_cap):
+        tol = NEWTON_TOL
+        for _ in range(NEWTON_CAP):
             if np.max(err) <= tol:
                 return z
             step = nm.solve2(jacobian(z), res)
@@ -217,7 +218,7 @@ class CostModel:
         if np.max(err) > tol:
             raise NonConvergence(
                 f"{label}: Newton stalled at residual {np.max(err):.3e} "
-                f"after {self.newton_cap} iterations")
+                f"after {NEWTON_CAP} iterations")
         return z
 
     # -- derived objects --------------------------------------------------
@@ -233,7 +234,7 @@ class CostModel:
         """
         x = np.asarray(x, float)
         p = np.asarray(p, float)
-        h = self.h_fd
+        h = H_FD
         shape = np.broadcast_shapes(x.shape, p.shape)
         dpY = np.empty(shape[:-1] + (2, 2))
         dxY = np.empty(shape[:-1] + (2, 2))
@@ -301,7 +302,7 @@ class CostModel:
             raise ValueError("mtw_tensor: xi must be nonzero")
         uxi = xi / xin[..., None]
         eta = eta - (eta[..., 0] * uxi[..., 0] + eta[..., 1] * uxi[..., 1])[..., None] * uxi
-        h = self.h_fd if h is None else h
+        h = H_FD if h is None else h
         step = h * uxi
         app = self.matrix_A(x, p + step)
         a00 = self.matrix_A(x, p)
@@ -320,7 +321,7 @@ def _broadcast_copy(a, b):
     return out
 
 
-def _inner_product(**params):
+def _inner_product():
     def ev(x, y):
         return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
 
@@ -347,10 +348,10 @@ def _inner_product(**params):
     return CostModel("inner_product", ev, gx, gy, cr, hxx, t3, t3,
                      invert_y_fn=gx, invert_x_fn=gy,
                      thirds_vanish=True, inverse_exact=True,
-                     cross_identity=True, hess_xx_vanishes=True, **params)
+                     cross_identity=True, hess_xx_vanishes=True)
 
 
-def _neg_half_sq_dist(**params):
+def _neg_half_sq_dist():
     def ev(x, y):
         d = x - y
         return -0.5 * (d[..., 0] ** 2 + d[..., 1] ** 2)
@@ -377,10 +378,10 @@ def _neg_half_sq_dist(**params):
                      invert_y_fn=lambda x, p: x + p,
                      invert_x_fn=lambda q, y: y + q,
                      thirds_vanish=True, inverse_exact=True,
-                     cross_identity=True, **params)
+                     cross_identity=True)
 
 
-def _sqrt_one_plus_sq_dist(**params):
+def _sqrt_one_plus_sq_dist():
     # c = s(d) with d = x - y, s = sqrt(1 + |d|^2). Every y-derivative is a
     # d-derivative with flipped sign, so all orders come from s's d-derivatives.
     def _ds(x, y):
@@ -445,8 +446,7 @@ def _sqrt_one_plus_sq_dist(**params):
         return y + d
 
     return CostModel("sqrt_one_plus_sq_dist", ev, gx, gy, cr, hxx, t_xxy, t_xyy,
-                     invert_y_fn=inv_y, invert_x_fn=inv_x, inverse_exact=True,
-                     **params)
+                     invert_y_fn=inv_y, invert_x_fn=inv_x, inverse_exact=True)
 
 
 _REGISTRY = {
@@ -456,12 +456,11 @@ _REGISTRY = {
 }
 
 
-def make_cost(name, **params):
-    """The built-in cost ``name``, built with the CostModel keywords
-    ``params`` (for example newton_tol and h_fd)."""
+def make_cost(name):
+    """The built-in cost ``name``."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown cost '{name}'; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**params)
+    return _REGISTRY[name]()
 
 
 def available_costs():

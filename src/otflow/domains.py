@@ -24,6 +24,17 @@ from .errors import BitwistFailure, DensityOutOfBounds, MassImbalance
 H_GRAD_STEP = 1e-6
 H_HESS_STEP = 1e-4
 
+#: largest |source mass - target mass| that ``validate_spec`` accepts
+MASS_TOL = 1e-3
+#: the bi-twist sweep passes when its min |det cross Hessian| exceeds this
+BITWIST_MARGIN = 1e-8
+#: (n_r, n_s) of the quadrature grids of ``ProblemSpec.masses``
+VALIDATION_GRID = (96, 192)
+#: a sampled convexity form within this relative distance of the minimum
+#: ties with it; roundoff differences are about 1e-16, sampled neighbours
+#: of a true minimum differ by about 1e-3
+WITNESS_RTOL = 1e-12
+
 
 class Domain:
     """A smooth bounded star-shaped planar domain.
@@ -372,22 +383,19 @@ def available_densities():
 
 @dataclass
 class ProblemSpec:
-    """A full transport problem: domains, cost, densities, and tolerances."""
+    """A full transport problem: domains, cost and densities."""
 
     source: Domain
     target: Domain
     cost: object
     rho: Density
     rho_star: Density
-    mass_tol: float = 1e-3
-    bitwist_margin: float = 1e-8
-    validation_grid: tuple = (96, 192)
 
     def masses(self):
-        """Quadrature masses of both densities on validation grids."""
+        """Quadrature masses of both densities on VALIDATION_GRID grids."""
         from .grid import CurvilinearGrid, integrate
-        gs = CurvilinearGrid(self.source, *self.validation_grid)
-        gt = CurvilinearGrid(self.target, *self.validation_grid)
+        gs = CurvilinearGrid(self.source, *VALIDATION_GRID)
+        gt = CurvilinearGrid(self.target, *VALIDATION_GRID)
         m_src = integrate(gs, gs.scalar(self.rho(gs.nodes)))
         m_tgt = integrate(gt, gt.scalar(self.rho_star(gt.nodes)))
         return m_src, m_tgt
@@ -395,7 +403,9 @@ class ProblemSpec:
 
 @dataclass
 class ConvexityReport:
-    """Sampled lower envelope of a boundary convexity form with its witness."""
+    """Sampled lower envelope of a boundary convexity form with its witness:
+    the first (s, y) sample in row-major order that ties with the minimum
+    (see WITNESS_RTOL). ``ties`` counts the tied samples."""
 
     min_value: float
     argmin_x: np.ndarray
@@ -405,6 +415,7 @@ class ConvexityReport:
     n_boundary: int
     n_other: int
     y_variance: float
+    ties: int
     delta: float = field(init=False)
 
     def __post_init__(self):
@@ -513,7 +524,7 @@ def check_bitwist(spec, n_samples=4096):
     if getattr(spec.cost, "cross_identity", False):
         # |det I| is exactly 1 at every pair: the first pair is the witness
         return BitwistReport(1.0, xs[0].copy(), ys[0].copy(),
-                             len(xs) * len(ys), spec.bitwist_margin)
+                             len(xs) * len(ys), BITWIST_MARGIN)
     best, best_i, best_j = np.inf, 0, 0
     for i, x in enumerate(xs):
         det = np.abs(nm.det2(spec.cost.cross_hessian(x, ys)))
@@ -523,7 +534,7 @@ def check_bitwist(spec, n_samples=4096):
             if np.isnan(best):
                 break
     return BitwistReport(float(best), xs[best_i].copy(), ys[best_j].copy(),
-                         len(xs) * len(ys), spec.bitwist_margin)
+                         len(xs) * len(ys), BITWIST_MARGIN)
 
 
 def c_convexity_form(spec, s, y):
@@ -570,15 +581,19 @@ def cstar_convexity_form(spec, s, x):
 
 
 def _convexity_report(form_values, domain, s, other_pts, n_other):
-    i, j = np.unravel_index(np.argmin(form_values), form_values.shape)
+    lo = float(np.min(form_values))
+    # a NaN minimum ties with the NaN samples
+    ties = (form_values <= lo + WITNESS_RTOL * abs(lo)) | np.isnan(form_values)
+    i, j = np.unravel_index(np.argmax(ties), ties.shape)
     y_var = float(np.max(np.ptp(form_values, axis=1)))
     return ConvexityReport(
-        min_value=float(form_values[i, j]),
+        min_value=lo,
         argmin_x=domain.boundary_param(s[i]),
         argmin_y=other_pts[j].copy(),
         argmin_tau=domain.boundary_tangent(s[i]),
         argmin_s=float(s[i]),
-        n_boundary=len(s), n_other=n_other, y_variance=y_var)
+        n_boundary=len(s), n_other=n_other, y_variance=y_var,
+        ties=int(np.count_nonzero(ties)))
 
 
 def check_c_convexity(spec, n_boundary=128, n_target=64):
@@ -621,10 +636,10 @@ def validate_spec(spec):
             f"target density leaves [{spec.rho_star.lo:g}, {spec.rho_star.hi:g}]"))
 
     m_src, m_tgt = spec.masses()
-    if abs(m_src - m_tgt) > spec.mass_tol:
+    if abs(m_src - m_tgt) > MASS_TOL:
         problems.append(MassImbalance(
             f"source mass {m_src:.6f} vs target mass {m_tgt:.6f} "
-            f"(|diff| = {abs(m_src - m_tgt):.3e} > {spec.mass_tol:g})"))
+            f"(|diff| = {abs(m_src - m_tgt):.3e} > {MASS_TOL:g})"))
 
     bit = check_bitwist(spec, n_samples=2048)
     if not bit.ok:

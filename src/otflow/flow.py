@@ -16,13 +16,14 @@ Stability: a step is one Runge-Kutta-Legendre super-step of second order
 are each a forward-Euler-like update of the non-boundary rows, and the
 super-step tau is stable for tau <= (s^2 + s - 2)/4 dt_FE, where dt_FE is
 the explicit Euler limit. ``policy_dt`` bounds it a priori by
-c_stab h_min^2 / max trace(W^{-1}) with c_stab = 0.4; h_min is the smallest
+C_STAB h_min^2 / max trace(W^{-1}) with C_STAB = 0.4; h_min is the smallest
 effective node spacing divided by sqrt(2) (the two space dimensions share
 the explicit stability budget; the angular spacing near the center is the
 post-projection effective one, see :mod:`otflow.grid`). Every stage is
 followed by the pole projection and the boundary projection, and its state
 is checked for positive definiteness of W and finiteness. A super-step with
-a failing stage is rejected and retried with half of tau.
+a failing stage is rejected and retried with half of tau, at most
+MAX_HALVINGS times.
 ``run_to_convergence`` grades tau by the measured decay: the flow converges
 exponentially, so the RKL2 time error per unit time, about
 tau^2 sigma^2 sup |rate|, shrinks as the run goes on. tau starts at a
@@ -32,6 +33,12 @@ count is the fewest stable for a measured dt_FE, SPECTRAL_SAFETY * 2/|lam|
 with lam the stiffest eigenvalue of the stepper's own Jacobian, estimated by
 ``stiffest_eigenvalue``; ``policy_dt`` is its floor. Both tau and lam are
 chosen at the start and after every snapshot.
+
+A run's settings are its :class:`Schedule`: the stopping rule (stop_tol,
+t_max) and the snapshot cadence (snapshot_dt). Only ``run_to_convergence``
+reads one. The numerical tolerances are module constants that no run
+varies: C_STAB and MAX_HALVINGS for the stepper, BOUNDARY_TOL, BOUNDARY_CAP
+and OBLIQUENESS_FLOOR for the boundary Newton.
 """
 
 from dataclasses import dataclass, field
@@ -50,18 +57,23 @@ STEP_COLUMNS = ("t", "dt", "sup_theta", "inf_theta", "mass_balance_err",
 
 @dataclass
 class Schedule:
-    """Run policy: stopping, stepping, and output cadence."""
+    """Run policy: the stopping rule and the snapshot cadence."""
 
     stop_tol: float = 1e-8
     t_max: float = 10.0
     snapshot_dt: float = 0.25
-    c_stab: float = 0.4
-    max_halvings: int = 12
-    boundary_tol: float = 1e-10
-    boundary_cap: int = 30
-    obliqueness_floor: float = 1e-8
-    init_boundary_tol: float | None = None   # default: 1e-7 + 5 dr^2
-    image_tol: float | None = None
+
+
+#: the forward-Euler limit policy_dt is C_STAB h_min^2 / max trace(W^{-1})
+C_STAB = 0.4
+#: a super-step is retried with half of tau at most this many times
+MAX_HALVINGS = 12
+#: the boundary Newton stops once max |G| on the ring is at most
+#: BOUNDARY_TOL, and stalls after BOUNDARY_CAP iterations
+BOUNDARY_TOL = 1e-10
+BOUNDARY_CAP = 30
+#: beta . nu below this on the boundary ring raises ObliquenessLost
+OBLIQUENESS_FLOOR = 1e-8
 
 
 class FlowContext:
@@ -264,11 +276,12 @@ def initialize(spec, grid, u0, schedule=None):
 
     Checks, in order: positive definiteness of W(u0) everywhere (with a
     witness node on failure), the boundary compatibility h*(Y(x, grad u0)) = 0
-    on the boundary ring, that the transport image stays inside the closed
-    target, and that the image of the boundary covers the target boundary to
-    a Hausdorff tolerance.
+    on the boundary ring to 1e-7 + 5 dr^2, that the transport image stays
+    inside the closed target to the same tolerance, and that the image of
+    the boundary covers the target boundary to 4 times the mapped spacing.
+    No check depends on ``schedule``; it is accepted because callers pass
+    the run's Schedule.
     """
-    sched = schedule or Schedule()
     ctx = FlowContext(spec, grid)
     u = grid.apply_pole_projection(np.asarray(u0.data if isinstance(u0, Field)
                                               else u0, float).copy())
@@ -282,8 +295,7 @@ def initialize(spec, grid, u0, schedule=None):
             witness=(int(i), int(j), grid.nodes[i, j].copy(), float(lo[i, j])))
     # the discrete gradient of exact continuum-compatible data carries an
     # O(h^2) boundary defect, so the compatibility tolerance scales with it
-    init_tol = (sched.init_boundary_tol if sched.init_boundary_tol is not None
-                else 1e-7 + 5.0 * grid.dr ** 2)
+    init_tol = 1e-7 + 5.0 * grid.dr ** 2
     max_g = state.max_boundary_G
     if max_g > init_tol:
         raise BoundaryIncompatible(
@@ -293,9 +305,9 @@ def initialize(spec, grid, u0, schedule=None):
     if inside > init_tol:
         raise ImageMismatch(
             f"transport image leaves the closed target: max h* = {inside:.3e}")
-    if max_g > sched.boundary_tol:
+    if max_g > BOUNDARY_TOL:
         # start the flow exactly on the boundary constraint
-        _project_boundary(ctx, u, tmap_seed=state.tmap, schedule=sched)
+        _project_boundary(ctx, u, tmap_seed=state.tmap)
         state = build_state(ctx, u, 0.0, tmap_seed=state.tmap)
     # boundary coverage: every target boundary sample must be near a mapped node
     n_probe = 4 * grid.n_s
@@ -305,7 +317,7 @@ def initialize(spec, grid, u0, schedule=None):
     gap = float(np.sqrt(d2.min(axis=1).max()))
     mapped_spacing = float(np.max(nm.norm2(np.diff(
         np.concatenate([mapped, mapped[:1]], axis=0), axis=0))))
-    tol = sched.image_tol if sched.image_tol is not None else 4.0 * mapped_spacing
+    tol = 4.0 * mapped_spacing
     if gap > tol:
         raise ImageMismatch(
             f"boundary image leaves a gap of {gap:.3e} on the target boundary "
@@ -363,33 +375,32 @@ def _ring_gradient(ctx, b, u_m1, u_m2):
     return grad
 
 
-def _oblique_beta(ctx, y, obliqueness_floor):
+def _oblique_beta(ctx, y):
     """beta at the ring image y; raises ObliquenessLost where beta . nu
-    falls below the floor."""
+    falls below OBLIQUENESS_FLOOR."""
     beta = ctx.spec.cost.oblique_beta(ctx.spec.target, ctx.ring_x, None, y=y)
     obl = float(np.min(np.sum(beta * ctx.ring_nu, axis=-1)))
-    if obl < obliqueness_floor:
+    if obl < OBLIQUENESS_FLOOR:
         raise ObliquenessLost(f"beta . nu = {obl:.3e} on the boundary ring")
     return beta
 
 
-def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
+def _project_boundary(ctx, u_values, tmap_seed=None, chord=None):
     """Newton-update the boundary ring of u_values so that G = 0 there, to
-    the schedule's boundary_tol within boundary_cap iterations.
+    BOUNDARY_TOL within BOUNDARY_CAP iterations.
 
     Mutates u_values in place; returns the Newton iteration count. The LU
     factorization of the ring Jacobian is kept in ``chord`` and reused
     across calls while it keeps converging; it is rebuilt when progress
     slows. Without a chord the call factors afresh. Obliqueness
-    beta . nu >= obliqueness_floor is checked at the accepted ring image
+    beta . nu >= OBLIQUENESS_FLOOR is checked at the accepted ring image
     on every call, and at every refactorization. A non-finite ring residual
     raises NewtonStall.
     """
     from scipy.linalg import lu_factor
     from scipy.linalg.lapack import dgetrs
 
-    sched = schedule or Schedule()
-    tol = sched.boundary_tol
+    tol = BOUNDARY_TOL
     grid = ctx.grid
     spec = ctx.spec
     if chord is None:
@@ -404,7 +415,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
         return spec.target.h(y), y
 
     def refresh_jacobian(y):
-        beta = _oblique_beta(ctx, y, sched.obliqueness_floor)
+        beta = _oblique_beta(ctx, y)
         ji = ctx.ring_jinv
         a_r = (beta[:, 0] * ji[:, 0, 0] + beta[:, 1] * ji[:, 0, 1]) \
             * 3.0 / (2.0 * grid.dr)
@@ -422,7 +433,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
     iters = 0
     fresh = False
     while err > tol:
-        if iters >= sched.boundary_cap:
+        if iters >= BOUNDARY_CAP:
             raise NewtonStall(
                 f"boundary projection stalled at max |G| = {err:.3e}")
         if chord.lu is None:
@@ -450,7 +461,7 @@ def _project_boundary(ctx, u_values, tmap_seed=None, schedule=None, chord=None):
         g, y, y_seed = g_new, y_new, y_new
         err = err_new
         iters += 1
-    _oblique_beta(ctx, y, sched.obliqueness_floor)
+    _oblique_beta(ctx, y)
     u_values[-1] = b
     return iters
 
@@ -481,13 +492,13 @@ _POWER_RTOL = 0.002
 _POWER_CAP = 12
 
 
-def policy_dt(state, c_stab=Schedule.c_stab):
-    """Forward-Euler stability limit: c_stab h_min^2 / max trace(W^{-1})."""
+def policy_dt(state):
+    """Forward-Euler stability limit: C_STAB h_min^2 / max trace(W^{-1})."""
     tr_winv = (state.W[..., 0, 0] + state.W[..., 1, 1]) / state.det_W
-    return c_stab * state.grid.h_min ** 2 / float(np.max(tr_winv))
+    return C_STAB * state.grid.h_min ** 2 / float(np.max(tr_winv))
 
 
-def stiffest_eigenvalue(state, schedule, chord, start=None):
+def stiffest_eigenvalue(state, chord, start=None):
     """Power iteration for the stiffest eigenvalue of the stepper's own map
     v -> rate[:-1] on the non-boundary rows, pole and boundary projections
     included; returns lambda and the eigenvector estimate.
@@ -510,7 +521,7 @@ def stiffest_eigenvalue(state, schedule, chord, start=None):
         u = state.u.copy()
         u[:-1] += _JVP_EPS * y
         try:
-            rate = _project_stage(state.ctx, u, state.t, state.tmap, schedule,
+            rate = _project_stage(state.ctx, u, state.t, state.tmap,
                                   chord)[0].rate
         except (NewtonStall, ObliquenessLost):
             return None, y
@@ -574,17 +585,16 @@ class _StageFailed(Exception):
     """A stage of a super-step left the admissible set."""
 
 
-def _project_stage(ctx, u, t, tmap_seed, sched, chord):
+def _project_stage(ctx, u, t, tmap_seed, chord):
     """The state at time t of a stage's raw potential u: its pole
     projection, the Newton projection of its boundary ring, and the state
     assembly. Returns the state and the Newton iteration count."""
     u = ctx.grid.apply_pole_projection(u)
-    iters = _project_boundary(ctx, u, tmap_seed=tmap_seed, schedule=sched,
-                              chord=chord)
+    iters = _project_boundary(ctx, u, tmap_seed=tmap_seed, chord=chord)
     return build_state(ctx, u, t, tmap_seed=tmap_seed), iters
 
 
-def _rkl2_super_step(state, tau, stages, sched, chord):
+def _rkl2_super_step(state, tau, stages, chord):
     """One RKL2 super-step of length tau; returns the new state and the
     boundary Newton iterations of all stages.
 
@@ -616,7 +626,7 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
         if not np.all(np.isfinite(u)):
             raise _StageFailed(f"non-finite potential at stage {j}")
         stage, n_newton = _project_stage(ctx, u, state.t + tau, prev.tmap,
-                                         sched, chord)
+                                         chord)
         iters += n_newton
         if stage.rate is None:
             raise _StageFailed(f"W lost positivity at stage {j} "
@@ -628,24 +638,23 @@ def _rkl2_super_step(state, tau, stages, sched, chord):
     return prev, iters
 
 
-def step(state, tau, schedule=None, chord=None, stages=2):
+def step(state, tau, chord=None, stages=2):
     """One RKL2 super-step of length tau with ``stages`` stages, each
     followed by the pole and boundary projections; a failing stage rejects
-    the super-step, which is retried with half of tau, up to the schedule's
-    max_halvings times. With the default two stages, tau = policy_dt(state)
+    the super-step, which is retried with half of tau, up to MAX_HALVINGS
+    times. With the default two stages, tau = policy_dt(state)
     is stable. ``chord`` carries the projection's LU across the steps of a
     run; without one the projection factors afresh."""
-    sched = schedule or Schedule()
     if state.rate is None:
         raise NonPositiveDet("cannot step an invalid state")
     if stages < 2:
         raise ValueError("an RKL2 super-step needs at least 2 stages")
     attempt_tau = float(tau)
     last_fail = "unstable"
-    for halving in range(sched.max_halvings + 1):
+    for halving in range(MAX_HALVINGS + 1):
         try:
             new_state, iters = _rkl2_super_step(state, attempt_tau, stages,
-                                                sched, chord)
+                                                chord)
         except (_StageFailed, NewtonStall, ObliquenessLost) as exc:
             last_fail = str(exc)
             attempt_tau *= 0.5
@@ -654,7 +663,7 @@ def step(state, tau, schedule=None, chord=None, stages=2):
                             halvings=halving, stages=stages)
         return new_state, report
     raise StepRejected(
-        f"step rejected after {sched.max_halvings} halvings (tau = {attempt_tau:.3e}, "
+        f"step rejected after {MAX_HALVINGS} halvings (tau = {attempt_tau:.3e}, "
         f"{stages} stages): {last_fail}")
 
 
@@ -677,7 +686,7 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     super-step, and the monitor table has one row per accepted
     super-step."""
     sched = schedule or Schedule()
-    state = initialize(spec, grid, u0, sched)
+    state = initialize(spec, grid, u0)
     chord = Chord()
     snapshots = [Snapshot(0.0, state.u.copy(), state.rate.copy())]
     records, reports, dt_fes = [], [], []
@@ -688,17 +697,17 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     dt_spectral = eigvec = None
     while not converged and state.t < sched.t_max - 1e-12:
         if dt_spectral is None:     # at the start and after every snapshot
-            lam, eigvec = stiffest_eigenvalue(state, sched, chord, eigvec)
+            lam, eigvec = stiffest_eigenvalue(state, chord, eigvec)
             dt_spectral = (SPECTRAL_SAFETY * 2.0 / -lam
                            if lam is not None and lam < 0.0 else 0.0)
             tau_graded = graded_tau(sched.snapshot_dt,
                                     float(np.max(np.abs(state.rate))),
                                     sup_rate0)
-        dt_fe = max(policy_dt(state, sched.c_stab), dt_spectral)
+        dt_fe = max(policy_dt(state), dt_spectral)
         target_t = min(k_snap * sched.snapshot_dt, sched.t_max)
         tau = min(tau_graded, target_t - state.t)
         stages = rkl2_stages(tau, dt_fe)
-        state, rep = step(state, tau, sched, chord=chord, stages=stages)
+        state, rep = step(state, tau, chord=chord, stages=stages)
         records.append(_record_row(state, rep.dt))
         reports.append(rep)
         dt_fes.append(dt_fe)

@@ -169,7 +169,7 @@ class HarnackSeries:
                 out[m] = np.max(self.F[m][valid])
         return out
 
-    def f_field(self, m, grid):
+    def f_field(self, m):
         return Field(np.nan_to_num(self.f[m], nan=0.0, neginf=0.0), "scalar",
                      self.grid_id)
 

@@ -164,7 +164,9 @@ def run_audits(trajectory, config, outdir, series=None):
 def convexity_audit(spec, seed=0):
     """The two boundary convexity sweeps and the bi-twist sweep. Each is a
     fixed Sobol prefix, so no sample depends on ``seed``; it is accepted
-    because callers pass the scenario seed, which manifest.json records."""
+    because callers pass the scenario seed, which manifest.json records.
+    Each convexity witness is the first sample that ties with the minimum,
+    with the number of tied samples."""
     rep_c = domains.check_c_convexity(spec)
     rep_s = domains.check_cstar_convexity(spec)
     bit = domains.check_bitwist(spec)
@@ -172,9 +174,11 @@ def convexity_audit(spec, seed=0):
         "delta": rep_c.min_value,
         "delta_star": rep_s.min_value,
         "c_convex_witness": {"x": rep_c.argmin_x, "y": rep_c.argmin_y,
-                             "tau": rep_c.argmin_tau, "s": rep_c.argmin_s},
+                             "tau": rep_c.argmin_tau, "s": rep_c.argmin_s,
+                             "ties": rep_c.ties},
         "cstar_convex_witness": {"x": rep_s.argmin_x, "y": rep_s.argmin_y,
-                                 "tau": rep_s.argmin_tau, "s": rep_s.argmin_s},
+                                 "tau": rep_s.argmin_tau, "s": rep_s.argmin_s,
+                                 "ties": rep_s.ties},
         "bitwist_min_abs_det": bit.min_abs_det,
         "bitwist_ok": bit.ok,
         "y_variance_c": rep_c.y_variance,

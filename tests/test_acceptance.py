@@ -66,8 +66,7 @@ def sqrt_scenario_state():
     def build(n_r, n_s):
         c = cfg.with_overrides(grid=(n_r, n_s))
         spec, g = c.build_problem()
-        return flow.initialize(spec, g, c.build_initial(spec, g),
-                               c.build_schedule())
+        return flow.initialize(spec, g, c.build_initial(spec, g))
 
     return build
 
@@ -77,8 +76,7 @@ def sqrt_scenario_state():
 def test_criterion_01_stationary_exactness():
     cfg = load_scenario("disk_uniform_stationary")
     spec, g = cfg.build_problem()
-    state = flow.initialize(spec, g, cfg.build_initial(spec, g),
-                            cfg.build_schedule())
+    state = flow.initialize(spec, g, cfg.build_initial(spec, g))
     resid = float(np.max(np.abs(state.rate)))
     u_ref = state.u.copy()
     dt = flow.policy_dt(state)

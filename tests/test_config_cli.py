@@ -65,14 +65,6 @@ class TestConfigParsing:
         assert out.time["stop_tol"] == 1e-3
         assert cfg.grid["n_r"] == 64      # original untouched
 
-    def test_cost_solver_parameters_reach_the_model(self):
-        raw = load_scenario("offset_disks_sqrt").to_dict()
-        raw["cost"] = dict(raw["cost"], newton_tol=3e-11, h_fd=2e-4)
-        spec, _ = ScenarioConfig.from_dict(raw).build_problem()
-        assert (spec.cost.newton_tol, spec.cost.h_fd) == (3e-11, 2e-4)
-        default, _ = load_scenario("offset_disks_sqrt").build_problem()
-        assert (default.cost.newton_tol, default.cost.h_fd) == (1e-12, 1e-4)
-
     def test_empty_time_and_tolerances_build_the_default_schedule(self):
         raw = load_scenario("disk_uniform_stationary").to_dict()
         raw["time"], raw["tolerances"] = {}, {}
@@ -80,20 +72,12 @@ class TestConfigParsing:
 
     def test_every_schedule_key_reaches_the_schedule(self):
         names = {f.name for f in dataclasses.fields(Schedule)}
-        keys = (config._TIME_KEYS | config._TOL_KEYS) - {"mass_tol"}
-        assert keys <= names
+        assert config._TIME_KEYS == names
         raw = load_scenario("disk_uniform_stationary").to_dict()
-        raw["time"] = {"stop_tol": 2e-8, "t_max": 3, "snapshot_dt": 0.5,
-                       "c_stab": 0.3, "max_halvings": 4}
-        raw["tolerances"] = {"boundary_tol": 1e-11, "obliqueness_floor": 1e-6,
-                             "init_boundary_tol": 1e-5, "image_tol": 0.1,
-                             "mass_tol": 1e-4}
+        raw["time"] = {"stop_tol": 2e-8, "t_max": 3, "snapshot_dt": 0.5}
         sched = ScenarioConfig.from_dict(raw).build_schedule()
-        assert sched == Schedule(stop_tol=2e-8, t_max=3.0, snapshot_dt=0.5,
-                                 c_stab=0.3, max_halvings=4, boundary_tol=1e-11,
-                                 obliqueness_floor=1e-6, init_boundary_tol=1e-5,
-                                 image_tol=0.1)
-        assert type(sched.t_max) is float and type(sched.max_halvings) is int
+        assert sched == Schedule(stop_tol=2e-8, t_max=3.0, snapshot_dt=0.5)
+        assert type(sched.t_max) is float
 
     @pytest.mark.parametrize("grid", [(2, 64), (16, 33), (16, 6)])
     def test_invalid_grid_override_rejected(self, grid):
@@ -259,6 +243,11 @@ class TestCLI:
         ("grid", {"n_r": 16, "n_s": 33}, "n_s"),
         ("grid", {"n_r": 16, "n_s": 6}, "n_s"),
         ("grid", {"n_r": "16", "n_s": 32}, "n_r"),
+        ("time", {"stop_tol": 1e-8, "c_stab": 0.3}, "c_stab"),
+        ("tolerances", {"boundary_tol": 1e-11}, "boundary_tol"),
+        ("cost", {"name": "inner_product", "newton_tol": 1e-11}, "newton_tol"),
+        ("time", {"stop_tol": 1e-8, "t_max": "abc"}, "t_max"),
+        ("time", {"stop_tol": 1e-8, "snapshot_dt": 0}, "snapshot_dt"),
     ])
     def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
                                                      section, value, match):

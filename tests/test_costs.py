@@ -117,10 +117,10 @@ class TestTwistInversion:
         with pytest.raises(OutsideTarget):
             c.invert_Y(np.array([0.0, 0.0]), np.array([5.0, 0.0]), target=target)
 
-    def test_newton_cap_raises(self, rng):
+    def test_newton_cap_raises(self, rng, monkeypatch):
         base = costs.make_cost("sqrt_one_plus_sq_dist")
         c = stripped(base)
-        c.newton_cap = 2
+        monkeypatch.setattr(costs, "NEWTON_CAP", 2)
         x = np.zeros((4, 2))
         y = np.array([3.0, 0.0]) + 0.1 * rng.normal(size=(4, 2))
         p = base.grad_x(x, y)

@@ -187,7 +187,7 @@ class TestBitwist:
         np.testing.assert_array_equal(rep.argmin_x, x)
         np.testing.assert_array_equal(rep.argmin_y, y)
         assert rep.n_samples == size
-        assert rep.ok == (det > spec.bitwist_margin)
+        assert rep.ok == (det > domains.BITWIST_MARGIN)
 
     def test_cross_identity_cost_skips_the_sweep(self, monkeypatch):
         spec = _spec("neg_half_sq_dist", Disk(1.0), Disk(2.0, (3.0, 0.0)))
@@ -267,6 +267,26 @@ class TestConvexityAudits:
                                  rep.argmin_y[None, :])
         np.testing.assert_allclose(float(again[0, 0]), rep.min_value,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("source,s_witness,ties", [
+        (Disk(1.0), 0.0, 128 * 64),                 # every sample ties
+        (CosineBlob(1.0, 0.3, 2), 0.25, 2 * 64),    # two mirror-image arcs
+    ], ids=["disk", "peanut"])
+    def test_witness_is_the_first_tie_in_row_major_order(
+            self, monkeypatch, source, s_witness, ties):
+        """Exactly tied samples pick the witness by their order, not by
+        their last-ulp roundoff, and the minimum is the sampled one."""
+        forms = []
+        report = domains._convexity_report
+
+        def recording(vals, *args):
+            forms.append(vals)
+            return report(vals, *args)
+
+        monkeypatch.setattr(domains, "_convexity_report", recording)
+        rep = check_c_convexity(_spec("inner_product", source, Disk(2.0)))
+        assert (rep.argmin_s, rep.ties) == (s_witness, ties)
+        assert rep.min_value == float(np.min(forms[0]))
 
     def test_minima_nonincreasing_with_samples(self):
         spec = _spec("sqrt_one_plus_sq_dist", Disk(0.5), Disk(0.5, (1.2, 0.0)))

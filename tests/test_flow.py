@@ -116,7 +116,8 @@ def _tilted(state, eps):
 
 
 class TestBoundaryProjection:
-    def test_obliqueness_checked_when_the_chord_is_reused(self, stationary_state):
+    def test_obliqueness_checked_when_the_chord_is_reused(self, stationary_state,
+                                                          monkeypatch):
         st = stationary_state
         chord = flow.Chord()
         u = _tilted(st, 1e-2)
@@ -132,11 +133,9 @@ class TestBoundaryProjection:
         assert obl < 1.0 - 1e-4          # the tilt is far above roundoff
         # the warm chord converges without a refactorization, so only the
         # check at the accepted image can see the floor
+        monkeypatch.setattr(flow, "OBLIQUENESS_FLOOR", obl + 1e-6)
         with pytest.raises(ObliquenessLost):
-            flow._project_boundary(
-                st.ctx, v, tmap_seed=st.tmap,
-                schedule=flow.Schedule(obliqueness_floor=obl + 1e-6),
-                chord=chord)
+            flow._project_boundary(st.ctx, v, tmap_seed=st.tmap, chord=chord)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -176,14 +175,15 @@ class TestStep:
             assert np.abs(out.u - stationary_state.u).max() <= 1e-12
             assert rep.halvings == 0
 
-    def test_oversized_step_gets_rejected(self, perturbed_spec):
+    def test_oversized_step_gets_rejected(self, perturbed_spec, monkeypatch):
         g = grid.CurvilinearGrid(perturbed_spec.source, 24, 48)
         st = flow.initialize(perturbed_spec, g,
                              flow.initial_linear_scaling(perturbed_spec, g))
         big = 100.0 * flow.policy_dt(st)
+        monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
         with pytest.raises(StepRejected):
             for _ in range(60):
-                st, _ = flow.step(st, big, flow.Schedule(max_halvings=0))
+                st, _ = flow.step(st, big)
 
     def test_rejection_then_halving_recovers(self, perturbed_spec):
         g = grid.CurvilinearGrid(perturbed_spec.source, 24, 48)
@@ -192,7 +192,7 @@ class TestStep:
         big = 100.0 * flow.policy_dt(st)
         seen_halving = False
         for _ in range(40):
-            st, rep = flow.step(st, big, flow.Schedule(max_halvings=12))
+            st, rep = flow.step(st, big)
             seen_halving = seen_halving or rep.halvings > 0
         assert seen_halving and st.valid
 
@@ -277,7 +277,7 @@ class TestSpectralStageCount:
 
     def test_power_iteration_matches_dense_jacobian(self):
         spec, g, u0, sched = _perturbed_16x32()
-        st = flow.initialize(spec, g, u0, sched)
+        st = flow.initialize(spec, g, u0)
         chord = flow.Chord()
         eps = 1e-6
 
@@ -285,8 +285,7 @@ class TestSpectralStageCount:
             u = st.u.copy()
             u[:-1] = v
             u = g.apply_pole_projection(u)
-            flow._project_boundary(st.ctx, u, tmap_seed=st.tmap, schedule=sched,
-                                   chord=chord)
+            flow._project_boundary(st.ctx, u, tmap_seed=st.tmap, chord=chord)
             return flow.build_state(st.ctx, u, st.t, tmap_seed=st.tmap).rate[:-1]
 
         v0 = st.u[:-1]
@@ -297,12 +296,12 @@ class TestSpectralStageCount:
             jac[:, k] = ((rate_map(v0 + e.reshape(v0.shape)) - st.rate[:-1])
                          / eps).ravel()
         lam_dense = float(np.min(np.linalg.eigvals(jac).real))
-        lam, _ = flow.stiffest_eigenvalue(st, sched, flow.Chord())
+        lam, _ = flow.stiffest_eigenvalue(st, flow.Chord())
         assert abs(lam - lam_dense) <= 0.03 * abs(lam_dense)
         # the first super-step of the run from this state
         traj = flow.run_to_convergence(spec, g, u0,
                                        dataclasses.replace(sched, t_max=0.125))
-        assert (flow.policy_dt(st, sched.c_stab) < traj.step_dt_fe[0]
+        assert (flow.policy_dt(st) < traj.step_dt_fe[0]
                 <= 2.0 / abs(lam_dense))
 
     def test_perturbed_run_takes_fewer_evaluations(self, monkeypatch):
@@ -315,10 +314,10 @@ class TestSpectralStageCount:
             builds.append(1)
             return build_state(*args, **kwargs)
 
-        def checked_step(state, tau, schedule, chord, stages):
+        def checked_step(state, tau, chord, stages):
             stage_rule.append((stages, flow.rkl2_stages(
-                tau, flow.policy_dt(state, schedule.c_stab))))
-            return step(state, tau, schedule, chord=chord, stages=stages)
+                tau, flow.policy_dt(state))))
+            return step(state, tau, chord=chord, stages=stages)
 
         monkeypatch.setattr(flow, "build_state", counting_build_state)
         monkeypatch.setattr(flow, "step", checked_step)

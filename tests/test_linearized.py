@@ -88,8 +88,8 @@ class TestApplyL:
         state = traj.state_at(idx)
         co = linearized.build_coeffs(state)
         g = traj.grid
-        f_now = ser.f_field(m, g)
-        f_prev = ser.f_field(m - 1, g)
+        f_now = ser.f_field(m)
+        f_prev = ser.f_field(m - 1)
         dt = float(ser.times[m] - ser.times[m - 1])
         out = linearized.log_gradient_residual(co, g, f_now, f_prev, dt)
         mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None],

@@ -1,22 +1,26 @@
 """List the settable parameters of ``src/otflow`` that no call sets.
 
 For every function and method defined in ``src/otflow``, a parameter is
-*settable* when it has a default value or is a ``**`` catch-all. This scan
-reads every call in ``src``, ``tests``, ``demos``, ``perfbench`` and
-``tools`` and prints each settable parameter that no call sets, one per line:
+*settable* when it has a default value or is a ``**`` catch-all. A field of
+a ``@dataclass`` is a parameter of the generated ``__init__``, so a field
+with a default (or ``default_factory``) is settable too, unless it is
+declared ``field(init=False)``. This scan reads every call in ``src``,
+``tests``, ``demos``, ``perfbench`` and ``tools`` and prints each settable
+parameter that no call sets, one per line:
 
     <module>:<line>  <function>(<parameter>)
 
 A call matches a function by name: ``f(...)``, ``obj.f(...)`` and
 ``Module.f(...)`` all count as calls to every function named ``f``, and a
-call to a class name counts as a call to its ``__init__``. A call through
-a package class, ``Class.f(obj, ...)`` or ``module.Class.f(obj, ...)``,
-passes ``obj`` as the ``self`` of an instance method ``f``. A call sets a
-parameter by keyword or by position; a ``*args`` argument counts as
-setting every positional parameter and a ``**kwargs`` argument every
-parameter. A ``**`` parameter is set by a keyword that names no other
-parameter. Matching by name over-counts calls, so no call written out in
-those directories sets a listed parameter. Run from the root of a checkout:
+call to a class name, or to ``cls`` in its body, counts as a call to its
+``__init__`` (for a dataclass, the generated one). A call through a package
+class, ``Class.f(obj, ...)`` or ``module.Class.f(obj, ...)``, passes ``obj``
+as the ``self`` of an instance method ``f``. A call sets a parameter by
+keyword or by position; a ``*args`` argument counts as setting every
+positional parameter and a ``**kwargs`` argument every parameter. A ``**``
+parameter is set by a keyword that names no other parameter. Matching by
+name over-counts calls, so no call written out in those directories sets a
+listed parameter. Run from the root of a checkout:
 
     python3 tools/unset_params.py
 """
@@ -58,18 +62,64 @@ def definitions():
     return out
 
 
+def _name(node):
+    """The name a decorator or a called function is written with."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dataclass(cls):
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def dataclass_fields():
+    """(path, class node, [(positional index, field node)] of the settable
+    fields, names of all ``__init__`` fields) for every dataclass of the
+    package. A ``field(...)`` default is settable when it gives ``default``
+    or ``default_factory``; ``init=False`` takes it out of ``__init__``."""
+    out = []
+    for path in python_files(PACKAGE):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            found, names = [], set()
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    continue
+                value = node.value
+                has_default = value is not None
+                if isinstance(value, ast.Call) and _name(value.func) == "field":
+                    kws = {kw.arg: kw.value for kw in value.keywords}
+                    init = kws.get("init")
+                    if isinstance(init, ast.Constant) and init.value is False:
+                        continue
+                    has_default = "default" in kws or "default_factory" in kws
+                if has_default:
+                    found.append((len(names), node))
+                names.add(node.target.id)
+            out.append((path, cls, found, names))
+    return out
+
+
 def calls():
-    """Every call in the caller directories, keyed by the called name."""
+    """Every call in the caller directories, keyed by the called name; a
+    ``cls(...)`` call inside a class body is keyed by the class's name."""
     by_name = defaultdict(list)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _name(child.func)
+                if name == "cls" and owner is not None:
+                    name = owner
+                if name is not None:
+                    by_name[name].append(child)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
     for sub in CALLER_DIRS:
         for path in python_files(ROOT / sub):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                if isinstance(node.func, ast.Name):
-                    by_name[node.func.id].append(node)
-                elif isinstance(node.func, ast.Attribute):
-                    by_name[node.func.attr].append(node)
+            visit(ast.parse(path.read_text(), str(path)), None)
     return by_name
 
 
@@ -96,11 +146,7 @@ def through_class(call, classes):
     """Whether ``call`` is written ``Class.f(...)`` or ``module.Class.f(...)``
     for a package class."""
     func = call.func
-    if not isinstance(func, ast.Attribute):
-        return False
-    owner = func.value
-    name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
-    return name in classes
+    return isinstance(func, ast.Attribute) and _name(func.value) in classes
 
 
 def is_set(call, index, name, named, shift=0):
@@ -139,6 +185,13 @@ def unset_parameters():
                 rel = path.relative_to(ROOT / "src").as_posix()
                 label = f"{owner}.{fn.name}" if owner else fn.name
                 found.append(f"{rel}:{fn.lineno}  {label}({name})")
+    for path, cls, settable_fields, named in dataclass_fields():
+        for index, node in settable_fields:
+            name = node.target.id
+            if not any(is_set(c, index, name, named)
+                       for c in by_name.get(cls.name, ())):
+                rel = path.relative_to(ROOT / "src").as_posix()
+                found.append(f"{rel}:{node.lineno}  {cls.name}({name})")
     return found
 
 
