@@ -11,6 +11,17 @@ The audits certify, by dense deterministic sampling with recorded witnesses,
 the hypotheses the flow needs: invertibility of the cross Hessian on the
 product of the closures, the two boundary convexity forms, density bounds,
 and equality of total masses.
+
+The total masses (``ProblemSpec.masses``) are integrated with the nodes and
+weights of ``grid.quadrature`` on VALIDATION_GRID, without the calculus
+tables of a CurvilinearGrid. ``validate_spec`` reads both; every
+``flow.FlowContext`` reads the target mass, against which each accepted
+step's mass error is measured.
+
+Of the post-run readers in ``linearized``, the gap series and its Harnack
+ratios read nothing here; the closed-form boundary derivative of the
+Li-Yau quantity F reads the source boundary's tangent and curvature
+(``Domain.curvature``) and, through the cost, the target's h*.
 """
 
 from dataclasses import dataclass, field
@@ -392,13 +403,15 @@ class ProblemSpec:
     rho_star: Density
 
     def masses(self):
-        """Quadrature masses of both densities on VALIDATION_GRID grids."""
-        from .grid import CurvilinearGrid, integrate
-        gs = CurvilinearGrid(self.source, *VALIDATION_GRID)
-        gt = CurvilinearGrid(self.target, *VALIDATION_GRID)
-        m_src = integrate(gs, gs.scalar(self.rho(gs.nodes)))
-        m_tgt = integrate(gt, gt.scalar(self.rho_star(gt.nodes)))
-        return m_src, m_tgt
+        """Quadrature masses of both densities on VALIDATION_GRID grids:
+        ``grid.integrate`` on a CurvilinearGrid of each domain, bit for bit,
+        from the quadrature's nodes and weights alone."""
+        from .grid import quadrature
+        out = []
+        for domain, density in ((self.source, self.rho), (self.target, self.rho_star)):
+            nodes, weights = quadrature(domain, *VALIDATION_GRID)
+            out.append(float(np.sum(weights * density(nodes))))
+        return tuple(out)
 
 
 @dataclass

@@ -62,7 +62,13 @@ MIN_N_R = 4
 MIN_N_S = 8
 
 
-class CurvilinearGrid:
+class _RadialMap:
+    """The stations of an n_r x n_s grid on a star-shaped domain, its map
+    x(r, s) = center + r v(s) with v = boundary(s) - center, the map's
+    Jacobian and the mapped quadrature weights: everything an integral over
+    the domain reads, and none of the calculus tables of
+    :class:`CurvilinearGrid`, which builds on it."""
+
     def __init__(self, domain, n_r, n_s):
         if n_r < MIN_N_R:
             raise ValueError(f"need at least {MIN_N_R} radial rings")
@@ -75,27 +81,21 @@ class CurvilinearGrid:
         self.ds = 1.0 / n_s
         self.r = (np.arange(n_r) + 0.5) * self.dr          # r[-1] == 1
         self.s = np.arange(n_s) * self.ds
-        self._id = id(self)
 
         c = np.asarray(domain.star_center, float)
-        bp = domain.boundary_param(self.s)                 # (n_s, 2)
-        v = bp - c
-        vp = domain.boundary_velocity(self.s)
-        vpp = domain.boundary_accel(self.s)
-        self._v, self._vp, self._vpp = v, vp, vpp
-        self.nodes = c + self.r[:, None, None] * v[None, :, :]
+        self._v = domain.boundary_param(self.s) - c        # (n_s, 2)
+        self._vp = domain.boundary_velocity(self.s)
+        self.nodes = c + self.r[:, None, None] * self._v[None, :, :]
 
         # mapping Jacobian columns: x_r = v(s), x_s = r v'(s)
         jac = np.empty((n_r, n_s, 2, 2))
-        jac[..., :, 0] = np.broadcast_to(v, (n_r, n_s, 2))
-        jac[..., :, 1] = self.r[:, None, None] * vp
+        jac[..., :, 0] = np.broadcast_to(self._v, (n_r, n_s, 2))
+        jac[..., :, 1] = self.r[:, None, None] * self._vp
         self.jac = jac
         self.det_jac = nm.det2(jac)
         if np.any(self.det_jac <= 0):
             raise ValueError("mapping Jacobian not positive; "
                              "boundary parametrization must be counterclockwise")
-        self.jinv = nm.inv2(jac)
-        self._build_metric_tables(vp, vpp)
 
         # quadrature: midpoint cells in r, exact trapezoid in the periodic
         # direction. The final half cell ends exactly on the boundary node;
@@ -107,12 +107,30 @@ class CurvilinearGrid:
         dr_cell[-2] += 0.125 * self.dr
         self.weights = self.det_jac * dr_cell[:, None] * self.ds
 
+
+def quadrature(domain, n_r, n_s):
+    """(nodes, weights) of the mapped quadrature rule of an n_r x n_s grid
+    on ``domain``, bitwise those of ``CurvilinearGrid(domain, n_r, n_s)``,
+    without building the grid's calculus tables."""
+    rmap = _RadialMap(domain, n_r, n_s)
+    return rmap.nodes, rmap.weights
+
+
+class CurvilinearGrid(_RadialMap):
+    def __init__(self, domain, n_r, n_s):
+        super().__init__(domain, n_r, n_s)
+        n_r, n_s = self.n_r, self.n_s
+        self._id = id(self)
+        self._vpp = domain.boundary_accel(self.s)
+        self.jinv = nm.inv2(self.jac)
+        self._build_metric_tables(self._vp, self._vpp)
+
         # antipodal continuation across the center is exact only for
         # centrally symmetric domains: x(-r, s) = x(r, s + 1/2)
         half = n_s // 2
         self._antipode = (np.arange(n_s) + half) % n_s
         self.center_symmetric = bool(
-            np.max(np.abs(v + v[self._antipode])) < 1e-12)
+            np.max(np.abs(self._v + self._v[self._antipode])) < 1e-12)
 
         # spectral machinery for the periodic direction
         self._kvec = 2 * np.pi * np.fft.rfftfreq(n_s, d=self.ds)

@@ -20,6 +20,14 @@ implemented here. The special solutions used throughout are the gaps
 Theta_k(x, t) = sup_x theta(., k-1) - theta(x, (k-1) + t), which are
 nonnegative by the maximum principle.
 
+A gap solution comes in two layers. ``gap_series`` reads only the stored
+rate fields; the Harnack constant C = sup Theta(., t) / inf Theta(., t+1)
+(``diagnostics.harnack_ratio_series``, and so the run summary) needs nothing
+more. ``theta_special`` adds the Li-Yau fields of f = log Theta, which need
+W^{-1} at each snapshot; only the boundary audit of F (``dbetaF_direct``,
+``dbetaF_closed``, ``boundary_tangency_defect``) reads them. W comes from
+the grid calculus and the cost's D_xx c alone, without a full flow state.
+
 The boundary derivatives of F take one boundary node (an int, giving
 floats) or an array of nodes (giving arrays, one entry per node). A node
 array is one evaluation of the ring's fields for all of its nodes; where
@@ -137,27 +145,40 @@ def log_gradient_residual(coeffs, grid, f_now, f_prev, dt):
 # --- special solutions and the Li-Yau quantity -------------------------------
 
 @dataclass
-class HarnackSeries:
-    """Fields of one gap solution Theta_k along the snapshot grid.
+class GapSeries:
+    """One gap solution Theta_k along the snapshot grid: all that the
+    Harnack ratios C = sup Theta(., t) / inf Theta(., t + 1) read.
 
-    All arrays are stacked over the series times; nodes where the gap sits
-    at or below the positivity floor are masked and excluded from maxima.
-    F(., 0) is identically zero by the time factor.
+    ``gap`` is stacked over the series times; ``mask`` marks the nodes where
+    the gap is above the positivity floor.
     """
 
     k: int
-    alpha: float
     floor: float
     base_sup: float                  # sup theta(., k-1)
     times: np.ndarray                # offsets from k-1, starting at 0
     snapshot_indices: np.ndarray     # indices into the trajectory snapshots
     gap: np.ndarray                  # (m, n_r, n_s)
+    mask: np.ndarray                 # gap > floor
+
+
+@dataclass
+class HarnackSeries(GapSeries):
+    """A gap series with the Li-Yau fields of f = log Theta that the boundary
+    audit of F reads.
+
+    All arrays are stacked over the series times. ``mask`` narrows the gap
+    series' mask to the nodes where F and the time derivative of f are
+    finite; masked nodes are excluded from maxima. F(., 0) is identically
+    zero by the time factor.
+    """
+
+    alpha: float
     f: np.ndarray                    # log gap (nan where masked)
     dt_f: np.ndarray                 # time derivative of f on the snapshot grid
     grad_f: np.ndarray               # (m, n_r, n_s, 2)
     winv_quad: np.ndarray            # w^{ij} f_i f_j per time
     F: np.ndarray                    # t (winv_quad - alpha dt_f)
-    mask: np.ndarray                 # gap > floor
     grid_id: int
 
     def F_max_series(self):
@@ -178,9 +199,17 @@ class HarnackSeries:
                      self.grid_id)
 
 
-def theta_special(trajectory, k=1):
+def gap_series(trajectory, k=1):
     """The gap solution Theta_k(x, t) = sup theta(., k-1) - theta(x, (k-1)+t)
-    sampled on the trajectory's snapshot grid."""
+    sampled on the trajectory's snapshot grid, from the stored rate fields
+    alone.
+
+    The series keeps the uniformly spaced cadence prefix and drops the
+    trailing times where the gap has no positive part. Raises ValueError for
+    k < 1 or a non-uniform prefix, KeyError when no snapshot sits at
+    t = k - 1, and NonPositiveTheta when fewer than three usable times
+    remain.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
     i0 = trajectory.snapshot_index_at_time(float(k - 1))
@@ -190,12 +219,11 @@ def theta_special(trajectory, k=1):
     times = np.array([s.t - snaps[0].t for s in snaps])
     # keep the uniformly spaced cadence prefix (the run's final snapshot may
     # sit off the cadence grid at the stopping time)
-    if len(times) > 2:
-        h = times[1] - times[0]
-        spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=1e-9)
-        cut = len(times) if spacing_ok.all() else int(np.argmin(spacing_ok)) + 1
-        snaps = snaps[:cut]
-        times = times[:cut]
+    h = times[1] - times[0]
+    spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=1e-9)
+    cut = len(times) if spacing_ok.all() else int(np.argmin(spacing_ok)) + 1
+    snaps = snaps[:cut]
+    times = times[:cut]
     if len(snaps) < 3:
         raise NonPositiveTheta(f"trajectory too short for gap solution k={k}")
     base_sup = float(np.max(snaps[0].rate))
@@ -211,28 +239,46 @@ def theta_special(trajectory, k=1):
         raise NonPositiveTheta(
             f"gap solution k={k} has fewer than three usable snapshots")
     times = times[:m]
-    indices = np.arange(i0, i0 + m)
-    gap = gap[:m]
-    mask = mask[:m]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(mask, np.log(np.maximum(gap, 1e-300)), np.nan)
-    # time derivative of f on the (uniform) snapshot grid: centered inside,
-    # one-sided at the ends
-    dt_f = np.empty_like(f)
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-6, atol=1e-12):
         raise ValueError("gap series needs uniformly spaced snapshots")
-    h = float(dts[0])
+    return GapSeries(k=k, floor=THETA_FLOOR, base_sup=base_sup, times=times,
+                     snapshot_indices=np.arange(i0, i0 + m), gap=gap[:m],
+                     mask=mask[:m])
+
+
+def _snapshot_W(grid, cost, u):
+    """W = D^2 u - D_xx c(x, Y(x, Du)) of one snapshot's potential, as
+    ``flow.build_state`` forms it, without the rest of a state."""
+    grad, hess = grid.scalar_calculus(u)
+    if cost.hess_xx_vanishes:
+        return hess
+    return hess - cost.hess_xx(grid.nodes, cost.invert_Y(grid.nodes, grad))
+
+
+def theta_special(trajectory, k=1):
+    """The gap series of Theta_k (``gap_series``) with the Li-Yau fields of
+    f = log Theta: grad f, w^{ij} f_i f_j, df/dt and F."""
+    gaps = gap_series(trajectory, k)
+    times, mask = gaps.times, gaps.mask
+    m = len(times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(mask, np.log(np.maximum(gaps.gap, 1e-300)), np.nan)
+    # time derivative of f on the (uniform) snapshot grid: centered inside,
+    # one-sided at the ends
+    dt_f = np.empty_like(f)
+    h = float(times[1] - times[0])
     dt_f[1:-1] = (f[2:] - f[:-2]) / (2 * h)
     dt_f[0] = (f[1] - f[0]) / h
     dt_f[-1] = (f[-1] - f[-2]) / h
     grid = trajectory.grid
+    cost = trajectory.spec.cost
     grad_f = np.empty(f.shape + (2,))
     winv_quad = np.empty_like(f)
     F = np.zeros_like(f)
     for i in range(m):
-        state = trajectory.state_at(int(indices[i]))
-        winv = nm.inv2(state.W)
+        u = trajectory.snapshots[int(gaps.snapshot_indices[i])].u
+        winv = nm.inv2(_snapshot_W(grid, cost, u))
         fi = np.nan_to_num(f[i], nan=0.0, neginf=0.0)
         grad_f[i] = grid.grad_values(fi)
         winv_quad[i] = nm.quadform2(winv, grad_f[i])
@@ -240,11 +286,10 @@ def theta_special(trajectory, k=1):
             F[i] = times[i] * (winv_quad[i] - DEFAULT_ALPHA * dt_f[i])
     # nodes where the floor mask touched any time-stencil value carry
     # non-finite time derivatives; exclude them from the evaluable set
-    mask &= np.isfinite(F) & np.isfinite(dt_f)
-    return HarnackSeries(k=k, alpha=DEFAULT_ALPHA, floor=THETA_FLOOR,
-                         base_sup=base_sup, times=times, snapshot_indices=indices,
-                         gap=gap, f=f, dt_f=dt_f, grad_f=grad_f,
-                         winv_quad=winv_quad, F=F, mask=mask, grid_id=grid._id)
+    mask = mask & np.isfinite(F) & np.isfinite(dt_f)
+    return HarnackSeries(**{**vars(gaps), "mask": mask}, alpha=DEFAULT_ALPHA,
+                         f=f, dt_f=dt_f, grad_f=grad_f, winv_quad=winv_quad,
+                         F=F, grid_id=grid._id)
 
 
 # --- boundary derivative of F -------------------------------------------------

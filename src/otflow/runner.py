@@ -8,6 +8,13 @@ Identical configs give byte-identical diagnostics output. Audits can also
 be replayed on a finished directory without re-simulating. The boundary
 audits evaluate all of their nodes in one call per audited time; a node
 the direct boundary derivative refuses reads NaN in harnack.csv.
+
+Of the k = 1 gap solution, the summary's Harnack constant reads only the
+gap series (``linearized.gap_series``, from the stored rate fields), while
+the Harnack audit also reads the Li-Yau fields of ``linearized.
+theta_special`` (W^{-1} and grad log Theta at each snapshot). ``run_scenario``
+builds the full series once and hands it to both; ``build_summary`` alone
+builds only the gap series.
 """
 
 import os
@@ -80,8 +87,9 @@ def run_scenario(config, output_root=None):
         schedule = config.build_schedule()
         trajectory = run_to_convergence(spec, grid, u0, schedule)
         serialize.save_trajectory(outdir, trajectory, config.to_dict())
-        # the summary and the Harnack audit read the same gap series; when it
-        # cannot be built, each rebuilds it and reports the failure its own way
+        # the summary reads the gap of the series and the Harnack audit its
+        # Li-Yau fields: build the full series once for both. When it cannot
+        # be built, each rebuilds it and reports the failure its own way
         try:
             series = linearized.theta_special(trajectory, k=1)
         except (NonPositiveTheta, KeyError):
@@ -97,7 +105,9 @@ def run_scenario(config, output_root=None):
 def build_summary(trajectory, config, series=None):
     """Post-pass over a finished trajectory: decay fits plus the monitor
     extremes, in the fixed summary-JSON key set. ``series`` is the
-    trajectory's k = 1 gap series, built here when not given."""
+    trajectory's k = 1 gap series, a ``linearized.GapSeries`` or the full
+    ``HarnackSeries``; the Harnack ratios read only its gap, so when it is
+    not given this builds the gap series alone."""
     fit_cfg = config.fit if config is not None else {}
     rate_fit = None
     harnack = None
@@ -111,7 +121,7 @@ def build_summary(trajectory, config, series=None):
             rate_fit = None
     try:
         if series is None:
-            series = linearized.theta_special(trajectory, k=1)
+            series = linearized.gap_series(trajectory, k=1)
         harnack = diagnostics.harnack_ratio_series(series)
     except (NonPositiveTheta, DegenerateDenominator, KeyError):
         harnack = None

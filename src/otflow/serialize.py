@@ -23,7 +23,7 @@ def _fmt(x):
 
 
 def write_field(path, values, grid, rank="scalar", t=0.0, name=""):
-    values = np.ascontiguousarray(values, dtype="<f8")
+    values = np.asarray(values, dtype="<f8")     # keeps a 0-d shape
     header = {
         "format": "otflow-field-v1",
         "name": name,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import otflow
-from otflow import costs, domains, grid
+from otflow import costs, domains, flow, grid, serialize
+from otflow.config import load_scenario
 from otflow._numerics import det2
 from otflow.domains import (CosineBlob, Disk, Ellipse, ProblemSpec,
                             c_convexity_form, check_bitwist,
@@ -327,6 +328,65 @@ class TestConvexityAudits:
         form = cstar_convexity_form(spec, np.array([0.2]), x0[None, :])
         assert np.sign(form[0, 0]) == np.sign(
             coordinate_domain_II(spec.cost, "target_image", x0, spec.target, 0.2))
+
+
+def _two_grid_masses(spec):
+    """The masses as they were integrated: ``grid.integrate`` on a full
+    CurvilinearGrid of each domain at VALIDATION_GRID."""
+    gs = grid.CurvilinearGrid(spec.source, *domains.VALIDATION_GRID)
+    gt = grid.CurvilinearGrid(spec.target, *domains.VALIDATION_GRID)
+    return (grid.integrate(gs, gs.scalar(spec.rho(gs.nodes))),
+            grid.integrate(gt, gt.scalar(spec.rho_star(gt.nodes))))
+
+
+class TestMassQuadrature:
+    """The masses come from the quadrature alone, bit for bit, and building
+    a flow context builds no grid."""
+
+    @pytest.mark.parametrize("src, tgt", [
+        (Disk(1.0), Disk(2.0, (0.3, -0.1))),
+        (Ellipse(1.3, 0.8), Ellipse(0.9, 1.1, (0.2, 0.0))),
+        (CosineBlob(1.0, 0.2, 3), CosineBlob(1.5, 0.1, 2, (0.0, 0.4))),
+    ], ids=["disk", "ellipse", "blob"])
+    def test_masses_equal_the_two_grid_integrals(self, src, tgt):
+        spec = ProblemSpec(src, tgt, costs.make_cost("inner_product"),
+                           uniform_density(src), cosine_bump_density(tgt))
+        assert spec.masses() == _two_grid_masses(spec)
+
+    def test_quadrature_is_the_grids(self):
+        dom = CosineBlob(1.0, 0.2, 3)
+        g = grid.CurvilinearGrid(dom, 24, 48)
+        nodes, weights = grid.quadrature(dom, 24, 48)
+        assert nodes.tobytes() == g.nodes.tobytes()
+        assert weights.tobytes() == g.weights.tobytes()
+
+    @staticmethod
+    def count_grids(monkeypatch):
+        built = []
+        init = grid.CurvilinearGrid.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(grid.CurvilinearGrid, "__init__", counting)
+        return built
+
+    def test_flow_context_builds_no_grid(self, perturbed_spec, monkeypatch):
+        g = grid.CurvilinearGrid(perturbed_spec.source, 16, 32)
+        built = self.count_grids(monkeypatch)
+        ctx = flow.FlowContext(perturbed_spec, g)
+        assert built == []
+        assert ctx.target_mass == _two_grid_masses(perturbed_spec)[1]
+
+    def test_loading_a_trajectory_builds_only_its_grid(self, sqrt_run_16,
+                                                       tmp_path, monkeypatch):
+        cfg = load_scenario("offset_disks_sqrt").with_overrides(grid=(16, 32))
+        serialize.save_trajectory(tmp_path, sqrt_run_16, cfg.to_dict())
+        built = self.count_grids(monkeypatch)
+        traj, _ = serialize.load_trajectory(tmp_path)
+        assert len(built) == 1
+        assert (traj.grid.n_r, traj.grid.n_s) == (16, 32)
 
 
 class TestValidateSpec:

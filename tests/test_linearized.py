@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from otflow import diagnostics, flow, grid, linearized
+from otflow import _numerics as nm
+from otflow import diagnostics, flow, grid, linearized, runner, serialize
+from otflow.config import load_scenario
 from otflow.errors import NonPositiveTheta
 
 
@@ -133,6 +135,136 @@ class TestGapSolutions:
             defects.append(linearized.boundary_tangency_defect(ser, st, 0.5))
         assert defects[0] <= 10 * (2.0 / 47)     # O(h) with measured constant
         assert defects[1] <= 0.65 * defects[0]
+
+
+def _reference_theta_special(trajectory, k=1):
+    """The Li-Yau series as it was built from one full flow state per
+    snapshot (``Trajectory.state_at``); ``theta_special`` must reproduce it
+    bit for bit."""
+    i0 = trajectory.snapshot_index_at_time(float(k - 1))
+    snaps = trajectory.snapshots[i0:]
+    times = np.array([s.t - snaps[0].t for s in snaps])
+    h = times[1] - times[0]
+    spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=1e-9)
+    cut = len(times) if spacing_ok.all() else int(np.argmin(spacing_ok)) + 1
+    snaps, times = snaps[:cut], times[:cut]
+    base_sup = float(np.max(snaps[0].rate))
+    gap = base_sup - np.stack([s.rate for s in snaps])
+    mask = gap > linearized.THETA_FLOOR
+    alive = mask.reshape(len(snaps), -1).any(axis=1)
+    m = int(np.max(np.nonzero(alive)[0])) + 1
+    times, gap, mask = times[:m], gap[:m], mask[:m]
+    indices = np.arange(i0, i0 + m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(mask, np.log(np.maximum(gap, 1e-300)), np.nan)
+    dt_f = np.empty_like(f)
+    h = float(np.diff(times)[0])
+    dt_f[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    dt_f[0] = (f[1] - f[0]) / h
+    dt_f[-1] = (f[-1] - f[-2]) / h
+    g = trajectory.grid
+    grad_f = np.empty(f.shape + (2,))
+    winv_quad = np.empty_like(f)
+    F = np.zeros_like(f)
+    for i in range(m):
+        state = trajectory.state_at(int(indices[i]))
+        winv = nm.inv2(state.W)
+        fi = np.nan_to_num(f[i], nan=0.0, neginf=0.0)
+        grad_f[i] = g.grad_values(fi)
+        winv_quad[i] = nm.quadform2(winv, grad_f[i])
+        if times[i] > 0:
+            F[i] = times[i] * (winv_quad[i] - linearized.DEFAULT_ALPHA * dt_f[i])
+    mask &= np.isfinite(F) & np.isfinite(dt_f)
+    return {"times": times, "snapshot_indices": indices, "gap": gap, "f": f,
+            "dt_f": dt_f, "grad_f": grad_f, "winv_quad": winv_quad, "F": F,
+            "mask": mask}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _retimed(traj, times, rates=None):
+    """``traj`` with its first snapshots re-stamped at ``times`` (and their
+    rate fields replaced by ``rates`` when given)."""
+    snaps = traj.snapshots[:len(times)]
+    rates = rates if rates is not None else [s.rate for s in snaps]
+    return dataclasses.replace(traj, snapshots=[
+        flow.Snapshot(float(t), s.u, r) for t, s, r in zip(times, snaps, rates)])
+
+
+class TestGapSeriesSplit:
+    """The summary reads the gap series alone; the full series adds the
+    Li-Yau fields without building a flow state per snapshot."""
+
+    RUNS = ("ref_run_32", "sqrt_run_16")
+    SCENARIOS = {"ref_run_32": "disk_cosine_perturbed",
+                 "sqrt_run_16": "offset_disks_sqrt"}
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_theta_special_equals_the_build_state_reference(self, run, request):
+        traj = request.getfixturevalue(run)
+        # the inner-product cost skips D_xx c; the sqrt cost subtracts it
+        assert traj.spec.cost.hess_xx_vanishes == (run == "ref_run_32")
+        ser = linearized.theta_special(traj, k=1)
+        ref = _reference_theta_special(traj, k=1)
+        for name, want in ref.items():
+            assert _same_bits(getattr(ser, name), want), name
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_gap_series_arrays_equal_the_full_series(self, run, request):
+        traj = request.getfixturevalue(run)
+        full = linearized.theta_special(traj, k=1)
+        gaps = linearized.gap_series(traj, k=1)
+        assert not isinstance(gaps, linearized.HarnackSeries)
+        for name in ("times", "snapshot_indices", "gap"):
+            assert _same_bits(getattr(gaps, name), getattr(full, name)), name
+        assert (gaps.k, gaps.floor) == (full.k, full.floor)
+        assert _same_bits(gaps.base_sup, full.base_sup)
+        # the full series narrows the positivity mask to finite F and df/dt
+        assert _same_bits(gaps.mask, full.gap > full.floor)
+        assert _same_bits(full.mask, gaps.mask & np.isfinite(full.F)
+                          & np.isfinite(full.dt_f))
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_summary_reads_the_same_with_either_series(self, run, request,
+                                                       tmp_path):
+        traj = request.getfixturevalue(run)
+        cfg = load_scenario(self.SCENARIOS[run])
+        with_full = runner.build_summary(
+            traj, cfg, series=linearized.theta_special(traj, k=1))
+        alone = runner.build_summary(traj, cfg)
+        # the sqrt run's ratios hit the floor, so its C_harnack is null
+        assert (with_full["C_harnack"] is None) == (run == "sqrt_run_16")
+        assert with_full == alone
+        serialize.write_json(tmp_path / "full.json", with_full)
+        serialize.write_json(tmp_path / "alone.json", alone)
+        assert (tmp_path / "full.json").read_bytes() == \
+            (tmp_path / "alone.json").read_bytes()
+
+    def test_same_exception_as_the_full_series(self, ref_run_32):
+        traj = ref_run_32
+        flat = [np.full_like(s.rate, 0.5) for s in traj.snapshots[:6]]
+        # a spacing that passes the cadence cut (atol 1e-9) but not the
+        # uniformity check (atol 1e-12)
+        uneven = [0.0, 1e-5, 2e-5 + 5e-10, 3e-5]
+        cases = [
+            (dataclasses.replace(traj, snapshots=traj.snapshots[:2]), 1,
+             NonPositiveTheta, "too short"),
+            (_retimed(traj, [0.125 * i for i in range(6)], flat), 1,
+             NonPositiveTheta, "below the floor"),
+            (traj, 100, KeyError, "no snapshot at t = 99.0"),
+            (traj, 0, ValueError, "positive integer"),
+            (_retimed(traj, uneven), 1, ValueError, "uniformly spaced"),
+        ]
+        for case, k, kind, words in cases:
+            with pytest.raises(kind, match=words) as full:
+                linearized.theta_special(case, k=k)
+            with pytest.raises(kind) as gaps:
+                linearized.gap_series(case, k=k)
+            assert type(gaps.value) is type(full.value)
+            assert str(gaps.value) == str(full.value)
 
 
 class TestBoundaryDerivativeOfF:
