@@ -6,6 +6,12 @@ inverses Y(x, p) and X(q, y), the matrix A(x, p), the density ratio B, the
 boundary function G = h*(Y) with its p-gradient beta and p-Hessian, and the
 Ma-Trudinger-Wang form.
 
+Each twist inverse is the closed form its cost supplies; every registered
+cost has one that solves the twist equation to roundoff, so no iterative
+inversion is needed. Only the mixed third derivatives have a
+finite-difference fallback, and the three fast-path flags (``thirds_vanish``,
+``cross_identity``, ``hess_xx_vanishes``) are declared by the cost itself.
+
 Conventions. Points are arrays of shape (..., 2). The cross Hessian
 ``cross_hessian(x, y)[..., i, j]`` is d^2 c / dx_i dy_j; its inverse carries
 (target, source) index order so that ``inv(C) @ C = I``. Mixed third
@@ -18,22 +24,14 @@ operations are safe to call concurrently.
 import numpy as np
 
 from . import _numerics as nm
-from .errors import DegenerateCross, NonConvergence, OutsideTarget
+from .errors import DegenerateCross
 
 #: step of the finite-difference fallbacks: the mixed third derivatives,
 #: ``matrix_A_alt`` and the default of ``mtw_tensor``
 H_FD = 1e-4
 
-#: the twist inversions' Newton stops at residual NEWTON_TOL and raises
-#: NonConvergence after NEWTON_CAP iterations
-NEWTON_TOL = 1e-12
-NEWTON_CAP = 50
-
 #: floor on |det| of the cross Hessian before raising DegenerateCross
 CROSS_DET_FLOOR = 1e-12
-
-#: a twist inverse with h*(y) above this lies outside the target
-OUTSIDE_TOL = 1e-8
 
 
 class CostModel:
@@ -45,21 +43,21 @@ class CostModel:
         Registry name of the cost.
     eval_fn, grad_x_fn, grad_y_fn, cross_fn, hess_xx_fn : callables
         Analytic oracles; each takes (x, y) arrays of shape (..., 2).
+    invert_y_fn, invert_x_fn : callables
+        Closed-form twist inverses: invert_y_fn(x, p) solves
+        grad_x c(x, y) = p for y and invert_x_fn(q, y) solves
+        grad_y c(x, y) = q for x.
     third_xxy_fn, third_xyy_fn : callables or None
         Analytic mixed third derivatives; centered finite differences with
         step H_FD are used when absent.
-    invert_y_fn, invert_x_fn : callables or None
-        Closed-form twist inverses, used to seed (and usually to finish)
-        the Newton inversion.
-    sign_convention : {"maximization", "minimization"}
-        Orientation of the transport objective this model represents.
+    thirds_vanish, cross_identity, hess_xx_vanishes : bool
+        Fast-path declarations: the mixed third derivatives vanish, the
+        cross Hessian is the identity, and D^2_xx c vanishes (so A == 0).
     """
 
     def __init__(self, name, eval_fn, grad_x_fn, grad_y_fn, cross_fn, hess_xx_fn,
-                 third_xxy_fn=None, third_xyy_fn=None,
-                 invert_y_fn=None, invert_x_fn=None,
-                 sign_convention="maximization", thirds_vanish=False,
-                 inverse_exact=False, cross_identity=False,
+                 invert_y_fn, invert_x_fn, third_xxy_fn=None, third_xyy_fn=None,
+                 thirds_vanish=False, cross_identity=False,
                  hess_xx_vanishes=False):
         self.name = name
         self._eval = eval_fn
@@ -67,15 +65,11 @@ class CostModel:
         self._grad_y = grad_y_fn
         self._cross = cross_fn
         self._hess_xx = hess_xx_fn
-        self._third_xxy = third_xxy_fn
-        self._third_xyy = third_xyy_fn
         self._invert_y = invert_y_fn
         self._invert_x = invert_x_fn
-        self.sign_convention = sign_convention
+        self._third_xxy = third_xxy_fn
+        self._third_xyy = third_xyy_fn
         self.thirds_vanish = bool(thirds_vanish)
-        # fast-path declarations: the closed-form inverse solves the twist
-        # equation to roundoff / the cross Hessian is the identity / A == 0
-        self.inverse_exact = bool(inverse_exact)
         self.cross_identity = bool(cross_identity)
         self.hess_xx_vanishes = bool(hess_xx_vanishes)
 
@@ -125,101 +119,15 @@ class CostModel:
                            - self.cross_hessian(x, y - e)) / (2 * h)
         return out
 
-    def negated(self):
-        """The same cost with flipped sign (minimization <-> maximization).
-
-        The twist inverses survive negation because grad_x(-c)(x, y) = -p has
-        the same solution set as grad_x(c)(x, y) = p with p negated. The
-        cross Hessian becomes -C, so only ``cross_identity`` is dropped.
-        """
-        flip = "minimization" if self.sign_convention == "maximization" else "maximization"
-
-        def neg3(f):
-            return None if f is None else (lambda x, y: -f(x, y))
-
-        inv_y = None if self._invert_y is None else (lambda x, p: self._invert_y(x, -np.asarray(p, float)))
-        inv_x = None if self._invert_x is None else (lambda q, y: self._invert_x(-np.asarray(q, float), y))
-        return CostModel(
-            self.name + "_negated",
-            lambda x, y: -self._eval(x, y), neg3(self._grad_x), neg3(self._grad_y),
-            neg3(self._cross), neg3(self._hess_xx),
-            neg3(self._third_xxy), neg3(self._third_xyy),
-            invert_y_fn=inv_y, invert_x_fn=inv_x,
-            sign_convention=flip, thirds_vanish=self.thirds_vanish,
-            inverse_exact=self.inverse_exact,
-            hess_xx_vanishes=self.hess_xx_vanishes)
-
     # -- twist inversion --------------------------------------------------
 
-    def invert_Y(self, x, p, seed=None, target=None):
-        """Solve grad_x c(x, y) = p for y by damped Newton.
-
-        ``seed`` defaults to the closed-form inverse when the cost provides
-        one, else to the target's star center, else to x. When ``target`` is
-        given, the converged point must satisfy h*(y) <= OUTSIDE_TOL.
-        """
-        x = np.asarray(x, float)
-        p = np.asarray(p, float)
-        if self._invert_y is not None and self.inverse_exact and target is None:
-            return self._invert_y(x, p)
-        if seed is None:
-            if self._invert_y is not None:
-                seed = self._invert_y(x, p)
-            elif target is not None:
-                seed = np.broadcast_to(target.star_center, np.broadcast_shapes(
-                    x.shape, p.shape)).copy()
-            else:
-                seed = np.broadcast_to(x, np.broadcast_shapes(x.shape, p.shape)).copy()
-        y = self._newton(lambda yy: self.grad_x(x, yy) - p,
-                         lambda yy: self.cross_hessian(x, yy),
-                         np.array(seed, float, copy=True), "invert_Y")
-        if target is not None:
-            worst = np.max(target.h(y))
-            if worst > OUTSIDE_TOL:
-                raise OutsideTarget(
-                    f"invert_Y converged outside the target: max h* = {worst:.3e}")
-        return y
+    def invert_Y(self, x, p):
+        """The closed-form solution y of grad_x c(x, y) = p."""
+        return self._invert_y(np.asarray(x, float), np.asarray(p, float))
 
     def invert_X(self, q, y):
-        """Solve grad_y c(x, y) = q for x by damped Newton, seeded with the
-        closed-form inverse when the cost provides one, else with y."""
-        q = np.asarray(q, float)
-        y = np.asarray(y, float)
-        if self._invert_x is not None and self.inverse_exact:
-            return self._invert_x(q, y)
-        if self._invert_x is not None:
-            seed = self._invert_x(q, y)
-        else:
-            seed = np.broadcast_to(y, np.broadcast_shapes(q.shape, y.shape))
-        return self._newton(lambda xx: self.grad_y(xx, y) - q,
-                            lambda xx: nm.transpose2(self.cross_hessian(xx, y)),
-                            np.array(seed, float, copy=True), "invert_X")
-
-    def _newton(self, residual, jacobian, z, label):
-        res = residual(z)
-        err = nm.norm2(res)
-        tol = NEWTON_TOL
-        for _ in range(NEWTON_CAP):
-            if np.max(err) <= tol:
-                return z
-            step = nm.solve2(jacobian(z), res)
-            scale = np.ones_like(err)
-            # damped update: halve the step where the residual would grow
-            for _ in range(8):
-                cand = z - scale[..., None] * step
-                cand_err = nm.norm2(residual(cand))
-                worse = cand_err > err
-                if not np.any(worse & (err > tol)):
-                    break
-                scale = np.where(worse, 0.5 * scale, scale)
-            z = z - scale[..., None] * step
-            res = residual(z)
-            err = nm.norm2(res)
-        if np.max(err) > tol:
-            raise NonConvergence(
-                f"{label}: Newton stalled at residual {np.max(err):.3e} "
-                f"after {NEWTON_CAP} iterations")
-        return z
+        """The closed-form solution x of grad_y c(x, y) = q."""
+        return self._invert_x(np.asarray(q, float), np.asarray(y, float))
 
     # -- derived objects --------------------------------------------------
 
@@ -345,10 +253,9 @@ def _inner_product():
 
     # the twist maps are the identity, so each inverse is a gradient map:
     # Y(x, p) = p and X(q, y) = q
-    return CostModel("inner_product", ev, gx, gy, cr, hxx, t3, t3,
-                     invert_y_fn=gx, invert_x_fn=gy,
-                     thirds_vanish=True, inverse_exact=True,
-                     cross_identity=True, hess_xx_vanishes=True)
+    return CostModel("inner_product", ev, gx, gy, cr, hxx, gx, gy, t3, t3,
+                     thirds_vanish=True, cross_identity=True,
+                     hess_xx_vanishes=True)
 
 
 def _neg_half_sq_dist():
@@ -374,11 +281,9 @@ def _neg_half_sq_dist():
         shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         return np.zeros(shape + (2, 2, 2))
 
-    return CostModel("neg_half_sq_dist", ev, gx, gy, cr, hxx, t3, t3,
-                     invert_y_fn=lambda x, p: x + p,
-                     invert_x_fn=lambda q, y: y + q,
-                     thirds_vanish=True, inverse_exact=True,
-                     cross_identity=True)
+    return CostModel("neg_half_sq_dist", ev, gx, gy, cr, hxx,
+                     lambda x, p: x + p, lambda q, y: y + q, t3, t3,
+                     thirds_vanish=True, cross_identity=True)
 
 
 def _sqrt_one_plus_sq_dist():
@@ -445,8 +350,8 @@ def _sqrt_one_plus_sq_dist():
         d = -q / np.sqrt(np.maximum(1.0 - q2, 1e-300))[..., None]
         return y + d
 
-    return CostModel("sqrt_one_plus_sq_dist", ev, gx, gy, cr, hxx, t_xxy, t_xyy,
-                     invert_y_fn=inv_y, invert_x_fn=inv_x, inverse_exact=True)
+    return CostModel("sqrt_one_plus_sq_dist", ev, gx, gy, cr, hxx, inv_y, inv_x,
+                     t_xxy, t_xyy)
 
 
 _REGISTRY = {

@@ -534,7 +534,7 @@ def check_bitwist(spec, n_samples=4096):
     sb = np.arange(nb) / nb
     xs = np.concatenate([xs, spec.source.boundary_param(sb)], axis=0)
     ys = np.concatenate([ys, spec.target.boundary_param(sb)], axis=0)
-    if getattr(spec.cost, "cross_identity", False):
+    if spec.cost.cross_identity:
         # |det I| is exactly 1 at every pair: the first pair is the witness
         return BitwistReport(1.0, xs[0].copy(), ys[0].copy(),
                              len(xs) * len(ys), BITWIST_MARGIN)
@@ -563,7 +563,7 @@ def c_convexity_form(spec, s, y):
     tau = spec.source.boundary_tangent(s)
     nu = spec.source.outward_normal(s)
     kappa = spec.source.curvature(s)
-    if getattr(spec.cost, "thirds_vanish", False):
+    if spec.cost.thirds_vanish:
         return np.broadcast_to(kappa[:, None], (s.shape[0], y.shape[0])).copy()
     xb = x[:, None, :]
     yb = y[None, :, :]
@@ -582,7 +582,7 @@ def cstar_convexity_form(spec, s, x):
     tau = spec.target.boundary_tangent(s)
     nu = spec.target.outward_normal(s)
     kappa = spec.target.curvature(s)
-    if getattr(spec.cost, "thirds_vanish", False):
+    if spec.cost.thirds_vanish:
         return np.broadcast_to(kappa[:, None], (s.shape[0], x.shape[0])).copy()
     yb = y[:, None, :]
     xb = x[None, :, :]

@@ -7,14 +7,6 @@ class OTFlowError(Exception):
 
 # --- cost calculus ---
 
-class NonConvergence(OTFlowError):
-    """Twist-map Newton inversion exceeded its iteration cap."""
-
-
-class OutsideTarget(OTFlowError):
-    """Twist inversion converged to a point outside the closed target domain."""
-
-
 class DegenerateCross(OTFlowError):
     """Cross Hessian determinant fell below the invertibility margin."""
 

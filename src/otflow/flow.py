@@ -142,11 +142,6 @@ class FlowState:
     def valid(self):
         return self.rate is not None and np.all(np.isfinite(self.u))
 
-    def rate_field(self):
-        if self.rate is None:
-            raise NonPositiveDet("det W <= 0 somewhere; no rate field")
-        return Field(self.rate.copy(), "scalar", self.grid._id)
-
     def ring_beta(self):
         """Oblique direction beta = (D_p Y)^T grad h*(T) on the boundary
         ring, shape (n_s, 2)."""
@@ -233,14 +228,14 @@ def time_index(times, t):
     return i
 
 
-def build_state(ctx, u_values, t, tmap_seed=None):
+def build_state(ctx, u_values, t):
     """Assemble the cached fields of a state from raw potential values."""
     grid = ctx.grid
     spec = ctx.spec
     cost = spec.cost
     u = np.asarray(u_values, float)
     grad, hess = grid.scalar_calculus(u)
-    tmap = cost.invert_Y(grid.nodes, grad, seed=tmap_seed)
+    tmap = cost.invert_Y(grid.nodes, grad)
     if cost.hess_xx_vanishes:
         W = hess
     else:
@@ -256,17 +251,6 @@ def build_state(ctx, u_values, t, tmap_seed=None):
         rate = np.log(det_w) - log_b
     return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap, W=W,
                      det_W=det_w, rate=rate)
-
-
-def interior_rhs(state):
-    """The flow right-hand side log det W - log B at every node (boundary
-    included through the one-sided stencils); this field is the potential's
-    time derivative."""
-    if state.rate is None:
-        raise NonPositiveDet(
-            f"det W <= 0 (min eigenvalue {state.min_eig_W:.3e}); "
-            "the flow left the cost-convex cone")
-    return state.rate_field()
 
 
 # --- initialization ---------------------------------------------------------
@@ -307,8 +291,8 @@ def initialize(spec, grid, u0, schedule=None):
             f"transport image leaves the closed target: max h* = {inside:.3e}")
     if max_g > BOUNDARY_TOL:
         # start the flow exactly on the boundary constraint
-        _project_boundary(ctx, u, tmap_seed=state.tmap)
-        state = build_state(ctx, u, 0.0, tmap_seed=state.tmap)
+        _project_boundary(ctx, u)
+        state = build_state(ctx, u, 0.0)
     # boundary coverage: every target boundary sample must be near a mapped node
     n_probe = 4 * grid.n_s
     probes = spec.target.boundary_param(np.arange(n_probe) / n_probe)
@@ -385,7 +369,7 @@ def _oblique_beta(ctx, y):
     return beta
 
 
-def _project_boundary(ctx, u_values, tmap_seed=None, chord=None):
+def _project_boundary(ctx, u_values, chord=None):
     """Newton-update the boundary ring of u_values so that G = 0 there, to
     BOUNDARY_TOL within BOUNDARY_CAP iterations.
 
@@ -407,11 +391,10 @@ def _project_boundary(ctx, u_values, tmap_seed=None, chord=None):
         chord = Chord()
     b = u_values[-1].copy()
     u_m1, u_m2 = u_values[-2], u_values[-3]
-    y_seed = tmap_seed[-1] if tmap_seed is not None else None
 
     def residual(bv):
         grad = _ring_gradient(ctx, bv, u_m1, u_m2)
-        y = spec.cost.invert_Y(ctx.ring_x, grad, seed=y_seed)
+        y = spec.cost.invert_Y(ctx.ring_x, grad)
         return spec.target.h(y), y
 
     def refresh_jacobian(y):
@@ -425,7 +408,6 @@ def _project_boundary(ctx, u_values, tmap_seed=None, chord=None):
         chord.lu = lu_factor(jac)
 
     g, y = residual(b)
-    y_seed = y
     err = float(np.max(np.abs(g)))
     if not np.isfinite(err):
         # dgetrs does not check its right-hand side
@@ -458,19 +440,12 @@ def _project_boundary(ctx, u_values, tmap_seed=None, chord=None):
             if lam < 1.0 / 64.0:
                 continue
         b = b + lam * delta
-        g, y, y_seed = g_new, y_new, y_new
+        g, y = g_new, y_new
         err = err_new
         iters += 1
     _oblique_beta(ctx, y)
     u_values[-1] = b
     return iters
-
-
-def enforce_boundary(state):
-    """Project the boundary values of u onto G = 0 and refresh the caches."""
-    u = state.u.copy()
-    _project_boundary(state.ctx, u, tmap_seed=state.tmap)
-    return build_state(state.ctx, u, state.t, tmap_seed=state.tmap)
 
 
 # --- stepping ----------------------------------------------------------------
@@ -521,8 +496,7 @@ def stiffest_eigenvalue(state, chord, start=None):
         u = state.u.copy()
         u[:-1] += _JVP_EPS * y
         try:
-            rate = _project_stage(state.ctx, u, state.t, state.tmap,
-                                  chord)[0].rate
+            rate = _project_stage(state.ctx, u, state.t, chord)[0].rate
         except (NewtonStall, ObliquenessLost):
             return None, y
         if rate is None:
@@ -585,13 +559,13 @@ class _StageFailed(Exception):
     """A stage of a super-step left the admissible set."""
 
 
-def _project_stage(ctx, u, t, tmap_seed, chord):
+def _project_stage(ctx, u, t, chord):
     """The state at time t of a stage's raw potential u: its pole
     projection, the Newton projection of its boundary ring, and the state
     assembly. Returns the state and the Newton iteration count."""
     u = ctx.grid.apply_pole_projection(u)
-    iters = _project_boundary(ctx, u, tmap_seed=tmap_seed, chord=chord)
-    return build_state(ctx, u, t, tmap_seed=tmap_seed), iters
+    iters = _project_boundary(ctx, u, chord=chord)
+    return build_state(ctx, u, t), iters
 
 
 def _rkl2_super_step(state, tau, stages, chord):
@@ -625,8 +599,7 @@ def _rkl2_super_step(state, tau, stages, chord):
         u[-1] += (4.0 * (u[-2] - prev.u[-2]) - (u[-3] - prev.u[-3])) / 3.0
         if not np.all(np.isfinite(u)):
             raise _StageFailed(f"non-finite potential at stage {j}")
-        stage, n_newton = _project_stage(ctx, u, state.t + tau, prev.tmap,
-                                         chord)
+        stage, n_newton = _project_stage(ctx, u, state.t + tau, chord)
         iters += n_newton
         if stage.rate is None:
             raise _StageFailed(f"W lost positivity at stage {j} "

@@ -329,7 +329,7 @@ def _boundary_convexity_contraction(state, j, tau):
     kappa = spec.source.curvature(s_j)
     tau_t = np.vecdot(tau, tan)
     first = kappa * tau_t ** 2
-    if getattr(spec.cost, "thirds_vanish", False):
+    if spec.cost.thirds_vanish:
         return first
     x = grid.nodes[-1, j]
     y = state.tmap[-1, j]

@@ -10,11 +10,11 @@ audits evaluate all of their nodes in one call per audited time; a node
 the direct boundary derivative refuses reads NaN in harnack.csv.
 
 Of the k = 1 gap solution, the summary's Harnack constant reads only the
-gap series (``linearized.gap_series``, from the stored rate fields), while
-the Harnack audit also reads the Li-Yau fields of ``linearized.
-theta_special`` (W^{-1} and grad log Theta at each snapshot). ``run_scenario``
-builds the full series once and hands it to both; ``build_summary`` alone
-builds only the gap series.
+gap series (``linearized.gap_series``, from the stored rate fields), which
+``build_summary`` builds. Only the Harnack audit reads the Li-Yau fields of
+``linearized.theta_special`` (W^{-1} and grad log Theta at each snapshot),
+so ``harnack_audit`` builds the full series, and only a run whose config
+turns that audit on pays for it.
 """
 
 import os
@@ -87,27 +87,18 @@ def run_scenario(config, output_root=None):
         schedule = config.build_schedule()
         trajectory = run_to_convergence(spec, grid, u0, schedule)
         serialize.save_trajectory(outdir, trajectory, config.to_dict())
-        # the summary reads the gap of the series and the Harnack audit its
-        # Li-Yau fields: build the full series once for both. When it cannot
-        # be built, each rebuilds it and reports the failure its own way
-        try:
-            series = linearized.theta_special(trajectory, k=1)
-        except (NonPositiveTheta, KeyError):
-            series = None
-        summary = build_summary(trajectory, config, series=series)
+        summary = build_summary(trajectory, config)
         serialize.write_json(os.path.join(outdir, "summary.json"), summary)
-        run_audits(trajectory, config, outdir, series=series)
+        run_audits(trajectory, config, outdir)
     except OTFlowError as exc:
         return RunResult(1, outdir, None, _error_report(outdir, type(exc).__name__, exc))
     return RunResult(0, outdir, summary)
 
 
-def build_summary(trajectory, config, series=None):
+def build_summary(trajectory, config):
     """Post-pass over a finished trajectory: decay fits plus the monitor
-    extremes, in the fixed summary-JSON key set. ``series`` is the
-    trajectory's k = 1 gap series, a ``linearized.GapSeries`` or the full
-    ``HarnackSeries``; the Harnack ratios read only its gap, so when it is
-    not given this builds the gap series alone."""
+    extremes, in the fixed summary-JSON key set. The Harnack ratios read
+    only the k = 1 gap series, so this builds the gap series alone."""
     fit_cfg = config.fit if config is not None else {}
     rate_fit = None
     harnack = None
@@ -120,9 +111,8 @@ def build_summary(trajectory, config, series=None):
         except NoDecayWindow:
             rate_fit = None
     try:
-        if series is None:
-            series = linearized.gap_series(trajectory, k=1)
-        harnack = diagnostics.harnack_ratio_series(series)
+        harnack = diagnostics.harnack_ratio_series(
+            linearized.gap_series(trajectory, k=1))
     except (NonPositiveTheta, DegenerateDenominator, KeyError):
         harnack = None
     return diagnostics.run_summary(trajectory, rate_fit=rate_fit, harnack=harnack)
@@ -157,7 +147,7 @@ def fit_theta_decay(trajectory):
 
 # --- audits -------------------------------------------------------------------
 
-def run_audits(trajectory, config, outdir, series=None):
+def run_audits(trajectory, config, outdir):
     toggles = config.audits if config is not None else {}
     audit_dir = os.path.join(outdir, "audits")
     if any(toggles.get(k) for k in ("convexity", "harnack", "km")):
@@ -166,7 +156,7 @@ def run_audits(trajectory, config, outdir, series=None):
         serialize.write_json(os.path.join(audit_dir, "convexity.json"),
                              convexity_audit(trajectory.spec, seed=config.seed))
     if toggles.get("harnack"):
-        harnack_audit(trajectory, audit_dir, series=series)
+        harnack_audit(trajectory, audit_dir)
     if toggles.get("km"):
         km_audit(trajectory, audit_dir)
 
@@ -195,15 +185,14 @@ def convexity_audit(spec, seed=0):
     }
 
 
-def harnack_audit(trajectory, audit_dir, series=None):
+def harnack_audit(trajectory, audit_dir):
     """Boundary audit CSV (t, node, F, both boundary derivatives, the three
     closed-form terms) at 16 boundary nodes plus the scalar Harnack summary.
     Each audited time takes one node-array call of each boundary
     derivative; F and the direct derivative read NaN at the nodes they
-    refuse. ``series`` is the k = 1 gap series, built here when not given."""
+    refuse. The k = 1 gap series with its Li-Yau fields is built here."""
     try:
-        if series is None:
-            series = linearized.theta_special(trajectory, k=1)
+        series = linearized.theta_special(trajectory, k=1)
     except NonPositiveTheta as exc:
         serialize.write_json(os.path.join(audit_dir, "harnack_summary.json"),
                              {"error": "NonPositiveTheta", "detail": str(exc)})

@@ -143,6 +143,8 @@ def _dense_bitwist(spec, n_samples):
 class _NaNCross:
     """Cross Hessians diag(2 + x_0 y_1, 1), NaN where x_0 > 0.3 and y_1 < 0."""
 
+    cross_identity = False      # the sweep reads the cost's fast-path flag
+
     def cross_hessian(self, x, y):
         x, y = np.broadcast_arrays(x, y)
         out = np.zeros(x.shape[:-1] + (2, 2))

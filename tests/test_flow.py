@@ -48,8 +48,7 @@ class TestInitialize:
 
 class TestInteriorRHS:
     def test_stationary_disk_rate_vanishes(self, stationary_state):
-        rate = flow.interior_rhs(stationary_state)
-        assert np.abs(rate.data).max() <= 1e-10
+        assert np.abs(stationary_state.rate).max() <= 1e-10
 
     def test_stationary_ellipse_rate_vanishes(self):
         src = domains.Disk(1.0)
@@ -74,13 +73,21 @@ class TestInteriorRHS:
     def test_invalid_state_raises(self, disk_pair_spec, grid32, stationary_state):
         bad = flow.build_state(stationary_state.ctx,
                                -stationary_state.u, 0.0)
+        assert bad.rate is None
         with pytest.raises(NonPositiveDet):
-            flow.interior_rhs(bad)
+            flow.step(bad, flow.policy_dt(stationary_state))
+
+
+def _enforce(state):
+    """The state with its boundary ring projected onto G = 0."""
+    u = state.u.copy()
+    flow._project_boundary(state.ctx, u)
+    return flow.build_state(state.ctx, u, state.t)
 
 
 class TestEnforceBoundary:
     def test_stationary_state_is_fixed_point(self, stationary_state):
-        out = flow.enforce_boundary(stationary_state)
+        out = _enforce(stationary_state)
         assert np.abs(out.u - stationary_state.u).max() <= 1e-12
 
     def test_interior_bump_leaves_boundary_alone(self, stationary_state):
@@ -89,14 +96,14 @@ class TestEnforceBoundary:
         bump = 1e-3 * np.exp(-r2 / 0.02)     # numerically zero near the boundary
         u = st.u + bump
         out = flow.build_state(st.ctx, u, 0.0)
-        projected = flow.enforce_boundary(out)
+        projected = _enforce(out)
         assert np.abs(projected.u[-1] - u[-1]).max() <= 1e-13
 
     def test_small_perturbation_projects_quickly(self, stationary_state, rng):
         st = stationary_state
         u = st.u + 1e-3 * rng.normal(size=st.u.shape) * (st.grid.r < 0.9)[:, None]
         u = st.grid.apply_pole_projection(u)
-        iters = flow._project_boundary(st.ctx, u, tmap_seed=st.tmap)
+        iters = flow._project_boundary(st.ctx, u)
         state = flow.build_state(st.ctx, u, 0.0)
         assert state.max_boundary_G <= 1e-10
         assert iters <= 5
@@ -121,13 +128,13 @@ class TestBoundaryProjection:
         st = stationary_state
         chord = flow.Chord()
         u = _tilted(st, 1e-2)
-        flow._project_boundary(st.ctx, u, tmap_seed=st.tmap, chord=chord)
+        flow._project_boundary(st.ctx, u, chord=chord)
         assert chord.lu is not None
         v = u.copy()
         v[-2] += 1e-3 * np.sin(2 * np.pi * 3 * st.grid.s)
         # min beta . nu at the image this ring projects to
         probe = v.copy()
-        flow._project_boundary(st.ctx, probe, tmap_seed=st.tmap)
+        flow._project_boundary(st.ctx, probe)
         beta = flow.build_state(st.ctx, probe, 0.0).ring_beta()
         obl = float(np.min(np.sum(beta * st.grid.boundary_normals, axis=-1)))
         assert obl < 1.0 - 1e-4          # the tilt is far above roundoff
@@ -135,7 +142,7 @@ class TestBoundaryProjection:
         # check at the accepted image can see the floor
         monkeypatch.setattr(flow, "OBLIQUENESS_FLOOR", obl + 1e-6)
         with pytest.raises(ObliquenessLost):
-            flow._project_boundary(st.ctx, v, tmap_seed=st.tmap, chord=chord)
+            flow._project_boundary(st.ctx, v, chord=chord)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -144,25 +151,24 @@ class TestBoundaryProjection:
         u = st.u.copy()
         u[-1, 5] = bad
         with pytest.raises(NewtonStall, match="non-finite"):
-            flow._project_boundary(st.ctx, u, tmap_seed=st.tmap)
+            flow._project_boundary(st.ctx, u)
 
     def test_projection_without_chord_is_order_independent(
             self, disk_pair_spec, grid32, stationary_state):
         fresh = flow.initialize(disk_pair_spec, grid32,
                                 flow.initial_linear_scaling(disk_pair_spec, grid32))
         u_fresh = _tilted(fresh, 1e-2)
-        iters_fresh = flow._project_boundary(fresh.ctx, u_fresh, tmap_seed=fresh.tmap)
+        iters_fresh = flow._project_boundary(fresh.ctx, u_fresh)
         # other projections on the shared context first, with and without a
         # chord, and a step
         st = stationary_state
         chord = flow.Chord()
         for eps in (3e-2, 1e-2):
-            flow._project_boundary(st.ctx, _tilted(st, eps), tmap_seed=st.tmap,
-                                   chord=chord)
-        flow.enforce_boundary(flow.build_state(st.ctx, _tilted(st, 2e-2), 0.0))
+            flow._project_boundary(st.ctx, _tilted(st, eps), chord=chord)
+        _enforce(flow.build_state(st.ctx, _tilted(st, 2e-2), 0.0))
         flow.step(st, flow.policy_dt(st))
         u = _tilted(st, 1e-2)
-        iters = flow._project_boundary(st.ctx, u, tmap_seed=st.tmap)
+        iters = flow._project_boundary(st.ctx, u)
         assert iters == iters_fresh >= 1
         assert u.tobytes() == u_fresh.tobytes()
 
@@ -285,8 +291,8 @@ class TestSpectralStageCount:
             u = st.u.copy()
             u[:-1] = v
             u = g.apply_pole_projection(u)
-            flow._project_boundary(st.ctx, u, tmap_seed=st.tmap, chord=chord)
-            return flow.build_state(st.ctx, u, st.t, tmap_seed=st.tmap).rate[:-1]
+            flow._project_boundary(st.ctx, u, chord=chord)
+            return flow.build_state(st.ctx, u, st.t).rate[:-1]
 
         v0 = st.u[:-1]
         jac = np.empty((v0.size, v0.size))

@@ -9,7 +9,7 @@ import pytest
 from otflow import _numerics as nm
 from otflow import diagnostics, flow, grid, linearized, runner, serialize
 from otflow.config import load_scenario
-from otflow.errors import NonPositiveTheta
+from otflow.errors import DegenerateDenominator, NonPositiveTheta
 
 
 @pytest.fixture(scope="module")
@@ -229,12 +229,23 @@ class TestGapSeriesSplit:
 
     @pytest.mark.parametrize("run", RUNS)
     def test_summary_reads_the_same_with_either_series(self, run, request,
-                                                       tmp_path):
+                                                       tmp_path, monkeypatch):
         traj = request.getfixturevalue(run)
         cfg = load_scenario(self.SCENARIOS[run])
-        with_full = runner.build_summary(
-            traj, cfg, series=linearized.theta_special(traj, k=1))
+        # build_summary's own decay fit, read off its call of run_summary
+        seen = []
+        run_summary = diagnostics.run_summary
+        monkeypatch.setattr(diagnostics, "run_summary",
+                            lambda t, **kw: seen.append(kw) or run_summary(t, **kw))
         alone = runner.build_summary(traj, cfg)
+        monkeypatch.undo()
+        try:
+            harnack = diagnostics.harnack_ratio_series(
+                linearized.theta_special(traj, k=1))
+        except DegenerateDenominator:
+            harnack = None
+        with_full = diagnostics.run_summary(traj, rate_fit=seen[0]["rate_fit"],
+                                            harnack=harnack)
         # the sqrt run's ratios hit the floor, so its C_harnack is null
         assert (with_full["C_harnack"] is None) == (run == "sqrt_run_16")
         assert with_full == alone
@@ -242,6 +253,20 @@ class TestGapSeriesSplit:
         serialize.write_json(tmp_path / "alone.json", alone)
         assert (tmp_path / "full.json").read_bytes() == \
             (tmp_path / "alone.json").read_bytes()
+
+    @pytest.mark.parametrize("scenario, builds", [
+        ("disk_cosine_perturbed", 1),       # the Harnack audit is on
+        ("offset_disks_sqrt", 0),           # the Harnack audit is off
+    ])
+    def test_run_builds_the_full_series_only_for_the_harnack_audit(
+            self, scenario, builds, tmp_path, monkeypatch):
+        calls = []
+        theta_special = linearized.theta_special
+        monkeypatch.setattr(linearized, "theta_special",
+                            lambda *a, **kw: calls.append(1) or theta_special(*a, **kw))
+        cfg = load_scenario(scenario).with_overrides(grid=(16, 32))
+        assert runner.run_scenario(cfg, output_root=str(tmp_path)).status == 0
+        assert len(calls) == builds
 
     def test_same_exception_as_the_full_series(self, ref_run_32):
         traj = ref_run_32
