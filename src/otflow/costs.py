@@ -155,14 +155,19 @@ class CostModel:
                               - self.invert_Y(x - e, p)) / (2 * h)
         return -nm.matmul2(nm.inv2(dpY), dxY)
 
+    def cross_det(self, x, y):
+        """|det D^2_{x,y} c(x, y)|; raises DegenerateCross where it falls
+        below CROSS_DET_FLOOR."""
+        det = np.abs(nm.det2(self.cross_hessian(x, y)))
+        if np.min(det) < CROSS_DET_FLOOR:
+            raise DegenerateCross(
+                f"|det cross Hessian| = {np.min(det):.3e} below {CROSS_DET_FLOOR:g}")
+        return det
+
     def scalar_B(self, rho, rho_star, x, p):
         """|det D^2_{x,y} c(x, Y)| * rho(x) / rho*(Y) > 0."""
         y = self.invert_Y(x, p)
-        det = nm.det2(self.cross_hessian(x, y))
-        if np.min(np.abs(det)) < CROSS_DET_FLOOR:
-            raise DegenerateCross(
-                f"|det cross Hessian| below {CROSS_DET_FLOOR:g} in scalar_B")
-        return np.abs(det) * rho(x) / rho_star(y)
+        return self.cross_det(x, y) * rho(x) / rho_star(y)
 
     def boundary_G(self, target, x, p):
         """G(x, p) = h*(Y(x, p)); negative iff Y(x, p) is interior to the target."""

@@ -24,9 +24,27 @@ class AlignmentReport:
 
 def wbeta_alignment(state):
     """Alignment of W beta with the outward normal on the boundary ring."""
-    wbeta = nm.matvec2(state.W[-1], state.ring_beta())
+    return _alignment(state.W[-1], state.ring_beta(), state.grid.boundary_normals)
+
+
+def snapshot_alignment(trajectory, i):
+    """``wbeta_alignment`` of snapshot i's state, bit for bit, from the
+    calculus kernel and the ring's twist inverse alone: W on the ring as
+    ``flow.build_state`` forms it, beta as ``FlowState.ring_beta``."""
+    grid = trajectory.grid
+    spec = trajectory.spec
+    cost = spec.cost
+    grad, hess = grid.scalar_calculus(trajectory.snapshots[i].u)
+    x, p = grid.nodes[-1], grad[-1]
+    y = cost.invert_Y(x, p)
+    w_ring = hess[-1] if cost.hess_xx_vanishes else hess[-1] - cost.hess_xx(x, y)
+    beta = cost.oblique_beta(spec.target, x, p, y=y)
+    return _alignment(w_ring, beta, grid.boundary_normals)
+
+
+def _alignment(w_ring, beta, nu):
+    wbeta = nm.matvec2(w_ring, beta)
     chi = nm.norm2(wbeta)
-    nu = state.grid.boundary_normals
     sin = np.abs(nm.cross2(wbeta, nu)) / chi
     return AlignmentReport(max_sin=float(np.max(sin)), min_chi=float(np.min(chi)))
 
@@ -277,7 +295,7 @@ def run_summary(trajectory, rate_fit=None, harnack=None):
     per_snap_alignment = []
     step = max(1, len(trajectory.snapshots) // 12)
     for i in range(0, len(trajectory.snapshots), step):
-        per_snap_alignment.append(wbeta_alignment(trajectory.state_at(i)).max_sin)
+        per_snap_alignment.append(snapshot_alignment(trajectory, i).max_sin)
     return {
         "sigma": None if rate_fit is None else rate_fit.sigma,
         "R2": None if rate_fit is None else rate_fit.r2,

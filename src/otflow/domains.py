@@ -406,12 +406,17 @@ class ProblemSpec:
         """Quadrature masses of both densities on VALIDATION_GRID grids:
         ``grid.integrate`` on a CurvilinearGrid of each domain, bit for bit,
         from the quadrature's nodes and weights alone."""
-        from .grid import quadrature
-        out = []
-        for domain, density in ((self.source, self.rho), (self.target, self.rho_star)):
-            nodes, weights = quadrature(domain, *VALIDATION_GRID)
-            out.append(float(np.sum(weights * density(nodes))))
-        return tuple(out)
+        return _quadrature_mass(self.source, self.rho), self.target_mass()
+
+    def target_mass(self):
+        """The target half of ``masses()``, without integrating the source."""
+        return _quadrature_mass(self.target, self.rho_star)
+
+
+def _quadrature_mass(domain, density):
+    from .grid import quadrature
+    nodes, weights = quadrature(domain, *VALIDATION_GRID)
+    return float(np.sum(weights * density(nodes)))
 
 
 @dataclass

@@ -88,7 +88,7 @@ class FlowContext:
         self.grid = grid
         self.rho_nodes = spec.rho(grid.nodes)
         self.log_rho = np.log(self.rho_nodes)
-        self.target_mass = spec.masses()[1]
+        self.target_mass = spec.target_mass()
         self.dmat = grid.spectral_matrix()
         self.ring_x = grid.nodes[-1]
         self.ring_jinv = grid.jinv[-1]
@@ -229,7 +229,9 @@ def time_index(times, t):
 
 
 def build_state(ctx, u_values, t):
-    """Assemble the cached fields of a state from raw potential values."""
+    """Assemble the cached fields of a state from raw potential values.
+    Raises DegenerateCross where the cross Hessian at the twist inverse has
+    |det| below costs.CROSS_DET_FLOOR (a cost without ``cross_identity``)."""
     grid = ctx.grid
     spec = ctx.spec
     cost = spec.cost
@@ -246,8 +248,7 @@ def build_state(ctx, u_values, t):
     if np.all(W[..., 0, 0] > 0.0) and np.all(det_w > 0.0):
         log_b = ctx.log_rho - np.log(spec.rho_star(tmap))
         if not cost.cross_identity:
-            C = cost.cross_hessian(grid.nodes, tmap)
-            log_b = log_b + np.log(np.abs(nm.det2(C)))
+            log_b = log_b + np.log(cost.cross_det(grid.nodes, tmap))
         rate = np.log(det_w) - log_b
     return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap, W=W,
                      det_W=det_w, rate=rate)

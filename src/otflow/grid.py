@@ -11,8 +11,13 @@ Calculus: the angular direction is periodic and differentiated spectrally
 (exact for the trigonometric-polynomial fields the library domains produce);
 the radial direction uses second-order finite differences, centered in the
 interior and one-sided at the boundary ring and (when the domain is not
-centrally symmetric) at the innermost ring. Quadrature is the mapped midpoint
-product rule, second-order accurate.
+centrally symmetric) at the innermost ring. Both are dense tables the grid
+builds once: the angular table holds d/ds and d^2/ds^2 of the periodic
+cardinal functions, the radial table every ring's d/dr and d^2/dr^2 stencil
+over the rings and two antipodal ghost rows, so a field's logical
+derivatives are two small matrix products. The field is shifted by its
+value at one node first, so a constant maps to exactly 0. Quadrature is the
+mapped midpoint product rule, second-order accurate.
 
 Pole treatment: a smooth function has angular mode k decaying like r^k toward
 the center, but an explicit stage can only afford modes with k / r bounded by
@@ -132,33 +137,8 @@ class CurvilinearGrid(_RadialMap):
         self.center_symmetric = bool(
             np.max(np.abs(self._v + self._v[self._antipode])) < 1e-12)
 
-        # spectral machinery for the periodic direction
-        self._kvec = 2 * np.pi * np.fft.rfftfreq(n_s, d=self.ds)
-        d1 = 1j * self._kvec
-        if n_s % 2 == 0:
-            d1 = d1.copy()
-            d1[-1] = 0.0          # odd derivative of the unpaired Nyquist mode
-        self._d1 = d1
-        self._d2 = -self._kvec ** 2
-
         self.boundary_normals = domain.outward_normal(self.s)
-
-        # Radial truncation error in the first derivative is amplified by the
-        # 1/r metric factors near the center; a wider centered stencil on the
-        # inner rings (reachable through the antipodal ghosts) keeps the
-        # physical Hessian second-order accurate up to the pole. The rings
-        # below ``_n_wide`` take it. ``_wide_rows`` lists, as flat indices
-        # into a ring-major node array, the rows their stencils read: the
-        # antipodal ghosts of rings 1 and 0, then rings 0 .. _n_wide + 1.
-        if self.center_symmetric:
-            last = min(n_r - 3, int(np.searchsorted(self.r, 0.3)))
-            rows = [(1, self._antipode), (0, self._antipode)]
-            rows += [(i, np.arange(n_s)) for i in range(last + 2)]
-            self._n_wide = last
-            self._wide_rows = np.array([i * n_s + cols for i, cols in rows])
-        else:
-            self._n_wide = 0
-
+        self._build_calculus_tables()
         self._build_pole_plan()
 
     # -- metric tables ----------------------------------------------------
@@ -186,6 +166,64 @@ class CurvilinearGrid(_RadialMap):
         self._hess_map = np.array([[a * a, 2 * a * b, b * b],
                                    [a * c, a * d + b * c, b * d],
                                    [c * c, 2 * c * d, d * d]])
+
+    # -- derivative tables ------------------------------------------------
+
+    def _build_calculus_tables(self):
+        """The two derivative tables of the calculus kernel.
+
+        ``_ang`` (n_s, 2 n_s): row j holds d/ds, then d^2/ds^2, of the j-th
+        periodic cardinal function at every node, so ``f @ _ang`` is
+        (f_s | f_ss); the odd derivative of the unpaired Nyquist mode is
+        dropped. ``_rad`` (2 n_r, n_r + 2): row i is ring i's d/dr stencil
+        and row n_r + i its d^2/dr^2 stencil, over the antipodal ghosts of
+        rings 1 and 0 (columns 0 and 1, zero unless the domain is centrally
+        symmetric) and the rings (column j + 2 is ring j). ``_ghost_take``
+        holds the flat indices, into the stacked (n_r + 2, 2 n_s) buffer of
+        ``_logical_derivatives``, that the ghost rows read.
+
+        Radial truncation error in the first derivative is amplified by the
+        1/r metric factors near the center; a wider centered d/dr stencil on
+        the rings below ``n_wide`` (reachable through the ghosts) keeps the
+        physical Hessian second-order accurate up to the pole.
+        """
+        n_r, n_s, dr = self.n_r, self.n_s, self.dr
+        n_wide = 0
+        if self.center_symmetric:
+            n_wide = min(n_r - 3, int(np.searchsorted(self.r, 0.3)))
+        k = 2 * np.pi * np.fft.rfftfreq(n_s, d=self.ds)
+        d1 = 1j * k
+        d1[-1] = 0.0              # n_s is even: the unpaired Nyquist mode
+        fhat = np.fft.rfft(np.eye(n_s), axis=1)
+        ang = np.empty((n_s, 2 * n_s))
+        ang[:, :n_s] = np.fft.irfft(fhat * d1, n=n_s, axis=1)
+        ang[:, n_s:] = np.fft.irfft(fhat * -k ** 2, n=n_s, axis=1)
+        self._ang = ang
+
+        rad = np.zeros((2 * n_r, n_r + 2))
+
+        def put(row, col, weights, denom):
+            rad[row, col:col + len(weights)] = [w / denom for w in weights]
+
+        for i in range(n_r):
+            c = i + 2
+            if i < n_wide:
+                put(i, c - 2, (1, -8, 0, 8, -1), 12 * dr)
+            elif i == 0:
+                put(i, c, (-3, 4, -1), 2 * dr)
+            elif i == n_r - 1:
+                put(i, c - 2, (1, -4, 3), 2 * dr)
+            else:
+                put(i, c - 1, (-1, 0, 1), 2 * dr)
+            if i == 0 and not self.center_symmetric:
+                put(n_r + i, c, (2, -5, 4, -1), dr ** 2)
+            elif i == n_r - 1:
+                put(n_r + i, c - 3, (-1, 4, -5, 2), dr ** 2)
+            else:
+                put(n_r + i, c - 1, (1, -2, 1), dr ** 2)
+        self._rad = rad
+        cols = np.concatenate([self._antipode, n_s + self._antipode])
+        self._ghost_take = np.array([3 * 2 * n_s + cols, 2 * 2 * n_s + cols])
 
     # -- pole projection plan ---------------------------------------------
 
@@ -296,44 +334,30 @@ class CurvilinearGrid(_RadialMap):
             raise ValueError("field belongs to a different grid")
         return f
 
-    # -- logical derivatives -------------------------------------------------
+    # -- the calculus kernel ----------------------------------------------------
 
-    def d_r(self, arr):
-        """Radial derivative of node values along axis -2 (the rings); any
-        leading axes are a batch."""
-        out = np.empty_like(arr)
-        dr = self.dr
-        first = self._n_wide
-        if first:
-            # centrally symmetric: n_r >= 4 and r_0 < 0.3 give first >= 1, so
-            # the wide stencil covers the innermost ring
-            flat = arr.reshape(arr.shape[:-2] + (-1,))
-            ext = flat.take(self._wide_rows, axis=-1)
-            out[..., :first, :] = (-ext[..., 4:, :] + 8 * ext[..., 3:-1, :]
-                                   - 8 * ext[..., 1:-3, :]
-                                   + ext[..., :-4, :]) / (12 * dr)
-        else:
-            out[..., 0, :] = (-3 * arr[..., 0, :] + 4 * arr[..., 1, :]
-                              - arr[..., 2, :]) / (2 * dr)
-            first = 1
-        out[..., first:-1, :] = (arr[..., first + 1:, :]
-                                 - arr[..., first - 1:-2, :]) / (2 * dr)
-        out[..., -1, :] = (3 * arr[..., -1, :] - 4 * arr[..., -2, :]
-                           + arr[..., -3, :]) / (2 * dr)
-        return out
+    def _logical_derivatives(self, arr):
+        """(f_r, f_s, f_rs, f_ss, f_rr) of a scalar node array, each of
+        shape (n_r, n_s), from two matrix products over the derivative
+        tables.
 
-    def d_rr(self, arr):
-        out = np.empty_like(arr)
-        dr2 = self.dr ** 2
-        out[1:-1] = (arr[2:] - 2 * arr[1:-1] + arr[:-2]) / dr2
-        if self.center_symmetric:
-            out[0] = (arr[1] - 2 * arr[0] + arr[0, self._antipode]) / dr2
-        else:
-            out[0] = (2 * arr[0] - 5 * arr[1] + 4 * arr[2] - arr[3]) / dr2
-        out[-1] = (2 * arr[-1] - 5 * arr[-2] + 4 * arr[-3] - arr[-4]) / dr2
-        return out
-
-    # -- physical derivatives -------------------------------------------------
+        The field is shifted by its single value ``arr[0, 0]`` first, which
+        no derivative sees, so a constant maps to exactly 0. The angular
+        product gives (f_s | f_ss); the radial product then acts on
+        [f | f_s] under its ghost rows and gives (f_r | f_rs) and f_rr at
+        once (the radial stencils are row-local, so they commute with the
+        angular derivative).
+        """
+        n_r, n_s = self.n_r, self.n_s
+        x = np.empty((n_r + 2, 2 * n_s))
+        f = x[2:, :n_s]
+        np.subtract(arr, arr[0, 0], out=f)
+        ang = f @ self._ang
+        x[2:, n_s:] = ang[:, :n_s]
+        x[:2] = x.take(self._ghost_take)
+        rad = self._rad @ x
+        return (rad[:n_r, :n_s], ang[:, :n_s], rad[:n_r, n_s:], ang[:, n_s:],
+                rad[n_r:, :n_s])
 
     def _physical_gradient(self, fr, fs):
         """The physical gradient's components, shape (2, n_r, n_s), from the
@@ -343,36 +367,28 @@ class CurvilinearGrid(_RadialMap):
     def grad_values(self, arr):
         """Physical gradient of a scalar node array, shape (n_r, n_s, 2).
 
-        The gradient-only path: bitwise equal to ``scalar_calculus(arr)[0]``
-        at about a third of its cost.
+        The gradient-only path: the kernel's two products without the
+        Hessian's chain rule, so bitwise equal to ``scalar_calculus(arr)[0]``.
         """
-        fs = np.fft.irfft(np.fft.rfft(arr, axis=1) * self._d1, n=self.n_s, axis=1)
-        gx = self._physical_gradient(self.d_r(arr), fs)
+        fr, fs = self._logical_derivatives(arr)[:2]
+        gx = self._physical_gradient(fr, fs)
         return np.stack((gx[0], gx[1]), axis=-1)
 
     def scalar_calculus(self, arr):
         """Physical gradient and Hessian of a scalar node array, shapes
-        (n_r, n_s, 2) and (n_r, n_s, 2, 2).
+        (n_r, n_s, 2) and (n_r, n_s, 2, 2); both exactly 0 on a constant.
 
-        The grid's calculus kernel and the flow stepper's hot path: one
-        forward FFT of the field feeds both angular derivatives, and the
-        chain rule's coefficients come from the metric tables.
+        The grid's calculus kernel and the flow stepper's hot path: the
+        logical derivatives are two small matrix products over the tables
+        the grid builds once (``_logical_derivatives``), and the chain
+        rule's coefficients come from the metric tables.
         """
-        fhat = np.fft.rfft(arr, axis=1)
-        # (f, f_s, f_ss) in one buffer, so that one radial pass over its
-        # first two rows gives f_r and f_rs: the radial stencils are
-        # row-local, so they commute with the spectral tangential derivative
-        f = np.empty((3,) + arr.shape)
-        f[0] = arr
-        np.fft.irfft(fhat * self._d1, n=self.n_s, axis=1, out=f[1])
-        np.fft.irfft(fhat * self._d2, n=self.n_s, axis=1, out=f[2])
-        fr, frs = self.d_r(f[:2])
-        frr = self.d_rr(arr)
-        gx = self._physical_gradient(fr, f[1])
+        fr, fs, frs, fss, frr = self._logical_derivatives(arr)
+        gx = self._physical_gradient(fr, fs)
         # remove the mapping curvature from the logical Hessian
         x_rs, x_ss = self._x_rs, self._x_ss
         h_rs = frs - (x_rs[0] * gx[0] + x_rs[1] * gx[1])
-        h_ss = f[2] - (x_ss[0] * gx[0] + x_ss[1] * gx[1])
+        h_ss = fss - (x_ss[0] * gx[0] + x_ss[1] * gx[1])
         m = self._hess_map
         h = m[:, 0] * frr + m[:, 1] * h_rs + m[:, 2] * h_ss
         hess = np.empty(arr.shape + (2, 2))
@@ -401,19 +417,16 @@ class CurvilinearGrid(_RadialMap):
 
     def d_s_ring(self, row_values):
         """Spectral d/ds of values on a single ring (any trailing axes)."""
-        fhat = np.fft.rfft(row_values, axis=0)
-        shape = (fhat.shape[0],) + (1,) * (row_values.ndim - 1)
-        return np.fft.irfft(fhat * self._d1.reshape(shape), n=self.n_s, axis=0)
+        return np.tensordot(self._ang[:, :self.n_s], row_values, axes=(0, 0))
 
     def spectral_matrix(self):
-        """Dense matrix of d/ds acting on one ring (used by boundary Newton).
+        """Dense matrix of d/ds acting on one ring (used by boundary Newton):
+        the transposed d/ds block of the angular table.
 
         Column j holds the derivative of the j-th cardinal function, so the
-        matrix applies to ring values from the right: (D @ b)[m] = (db/ds)(s_m).
+        matrix applies to ring values from the left: (D @ b)[m] = (db/ds)(s_m).
         """
-        eye = np.eye(self.n_s)
-        cols = np.fft.irfft(np.fft.rfft(eye, axis=1) * self._d1, n=self.n_s, axis=1)
-        return cols.T.copy()
+        return self._ang[:, :self.n_s].T.copy()
 
     def ring_line_intersection(self, i_ring, x0, direction, s_seed):
         """Parameter s where the ring r_i meets the line x0 - t * direction.

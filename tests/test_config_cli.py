@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from otflow import config, flow, runner, serialize
+from otflow import config, costs, flow, runner, serialize
 from otflow.cli import main as cli_main
 from otflow.config import (ConfigError, ScenarioConfig,
                            bundled_scenario_names, load_scenario)
@@ -363,6 +363,31 @@ class TestCLI:
         assert witness["x"] == grid.nodes[i, j].tolist()
         assert witness["min_eig_W"] < 0
         assert np.linalg.norm(witness["x"]) > 0.5   # in the concave zone
+
+    def test_singular_cross_hessian_exits_1_with_degenerate_cross(
+            self, tmp_path, monkeypatch):
+        cfg = load_scenario("offset_disks_sqrt").with_overrides(grid=(16, 32))
+        _, grid = cfg.build_problem()
+        node = grid.nodes[5, 3]
+        make = costs._REGISTRY[cfg.cost["name"]]
+
+        def singular_at_node():
+            cost = make()
+            cross = cost._cross
+
+            def cross_fn(x, y):
+                hit = np.all(x == node, axis=-1)[..., None, None]
+                return np.where(hit, 0.0, cross(x, y))
+
+            cost._cross = cross_fn
+            return cost
+
+        monkeypatch.setitem(costs._REGISTRY, cfg.cost["name"], singular_at_node)
+        result = runner.run_scenario(cfg, output_root=str(tmp_path))
+        assert result.status == 1
+        report = json.load(open(os.path.join(result.outdir, "error.json")))
+        assert report["error"] == "DegenerateCross"
+        assert result.error == report
 
     def test_post_run_failure_exit_1_with_error_json(self, tmp_path, capsys,
                                                      monkeypatch):

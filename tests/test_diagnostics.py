@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otflow import diagnostics, flow, linearized
+from otflow import diagnostics, flow, linearized, serialize
 from otflow.errors import DegenerateDenominator, NoDecayWindow
 
 
@@ -31,6 +31,37 @@ class TestAlignment:
 
         rep = diagnostics.wbeta_alignment(Corrupted())
         assert rep.max_sin > 0.3
+
+    @pytest.mark.parametrize("run", ["ref_run_32", "sqrt_run_16"])
+    def test_snapshot_alignment_is_the_full_state_one(self, run, request):
+        traj = request.getfixturevalue(run)
+        for i in range(len(traj.snapshots)):
+            assert (diagnostics.snapshot_alignment(traj, i)
+                    == diagnostics.wbeta_alignment(traj.state_at(i)))
+
+    @pytest.mark.parametrize("run", ["ref_run_32", "sqrt_run_16"])
+    def test_summary_builds_one_state_and_keeps_its_bytes(self, run, request,
+                                                          monkeypatch, tmp_path):
+        traj = request.getfixturevalue(run)
+        built = []
+        build_state = flow.build_state
+
+        def counting(*args):
+            built.append(args[2])
+            return build_state(*args)
+
+        monkeypatch.setattr(flow, "build_state", counting)
+        fast = diagnostics.run_summary(traj)
+        # only measured_norm_bound's final state
+        assert built == [traj.snapshots[-1].t]
+        monkeypatch.setattr(diagnostics, "snapshot_alignment",
+                            lambda t, i: diagnostics.wbeta_alignment(t.state_at(i)))
+        full = diagnostics.run_summary(traj)
+        assert len(built) > 2
+        serialize.write_json(tmp_path / "fast.json", fast)
+        serialize.write_json(tmp_path / "full.json", full)
+        assert ((tmp_path / "fast.json").read_bytes()
+                == (tmp_path / "full.json").read_bytes())
 
 
 class TestFitRate:

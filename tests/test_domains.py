@@ -381,6 +381,21 @@ class TestMassQuadrature:
         assert built == []
         assert ctx.target_mass == _two_grid_masses(perturbed_spec)[1]
 
+    def test_flow_context_integrates_only_the_target(self, perturbed_spec,
+                                                     monkeypatch):
+        g = grid.CurvilinearGrid(perturbed_spec.source, 16, 32)
+        calls = []
+        quadrature = grid.quadrature
+
+        def counting(domain, *args):
+            calls.append(domain)
+            return quadrature(domain, *args)
+
+        monkeypatch.setattr(grid, "quadrature", counting)
+        ctx = flow.FlowContext(perturbed_spec, g)
+        assert calls == [perturbed_spec.target]
+        assert ctx.target_mass == perturbed_spec.masses()[1]
+
     def test_loading_a_trajectory_builds_only_its_grid(self, sqrt_run_16,
                                                        tmp_path, monkeypatch):
         cfg = load_scenario("offset_disks_sqrt").with_overrides(grid=(16, 32))

@@ -70,11 +70,97 @@ def test_gradient_paths_agree_bitwise(dom, rng):
     assert np.array_equal(g.grad_values(a), g.scalar_calculus(a)[0])
 
 
+def _chain_rule(g, arr, fr, fs, frs, fss, frr):
+    """The componentwise chain rule from the logical derivatives, through
+    strided ``jinv`` views, in any float dtype."""
+    dt = fr.dtype
+    ji = g.jinv.astype(dt)
+    a, b = ji[..., 0, 0], ji[..., 1, 0]
+    c, d = ji[..., 0, 1], ji[..., 1, 1]
+    gx = np.empty(arr.shape + (2,), dt)
+    gx[..., 0] = a * fr + b * fs
+    gx[..., 1] = c * fr + d * fs
+    x_rs = g._vp.astype(dt)
+    x_ss = g.r.astype(dt)[:, None, None] * g._vpp.astype(dt)
+    h_rs = frs - (x_rs[None, :, 0] * gx[..., 0] + x_rs[None, :, 1] * gx[..., 1])
+    h_ss = fss - (x_ss[..., 0] * gx[..., 0] + x_ss[..., 1] * gx[..., 1])
+    hess = np.empty(arr.shape + (2, 2), dt)
+    hess[..., 0, 0] = a * a * frr + 2 * a * b * h_rs + b * b * h_ss
+    hess[..., 0, 1] = a * c * frr + (a * d + b * c) * h_rs + b * d * h_ss
+    hess[..., 1, 0] = hess[..., 0, 1]
+    hess[..., 1, 1] = c * c * frr + 2 * c * d * h_rs + d * d * h_ss
+    return gx, hess
+
+
+def _wide_rings(g):
+    """The rings that take the wide centered d/dr stencil."""
+    if not g.center_symmetric:
+        return 0
+    return min(g.n_r - 3, int(np.searchsorted(g.r, 0.3)))
+
+
 def _reference_scalar_calculus(g, arr):
-    """The componentwise calculus the kernel's tables must reproduce bit for
-    bit: np.roll ghost rows across the center and strided ``jinv`` views."""
+    """The kernel the grid's tables must reproduce bit for bit, written out:
+    the cardinal-derivative matrices from the transforms of the identity,
+    the radial stencils as explicit coefficients of a dense matrix over the
+    rings under their np.roll ghost rows, the shift by arr[0, 0], the two
+    products, and the componentwise chain rule."""
+    n_r, n_s, dr = g.n_r, g.n_s, g.dr
+    k = 2 * np.pi * np.fft.rfftfreq(n_s, d=g.ds)
+    ik = 1j * k
+    ik[-1] = 0.0
+    eye_hat = np.fft.rfft(np.eye(n_s), axis=1)
+    card = np.concatenate([np.fft.irfft(eye_hat * ik, n=n_s, axis=1),
+                           np.fft.irfft(eye_hat * -k ** 2, n=n_s, axis=1)],
+                          axis=1)
+
+    # columns: ghost of ring 1, ghost of ring 0, then ring j at j + 2;
+    # rows: d/dr of ring i at i, d^2/dr^2 of ring i at n_r + i
+    rad = np.zeros((2 * n_r, n_r + 2))
+    for i in range(n_r):
+        c = i + 2
+        if i < _wide_rings(g):
+            rad[i, c - 2] = 1 / (12 * dr)
+            rad[i, c - 1] = -8 / (12 * dr)
+            rad[i, c + 1] = 8 / (12 * dr)
+            rad[i, c + 2] = -1 / (12 * dr)
+        elif i == 0:
+            rad[i, c] = -3 / (2 * dr)
+            rad[i, c + 1] = 4 / (2 * dr)
+            rad[i, c + 2] = -1 / (2 * dr)
+        elif i == n_r - 1:
+            rad[i, c - 2] = 1 / (2 * dr)
+            rad[i, c - 1] = -4 / (2 * dr)
+            rad[i, c] = 3 / (2 * dr)
+        else:
+            rad[i, c - 1] = -1 / (2 * dr)
+            rad[i, c + 1] = 1 / (2 * dr)
+        if i == 0 and not g.center_symmetric:
+            rad[n_r, c:c + 4] = [2 / dr ** 2, -5 / dr ** 2, 4 / dr ** 2, -1 / dr ** 2]
+        elif i == n_r - 1:
+            rad[n_r + i, c - 3:c + 1] = [-1 / dr ** 2, 4 / dr ** 2, -5 / dr ** 2,
+                                         2 / dr ** 2]
+        else:
+            rad[n_r + i, c - 1:c + 2] = [1 / dr ** 2, -2 / dr ** 2, 1 / dr ** 2]
+
+    f = arr - arr[0, 0]
+    ang = f @ card
+    fs, fss = ang[:, :n_s], ang[:, n_s:]
+    body = np.concatenate([f, fs], axis=1)
+    ghosts = np.concatenate([np.roll(f[[1, 0]], -(n_s // 2), axis=1),
+                             np.roll(fs[[1, 0]], -(n_s // 2), axis=1)], axis=1)
+    out = rad @ np.concatenate([ghosts, body])
+    fr, frs, frr = out[:n_r, :n_s], out[:n_r, n_s:], out[n_r:, :n_s]
+    return _chain_rule(g, arr, fr, fs, frs, fss, frr)
+
+
+def _fft_reference_scalar_calculus(g, arr, dtype=float):
+    """The FFT-and-stencil formulas the table kernel replaced, evaluated in
+    ``dtype``: spectral angular derivatives, radial stencils with np.roll
+    ghost rows across the center, and the componentwise chain rule."""
+    arr = np.asarray(arr, dtype)
     half = g.n_s // 2
-    dr = g.dr
+    dr = dtype(2) / dtype(2 * g.n_r - 1)
 
     def ghost(a, row):
         return np.roll(a[row], -half, axis=0)
@@ -84,9 +170,8 @@ def _reference_scalar_calculus(g, arr):
         out[1:-1] = (a[2:] - a[:-2]) / (2 * dr)
         if g.center_symmetric:
             out[0] = (a[1] - ghost(a, 0)) / (2 * dr)
-            last = min(g.n_r - 3, int(np.searchsorted(g.r, 0.3)))
             ext = np.concatenate([ghost(a, 1)[None], ghost(a, 0)[None], a], axis=0)
-            i = np.arange(last)
+            i = np.arange(_wide_rings(g))
             out[i] = (-ext[i + 4] + 8 * ext[i + 3]
                       - 8 * ext[i + 1] + ext[i]) / (12 * dr)
         else:
@@ -104,25 +189,13 @@ def _reference_scalar_calculus(g, arr):
         out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / dr ** 2
         return out
 
-    ji = g.jinv
-    a, b = ji[..., 0, 0], ji[..., 1, 0]
-    c, d = ji[..., 0, 1], ji[..., 1, 1]
+    k = 2 * np.arccos(dtype(-1)) * np.arange(half + 1).astype(dtype)
+    ik = 1j * k
+    ik[-1] = 0.0
     fhat = np.fft.rfft(arr, axis=1)
-    fs = np.fft.irfft(fhat * g._d1, n=g.n_s, axis=1)
-    fss = np.fft.irfft(fhat * g._d2, n=g.n_s, axis=1)
-    fr, frr, frs = d_r(arr), d_rr(arr), d_r(fs)
-    gx = np.empty(arr.shape + (2,))
-    gx[..., 0] = a * fr + b * fs
-    gx[..., 1] = c * fr + d * fs
-    x_rs, x_ss = g._vp, g.r[:, None, None] * g._vpp
-    h_rs = frs - (x_rs[None, :, 0] * gx[..., 0] + x_rs[None, :, 1] * gx[..., 1])
-    h_ss = fss - (x_ss[..., 0] * gx[..., 0] + x_ss[..., 1] * gx[..., 1])
-    hess = np.empty(arr.shape + (2, 2))
-    hess[..., 0, 0] = a * a * frr + 2 * a * b * h_rs + b * b * h_ss
-    hess[..., 0, 1] = a * c * frr + (a * d + b * c) * h_rs + b * d * h_ss
-    hess[..., 1, 0] = hess[..., 0, 1]
-    hess[..., 1, 1] = c * c * frr + 2 * c * d * h_rs + d * d * h_ss
-    return gx, hess
+    fs = np.fft.irfft(fhat * ik, n=g.n_s, axis=1)
+    fss = np.fft.irfft(fhat * -k ** 2, n=g.n_s, axis=1)
+    return _chain_rule(g, arr, d_r(arr), fs, d_r(fs), fss, d_rr(arr))
 
 
 def _reference_pole_projection(g, values):
@@ -162,6 +235,44 @@ def test_kernels_match_the_componentwise_reference_bitwise(dom, symmetric, shape
         assert hess.flags.c_contiguous and grad.flags.c_contiguous
         assert np.array_equal(g.apply_pole_projection(f),
                               _reference_pole_projection(g, f))
+
+
+@pytest.mark.parametrize("dom", [DISK, domains.Ellipse(1.3, 0.8),
+                                 domains.CosineBlob(1.0, 0.2, 3)],
+                         ids=["disk", "ellipse", "blob"])
+@pytest.mark.parametrize("shape", [(4, 8), (24, 48), (32, 64)],
+                         ids=["4x8", "24x48", "32x64"])
+def test_kernel_matches_the_fft_formulas(dom, shape, rng):
+    g = CurvilinearGrid(dom, *shape)
+    noise = rng.normal(size=shape)
+    for new, old in zip(g.scalar_calculus(noise),
+                        _fft_reference_scalar_calculus(g, noise)):
+        assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        return
+    # On a smooth field the Hessian's 1/r^2 metric factors near the center
+    # amplify the roundoff of f_ss: at 32x64 the FFT formulas in double are
+    # 1.4e-10 of max |H| off their own long-double evaluation. The table
+    # kernel must be at least as close to it, up to a few ulps.
+    smooth = np.exp(g.nodes[..., 0] + 0.5 * g.nodes[..., 1])
+    exact = _fft_reference_scalar_calculus(g, smooth, np.longdouble)
+    double = _fft_reference_scalar_calculus(g, smooth)
+    for new, old, ref in zip(g.scalar_calculus(smooth), double, exact):
+        scale = float(np.abs(ref).max())
+        assert (float(np.abs(new - ref).max())
+                <= float(np.abs(old - ref).max()) + 1e-14 * scale)
+
+
+@pytest.mark.parametrize("dom", [DISK, domains.Ellipse(1.3, 0.8),
+                                 domains.CosineBlob(1.0, 0.2, 3)],
+                         ids=["disk", "ellipse", "blob"])
+def test_constants_map_to_exactly_zero(dom):
+    g = CurvilinearGrid(dom, 32, 64)
+    for c in (0.7, -3.1e3):
+        f = np.full((32, 64), c)
+        grad, hess = g.scalar_calculus(f)
+        assert not grad.any() and not hess.any()
+        assert not g.grad_values(f).any()
 
 
 def test_integration_values(g32):
