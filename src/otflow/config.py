@@ -184,7 +184,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario '{self.name}' declares no initial potential; "
                 "it supports audits only")
-        return INITIAL_POTENTIALS[self.initial["kind"]](spec, grid)
+        try:
+            return INITIAL_POTENTIALS[self.initial["kind"]](spec, grid)
+        except ValueError as exc:
+            raise ConfigError(f"invalid initial potential: {exc}") from exc
 
     def with_overrides(self, grid=None, seed=None, stop_tol=None):
         """A validated copy with the given fields replaced."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import DegenerateDenominator, NoDecayWindow
-from .flow import time_index
+from .flow import potential_fields, time_index
 
 
 @dataclass
@@ -28,18 +28,15 @@ def wbeta_alignment(state):
 
 
 def snapshot_alignment(trajectory, i):
-    """``wbeta_alignment`` of snapshot i's state, bit for bit, from the
-    calculus kernel and the ring's twist inverse alone: W on the ring as
-    ``flow.build_state`` forms it, beta as ``FlowState.ring_beta``."""
+    """``wbeta_alignment`` of snapshot i's state, bit for bit, without the
+    rest of a state: grad u, Y and W from ``flow.potential_fields``, as
+    ``flow.build_state`` takes them, and beta as ``FlowState.ring_beta``."""
     grid = trajectory.grid
     spec = trajectory.spec
-    cost = spec.cost
-    grad, hess = grid.scalar_calculus(trajectory.snapshots[i].u)
-    x, p = grid.nodes[-1], grad[-1]
-    y = cost.invert_Y(x, p)
-    w_ring = hess[-1] if cost.hess_xx_vanishes else hess[-1] - cost.hess_xx(x, y)
-    beta = cost.oblique_beta(spec.target, x, p, y=y)
-    return _alignment(w_ring, beta, grid.boundary_normals)
+    grad, tmap, W = potential_fields(grid, spec.cost, trajectory.snapshots[i].u)
+    beta = spec.cost.oblique_beta(spec.target, grid.nodes[-1], grad[-1],
+                                  y=tmap[-1])
+    return _alignment(W[-1], beta, grid.boundary_normals)
 
 
 def _alignment(w_ring, beta, nu):

@@ -7,9 +7,11 @@ every interior update so that G(x, grad u) = h*(Y(x, grad u)) vanishes on the
 boundary ring. The projection is a Newton iteration on the ring values whose
 Jacobian couples each node to itself through the one-sided radial stencil and
 to the whole ring through the spectral tangential derivative; obliqueness of
-the direction field beta = D_p G keeps the diagonal away from zero. beta
-comes only from ``CostModel.oblique_beta`` on the boundary ring: at the
-projection's ring image, and through ``FlowState.ring_beta`` for a state.
+the direction field beta = D_p G keeps the diagonal away from zero. Both
+operators are the grid's tables (``ring_dr``, ``ring_ds``), and W is formed
+only in ``potential_fields``. beta comes only from ``CostModel.oblique_beta``
+on the boundary ring: at the projection's ring image, and through
+``FlowState.ring_beta`` for a state.
 
 Stability: a step is one Runge-Kutta-Legendre super-step of second order
 (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014). Its s stages
@@ -79,8 +81,9 @@ OBLIQUENESS_FLOOR = 1e-8
 class FlowContext:
     """Immutable per-run data shared by every state of one flow.
 
-    It holds no solver state: the boundary Newton's chord LU lives in the
-    :class:`Chord` that ``run_to_convergence`` owns and hands to ``step``.
+    It holds no copy of grid data and no solver state: the boundary
+    Newton's chord LU lives in the :class:`Chord` that
+    ``run_to_convergence`` owns and hands to ``step``.
     """
 
     def __init__(self, spec, grid):
@@ -89,10 +92,6 @@ class FlowContext:
         self.rho_nodes = spec.rho(grid.nodes)
         self.log_rho = np.log(self.rho_nodes)
         self.target_mass = spec.target_mass()
-        self.dmat = grid.spectral_matrix()
-        self.ring_x = grid.nodes[-1]
-        self.ring_jinv = grid.jinv[-1]
-        self.ring_nu = grid.boundary_normals
 
 
 @dataclass
@@ -146,7 +145,7 @@ class FlowState:
         """Oblique direction beta = (D_p Y)^T grad h*(T) on the boundary
         ring, shape (n_s, 2)."""
         spec = self.spec
-        return spec.cost.oblique_beta(spec.target, self.ctx.ring_x,
+        return spec.cost.oblique_beta(spec.target, self.grid.nodes[-1],
                                       self.grad_u[-1], y=self.tmap[-1])
 
 
@@ -228,6 +227,16 @@ def time_index(times, t):
     return i
 
 
+def potential_fields(grid, cost, u):
+    """(grad u, Y(x, Du), W = D^2 u - D_xx c(x, Y)) of a potential's node
+    values: the one place W is formed."""
+    grad, hess = grid.scalar_calculus(u)
+    tmap = cost.invert_Y(grid.nodes, grad)
+    if cost.hess_xx_vanishes:
+        return grad, tmap, hess
+    return grad, tmap, hess - cost.hess_xx(grid.nodes, tmap)
+
+
 def build_state(ctx, u_values, t):
     """Assemble the cached fields of a state from raw potential values.
     Raises DegenerateCross where the cross Hessian at the twist inverse has
@@ -236,12 +245,7 @@ def build_state(ctx, u_values, t):
     spec = ctx.spec
     cost = spec.cost
     u = np.asarray(u_values, float)
-    grad, hess = grid.scalar_calculus(u)
-    tmap = cost.invert_Y(grid.nodes, grad)
-    if cost.hess_xx_vanishes:
-        W = hess
-    else:
-        W = hess - cost.hess_xx(grid.nodes, tmap)
+    grad, tmap, W = potential_fields(grid, cost, u)
     det_w = nm.det2(W)
     rate = None
     # a symmetric 2x2 W is positive definite iff W_00 > 0 and det W > 0
@@ -349,22 +353,12 @@ INITIAL_POTENTIALS = {
 
 # --- boundary projection -----------------------------------------------------
 
-def _ring_gradient(ctx, b, u_m1, u_m2):
-    grid = ctx.grid
-    u_r = (3.0 * b - 4.0 * u_m1 + u_m2) / (2.0 * grid.dr)
-    u_s = ctx.dmat @ b
-    ji = ctx.ring_jinv
-    grad = np.empty((grid.n_s, 2))
-    grad[:, 0] = ji[:, 0, 0] * u_r + ji[:, 1, 0] * u_s
-    grad[:, 1] = ji[:, 0, 1] * u_r + ji[:, 1, 1] * u_s
-    return grad
-
-
 def _oblique_beta(ctx, y):
     """beta at the ring image y; raises ObliquenessLost where beta . nu
     falls below OBLIQUENESS_FLOOR."""
-    beta = ctx.spec.cost.oblique_beta(ctx.spec.target, ctx.ring_x, None, y=y)
-    obl = float(np.min(np.sum(beta * ctx.ring_nu, axis=-1)))
+    spec, grid = ctx.spec, ctx.grid
+    beta = spec.cost.oblique_beta(spec.target, grid.nodes[-1], None, y=y)
+    obl = float(np.min(np.sum(beta * grid.boundary_normals, axis=-1)))
     if obl < OBLIQUENESS_FLOOR:
         raise ObliquenessLost(f"beta . nu = {obl:.3e} on the boundary ring")
     return beta
@@ -374,37 +368,38 @@ def _project_boundary(ctx, u_values, chord=None):
     """Newton-update the boundary ring of u_values so that G = 0 there, to
     BOUNDARY_TOL within BOUNDARY_CAP iterations.
 
-    Mutates u_values in place; returns the Newton iteration count. The LU
-    factorization of the ring Jacobian is kept in ``chord`` and reused
-    across calls while it keeps converging; it is rebuilt when progress
-    slows. Without a chord the call factors afresh. Obliqueness
-    beta . nu >= OBLIQUENESS_FLOOR is checked at the accepted ring image
-    on every call, and at every refactorization. A non-finite ring residual
-    raises NewtonStall.
+    The ring gradient is the calculus kernel's: d/dr is the grid's
+    ``ring_dr`` row, whose last entry is the Jacobian's diagonal weight, and
+    d/ds its ``ring_ds`` block. Mutates u_values in place; returns the
+    Newton iteration count. The LU factorization of the ring Jacobian is
+    kept in ``chord`` and reused across calls while it keeps converging; it
+    is rebuilt when progress slows. Without a chord the call factors
+    afresh. Obliqueness beta . nu >= OBLIQUENESS_FLOOR is checked at the
+    accepted ring image on every call, and at every refactorization. A
+    non-finite ring residual raises NewtonStall.
     """
     from scipy.linalg import lu_factor
     from scipy.linalg.lapack import dgetrs
 
-    tol = BOUNDARY_TOL
-    grid = ctx.grid
-    spec = ctx.spec
+    grid, spec = ctx.grid, ctx.spec
+    x, ji, d_s, w_dr = grid.nodes[-1], grid.jinv[-1], grid.ring_ds, grid.ring_dr
+    u_r_inner = w_dr[:-1] @ u_values[:-1]
     if chord is None:
         chord = Chord()
     b = u_values[-1].copy()
-    u_m1, u_m2 = u_values[-2], u_values[-3]
 
     def residual(bv):
-        grad = _ring_gradient(ctx, bv, u_m1, u_m2)
-        y = spec.cost.invert_Y(ctx.ring_x, grad)
+        u_r = u_r_inner + w_dr[-1] * bv
+        u_s = d_s @ bv
+        grad = u_r[:, None] * ji[:, 0] + u_s[:, None] * ji[:, 1]
+        y = spec.cost.invert_Y(x, grad)
         return spec.target.h(y), y
 
     def refresh_jacobian(y):
         beta = _oblique_beta(ctx, y)
-        ji = ctx.ring_jinv
-        a_r = (beta[:, 0] * ji[:, 0, 0] + beta[:, 1] * ji[:, 0, 1]) \
-            * 3.0 / (2.0 * grid.dr)
+        a_r = (beta[:, 0] * ji[:, 0, 0] + beta[:, 1] * ji[:, 0, 1]) * w_dr[-1]
         a_s = beta[:, 0] * ji[:, 1, 0] + beta[:, 1] * ji[:, 1, 1]
-        jac = a_s[:, None] * ctx.dmat
+        jac = a_s[:, None] * d_s
         jac[np.arange(grid.n_s), np.arange(grid.n_s)] += a_r
         chord.lu = lu_factor(jac)
 
@@ -415,7 +410,7 @@ def _project_boundary(ctx, u_values, chord=None):
         raise NewtonStall(f"non-finite boundary residual (max |G| = {err})")
     iters = 0
     fresh = False
-    while err > tol:
+    while err > BOUNDARY_TOL:
         if iters >= BOUNDARY_CAP:
             raise NewtonStall(
                 f"boundary projection stalled at max |G| = {err:.3e}")
@@ -427,7 +422,7 @@ def _project_boundary(ctx, u_values, chord=None):
         while True:
             g_new, y_new = residual(b + lam * delta)
             err_new = float(np.max(np.abs(g_new)))
-            if err_new < err or err_new <= tol:
+            if err_new < err or err_new <= BOUNDARY_TOL:
                 break
             lam *= 0.5
             if lam < 1.0 / 64.0:
@@ -436,7 +431,7 @@ def _project_boundary(ctx, u_values, chord=None):
                 raise NewtonStall(
                     f"boundary projection cannot reduce |G| below {err:.3e}")
         if lam < 1.0 / 64.0 or (not fresh and err_new > 0.25 * err
-                                and err_new > tol):
+                                and err_new > BOUNDARY_TOL):
             chord.lu = None         # slow chord progress: force a rebuild
             if lam < 1.0 / 64.0:
                 continue
@@ -579,11 +574,12 @@ def _rkl2_super_step(state, tau, stages, chord):
     which for j = 1 is D_1 = mu~_1 tau L(Y_0).
     Each stage is projected (pole, then boundary ring) and rebuilt before
     it feeds the next, so D_j is taken after the projections. The ring's
-    Newton starts from the previous stage's ring moved to keep its one-sided
-    radial difference.
+    Newton starts from the previous stage's ring moved so that the ring's
+    d/dr, the grid's ``ring_dr`` row, keeps its previous value.
     """
     mu, nu, mu_t, gamma_t = _rkl2_coefficients(stages)
     ctx = state.ctx
+    w_dr = ctx.grid.ring_dr
     y0 = state.u[:-1]
     tau_l0 = tau * state.rate[:-1]
     d_prev = np.zeros_like(y0)
@@ -595,9 +591,8 @@ def _rkl2_super_step(state, tau, stages, chord):
              + (mu_t[j] * tau) * prev.rate[:-1] + gamma_t[j] * tau_l0)
         u = prev.u.copy()               # the ring seeds the projection
         u[:-1] = y0 + d
-        # predict the ring so that its one-sided radial difference
-        # (3 u[-1] - 4 u[-2] + u[-3]) / (2 dr) keeps its last value
-        u[-1] += (4.0 * (u[-2] - prev.u[-2]) - (u[-3] - prev.u[-3])) / 3.0
+        # predict the ring so that its d/dr keeps its last value
+        u[-1] -= (w_dr[:-1] @ (u[:-1] - prev.u[:-1])) / w_dr[-1]
         if not np.all(np.isfinite(u)):
             raise _StageFailed(f"non-finite potential at stage {j}")
         stage, n_newton = _project_stage(ctx, u, state.t + tau, chord)

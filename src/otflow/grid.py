@@ -182,6 +182,11 @@ class CurvilinearGrid(_RadialMap):
         holds the flat indices, into the stacked (n_r + 2, 2 n_s) buffer of
         ``_logical_derivatives``, that the ghost rows read.
 
+        The boundary Newton's operators: ``ring_dr @ f`` is the boundary
+        ring's d/dr, ``ring_dr`` a view of ``_rad[n_r - 1]`` over the rings
+        (the one-sided row reads no ghost); ``ring_ds @ b`` is db/ds on one
+        ring, ``ring_ds`` the transposed d/ds block of ``_ang``.
+
         Radial truncation error in the first derivative is amplified by the
         1/r metric factors near the center; a wider centered d/dr stencil on
         the rings below ``n_wide`` (reachable through the ghosts) keeps the
@@ -222,6 +227,8 @@ class CurvilinearGrid(_RadialMap):
             else:
                 put(n_r + i, c - 1, (1, -2, 1), dr ** 2)
         self._rad = rad
+        self.ring_dr = rad[n_r - 1, 2:]
+        self.ring_ds = ang[:, :n_s].T.copy()
         cols = np.concatenate([self._antipode, n_s + self._antipode])
         self._ghost_take = np.array([3 * 2 * n_s + cols, 2 * 2 * n_s + cols])
 
@@ -416,17 +423,9 @@ class CurvilinearGrid(_RadialMap):
         return float(vals[0]) if np.ndim(s_eval) == 0 else vals
 
     def d_s_ring(self, row_values):
-        """Spectral d/ds of values on a single ring (any trailing axes)."""
-        return np.tensordot(self._ang[:, :self.n_s], row_values, axes=(0, 0))
-
-    def spectral_matrix(self):
-        """Dense matrix of d/ds acting on one ring (used by boundary Newton):
-        the transposed d/ds block of the angular table.
-
-        Column j holds the derivative of the j-th cardinal function, so the
-        matrix applies to ring values from the left: (D @ b)[m] = (db/ds)(s_m).
-        """
-        return self._ang[:, :self.n_s].T.copy()
+        """Spectral d/ds of values on a single ring (any trailing axes), by
+        ``ring_ds``, the boundary Newton's d/ds block."""
+        return np.tensordot(self.ring_ds, row_values, axes=1)
 
     def ring_line_intersection(self, i_ring, x0, direction, s_seed):
         """Parameter s where the ring r_i meets the line x0 - t * direction.

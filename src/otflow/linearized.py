@@ -26,7 +26,8 @@ rate fields; the Harnack constant C = sup Theta(., t) / inf Theta(., t+1)
 more. ``theta_special`` adds the Li-Yau fields of f = log Theta, which need
 W^{-1} at each snapshot; only the boundary audit of F (``dbetaF_direct``,
 ``dbetaF_closed``, ``boundary_tangency_defect``) reads them. W comes from
-the grid calculus and the cost's D_xx c alone, without a full flow state.
+``flow.potential_fields``, the helper ``flow.build_state`` forms it with,
+without the rest of a flow state.
 
 The boundary derivatives of F take one boundary node (an int, giving
 floats) or an array of nodes (giving arrays, one entry per node). A node
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
-from .flow import time_index
+from .flow import potential_fields, time_index
 from .grid import Field, boundary_nodes, directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
@@ -247,15 +248,6 @@ def gap_series(trajectory, k=1):
                      mask=mask[:m])
 
 
-def _snapshot_W(grid, cost, u):
-    """W = D^2 u - D_xx c(x, Y(x, Du)) of one snapshot's potential, as
-    ``flow.build_state`` forms it, without the rest of a state."""
-    grad, hess = grid.scalar_calculus(u)
-    if cost.hess_xx_vanishes:
-        return hess
-    return hess - cost.hess_xx(grid.nodes, cost.invert_Y(grid.nodes, grad))
-
-
 def theta_special(trajectory, k=1):
     """The gap series of Theta_k (``gap_series``) with the Li-Yau fields of
     f = log Theta: grad f, w^{ij} f_i f_j, df/dt and F."""
@@ -278,7 +270,7 @@ def theta_special(trajectory, k=1):
     F = np.zeros_like(f)
     for i in range(m):
         u = trajectory.snapshots[int(gaps.snapshot_indices[i])].u
-        winv = nm.inv2(_snapshot_W(grid, cost, u))
+        winv = nm.inv2(potential_fields(grid, cost, u)[2])
         fi = np.nan_to_num(f[i], nan=0.0, neginf=0.0)
         grad_f[i] = grid.grad_values(fi)
         winv_quad[i] = nm.quadform2(winv, grad_f[i])

@@ -73,6 +73,7 @@ def run_scenario(config, output_root=None):
     outdir = resolve_outdir(config, output_root)
     try:
         spec, grid = config.build_problem()
+        u0 = config.build_initial(spec, grid)
     except OTFlowError as exc:
         return RunResult(2, outdir, None, _error_report(outdir, type(exc).__name__, exc))
     problems = domains.validate_spec(spec)
@@ -83,7 +84,6 @@ def run_scenario(config, output_root=None):
         serialize.write_json(os.path.join(outdir, "error.json"), payload)
         return RunResult(2, outdir, None, payload)
     try:
-        u0 = config.build_initial(spec, grid)
         schedule = config.build_schedule()
         trajectory = run_to_convergence(spec, grid, u0, schedule)
         serialize.save_trajectory(outdir, trajectory, config.to_dict())

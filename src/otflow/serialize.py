@@ -60,12 +60,24 @@ def write_diagnostics_csv(path, records):
 
 
 def read_diagnostics_csv(path):
+    """The step table; OTFlowError naming the file and line of a cell that
+    is not a number or a row that is not one value per column."""
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != STEP_COLUMNS:
-            raise OTFlowError(f"unexpected diagnostics columns {header}")
-        rows = [[float(v) for v in line.strip().split(",")]
-                for line in fh if line.strip()]
+            raise OTFlowError(f"unexpected diagnostics columns {header} in {path}")
+        for n, line in enumerate(fh, 2):
+            row = line.strip().split(",")
+            if row == [""]:
+                continue
+            try:
+                if len(row) != len(STEP_COLUMNS):
+                    raise ValueError(f"{len(row)} values, "
+                                     f"{len(STEP_COLUMNS)} columns")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise OTFlowError(f"corrupt {path}, line {n}: {exc}") from None
     return np.array(rows, float).reshape(-1, len(STEP_COLUMNS))
 
 

@@ -341,6 +341,46 @@ class TestCLI:
         assert err["error"] == "OTFlowError"
         assert "manifest.json" in err["detail"]
 
+    @pytest.mark.parametrize("damage", ["non_numeric", "short_row"])
+    def test_corrupt_diagnostics_exit_1(self, tmp_path, capsys, damage):
+        code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
+                            "--stop-tol", "5e-3", "--out", str(tmp_path))
+        assert code == 0
+        outdir = json.loads(capsys.readouterr().out)["outdir"]
+        path = os.path.join(outdir, "diagnostics.csv")
+        lines = open(path).read().splitlines()
+        cells = lines[3].split(",")
+        if damage == "non_numeric":
+            cells[2] = "abc"
+        else:
+            cells.pop()
+        lines[3] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for command in ("replay-diagnostics", "audit-km", "audit-harnack"):
+            assert self.run_cli(command, outdir) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "OTFlowError"
+            assert "diagnostics.csv, line 4" in err["detail"]
+
+    @pytest.mark.parametrize("initial,match", [
+        (None, "audits only"), ({"kind": "linear_scaling"}, "disk source")])
+    def test_unbuildable_initial_potential_exit_2_with_error_json(
+            self, tmp_path, capsys, initial, match):
+        arg = "peanut_source_audit"         # bundled, with no initial potential
+        if initial is not None:             # a blob source, which it needs not be
+            cfg = dict(load_scenario(arg).to_dict(), initial=initial)
+            arg = str(tmp_path / "peanut.json")
+            with open(arg, "w") as fh:
+                json.dump(cfg, fh)
+        code = self.run_cli("run", arg, "--grid", "16x32",
+                            "--out", str(tmp_path / "runs"))
+        assert code == 2
+        report = json.load(open(tmp_path / "runs" / "peanut_source_audit"
+                                / "error.json"))
+        assert json.loads(capsys.readouterr().err) == report
+        assert report["error"] == "ConfigError" and match in report["detail"]
+
     def test_not_c_convex_start_reports_its_witness(self, tmp_path, capsys,
                                                     monkeypatch):
         def concave_bump(spec, grid):

@@ -173,6 +173,62 @@ class TestBoundaryProjection:
         assert u.tobytes() == u_fresh.tobytes()
 
 
+def _four_point_ring_grid(scenario, shape):
+    """A bundled problem whose grid's boundary-ring d/dr row of the radial
+    table is the 4-point one-sided (-2, 9, -18, 11)/(6 dr) instead of the
+    built (1, -4, 3)/(2 dr): another consistent stencil."""
+    cfg = load_scenario(scenario).with_overrides(grid=shape)
+    spec, g = cfg.build_problem()
+    n = g.n_r
+    row = g._rad[n - 1]                 # column j + 2 is ring j
+    row[:] = 0.0
+    row[n - 2:n + 2] = np.array([-2.0, 9.0, -18.0, 11.0]) / (6.0 * g.dr)
+    return cfg, spec, g
+
+
+class TestRingStencilFollowsTheTable:
+    """The boundary Newton and the stage predictor read the ring's d/dr
+    from the grid's radial table, so a different table row changes both."""
+
+    @pytest.mark.parametrize("scenario,shape", [
+        ("disk_cosine_perturbed", (32, 64)), ("offset_disks_sqrt", (16, 32))])
+    def test_newton_zeroes_G_of_the_table_gradient(self, scenario, shape):
+        cfg, spec, g = _four_point_ring_grid(scenario, shape)
+        ctx = flow.FlowContext(spec, g)
+        u = g.apply_pole_projection(cfg.build_initial(spec, g).data.copy())
+        u[-1] += 1e-6 * np.cos(2 * np.pi * 3 * g.s)
+        u[-2] += 1e-5 * np.sin(2 * np.pi * 3 * g.s)
+        flow._project_boundary(ctx, u)
+        # G on the ring gradient of scalar_calculus, which reads the table
+        assert flow.build_state(ctx, u, 0.0).max_boundary_G <= flow.BOUNDARY_TOL
+
+    def test_predictor_keeps_the_table_d_dr(self, monkeypatch):
+        cfg, spec, g = _four_point_ring_grid("disk_cosine_perturbed", (32, 64))
+        st = flow.initialize(spec, g, cfg.build_initial(spec, g))
+        row = g._rad[g.n_r - 1, 2:]
+        project = flow._project_stage
+        seen = []
+
+        def record(ctx, u, t, chord):
+            seen.append(u.copy())
+            out = project(ctx, u, t, chord)
+            seen.append(out[0].u)
+            return out
+
+        monkeypatch.setattr(flow, "_project_stage", record)
+        tau = 10.0 * flow.policy_dt(st)
+        stages = flow.rkl2_stages(tau, flow.policy_dt(st))
+        flow._rkl2_super_step(st, tau, stages, flow.Chord())
+        prevs = [st.u] + seen[1::2]
+        for raw, prev in zip(seen[::2], prevs):
+            # the interior rows' share of d/dr moved far above roundoff, and
+            # the predicted ring cancels it to roundoff
+            moved = np.max(np.abs(row[:-1] @ (raw[:-1] - prev[:-1])))
+            roundoff = 1e-14 * np.sum(np.abs(row)) * np.max(np.abs(raw))
+            assert moved > 1e6 * roundoff
+            assert np.max(np.abs(row @ raw - row @ prev)) <= roundoff
+
+
 class TestStep:
     def test_stationary_step_is_identity(self, stationary_state):
         for dt in (flow.policy_dt(stationary_state),
