@@ -97,7 +97,7 @@ def fit_rate(times, values, window=None, min_samples=10):
 
 @dataclass
 class EnvelopeFit:
-    """Horizon-independent upper bound y <= c1 f1(t) + c2 f2(t).
+    """Horizon-independent upper bound y <= c1 + c2 t.
 
     The slope coefficient is the least-squares value clamped at zero (a bound
     that grows is never needed by a decaying series) and the constant is the
@@ -110,27 +110,17 @@ class EnvelopeFit:
     c2: float
 
 
-def _features(name, t):
-    if name == "1":
-        return np.ones_like(t)
-    if name == "t":
-        return t
-    if name == "1/t":
-        return 1.0 / t
-    raise ValueError(f"unknown feature {name}")
-
-
-def fit_envelope(t, y, features=("1", "t")):
-    """Upper-envelope fit: clamp the varying coefficient of a least-squares
-    fit at zero, then take the tight constant term."""
+def fit_envelope(t, y):
+    """Upper-envelope fit c1 + c2 t: clamp the slope of a least-squares fit
+    at zero, then take the tight constant term."""
     t = np.asarray(t, float)
     y = np.asarray(y, float)
     keep = np.isfinite(y)
     t, y = t[keep], y[keep]
-    f1, f2 = _features(features[0], t), _features(features[1], t)
-    coef, *_ = np.linalg.lstsq(np.stack([f1, f2], axis=1), y, rcond=None)
+    coef, *_ = np.linalg.lstsq(np.stack([np.ones_like(t), t], axis=1), y,
+                               rcond=None)
     c2 = max(0.0, float(coef[1]))
-    c1 = float(np.max((y - c2 * f2) / f1))
+    c1 = float(np.max(y - c2 * t))
     return EnvelopeFit(c1=c1, c2=c2)
 
 

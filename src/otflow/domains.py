@@ -354,6 +354,8 @@ def cosine_bump_density(domain, eps=0.1, k=1, scale=1.0):
         d = y - center
         return (d[..., 0] + 1j * d[..., 1]) / r_ref
 
+    # k = 1 in real arithmetic: flow.build_state evaluates the target
+    # density at every stage, and the complex power costs about 5x as much
     if k == 1:
         def value(y):
             return scale * (1.0 + (eps / r_ref) * (y[..., 0] - center[0])) / area

@@ -25,12 +25,6 @@ class BitwistFailure(OTFlowError):
     """The cross-Hessian determinant margin fell below tolerance on a sweep."""
 
 
-# --- grid calculus ---
-
-class TangentDirection(OTFlowError):
-    """Requested boundary directional derivative along a near-tangent direction."""
-
-
 # --- flow ---
 
 class NotCConvex(OTFlowError):

@@ -26,6 +26,11 @@ unaffordable high modes onto their radial extrapolation from the innermost
 ring that carries them stably (factor (r_i / r_src)^k), which keeps the state
 consistent to O(r^k) while the time step scales with the radial spacing
 squared instead of the innermost arc length squared.
+
+Boundary derivative: ``directional_derivative_at_boundary`` takes an int
+array of boundary nodes and returns an array, one entry per node, NaN at a
+node whose direction or probe line it refuses; the ring helpers under it
+(``ring_line_intersection``, ``ring_values_at``) take and return arrays too.
 """
 
 from dataclasses import dataclass
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics as nm
-from .errors import TangentDirection
 
 #: angular modes whose extrapolation factor falls below this are zeroed
 _SLAVE_FLOOR = 1e-18
@@ -325,14 +329,12 @@ class CurvilinearGrid(_RadialMap):
             raise ValueError("vector field shape mismatch")
         return Field(arr, "vector", self._id)
 
-    def matrix(self, values, symmetrize=False):
+    def matrix(self, values):
         arr = np.asarray(values, float)
         if arr.shape != (self.n_r, self.n_s, 2, 2):
             raise ValueError("matrix field shape mismatch")
         asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
-        if symmetrize:
-            arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
-        elif asym > SYMMETRY_TOL:
+        if asym > SYMMETRY_TOL:
             raise ValueError(f"matrix field asymmetric by {asym:.3e}")
         return Field(arr, "matrix", self._id)
 
@@ -408,19 +410,17 @@ class CurvilinearGrid(_RadialMap):
     # -- boundary helpers -------------------------------------------------------
 
     def ring_values_at(self, row_values, s_eval):
-        """Trigonometric interpolation of one ring's values at parameters s:
-        a float for a scalar s, an array for an array of them."""
+        """Trigonometric interpolation of one ring's values at an array of
+        parameters s."""
         fhat = np.fft.rfft(row_values)
         n = self.n_s
         k = np.arange(fhat.shape[0])
-        s_arr = np.atleast_1d(np.asarray(s_eval, float))
-        phase = np.exp(2j * np.pi * np.outer(s_arr, k))
+        phase = np.exp(2j * np.pi * np.outer(s_eval, k))
         scale = np.full(fhat.shape[0], 2.0)
         scale[0] = 1.0
         if n % 2 == 0:
             scale[-1] = 1.0
-        vals = (phase * (scale * fhat)).real.sum(axis=1) / n
-        return float(vals[0]) if np.ndim(s_eval) == 0 else vals
+        return (phase * (scale * fhat)).real.sum(axis=1) / n
 
     def d_s_ring(self, row_values):
         """Spectral d/ds of values on a single ring (any trailing axes), by
@@ -430,10 +430,11 @@ class CurvilinearGrid(_RadialMap):
     def ring_line_intersection(self, i_ring, x0, direction, s_seed):
         """Parameter s where the ring r_i meets the line x0 - t * direction.
 
-        Returns (s, t) with t > 0 measured along the unit direction. Takes
-        one line (x0 and direction of shape (2,), a float seed) or a batch
-        (shapes (k, 2) and (k,)); each line runs its own Newton iteration,
-        frozen where its scalar form would stop, and a batch returns arrays.
+        Takes a batch of lines (x0 and direction of shapes (k, 2), seeds of
+        shape (k,)) and returns arrays (s, t), t > 0 measured along the unit
+        direction. Each line runs its own Newton iteration, frozen where it
+        converges or its derivative vanishes, so a line's result does not
+        depend on the rest of the batch.
         """
         c = self.domain.star_center
         r = self.r[i_ring]
@@ -455,19 +456,10 @@ class CurvilinearGrid(_RadialMap):
             if not live.any():
                 break
         p = c + r * (self.domain.boundary_param(s) - c)
-        t = np.vecdot(x0 - p, d)
-        if s.ndim == 0:
-            return float(s % 1.0), float(t)
-        return s % 1.0, t
+        return s % 1.0, np.vecdot(x0 - p, d)
 
 
 # --- public operators --------------------------------------------------------
-
-def boundary_nodes(j):
-    """(whether j is one int node, the nodes as an int array): the boundary
-    evaluators treat one node as a batch of one."""
-    return np.ndim(j) == 0, np.atleast_1d(np.asarray(j)).astype(int)
-
 
 def gradient(grid, f):
     """Physical-space gradient of a scalar field."""
@@ -495,37 +487,27 @@ def integrate(grid, f):
 
 def directional_derivative_at_boundary(grid, f, j, direction):
     """Second-order one-sided derivative of f along ``direction`` at the
-    boundary node with angular index j.
+    boundary nodes with angular indices j, an int array; returns an array,
+    one entry per node.
 
-    Sample points are taken where the line through the node meets the two
+    Sample points are taken where the line through each node meets the two
     rings beneath the boundary, with ring values interpolated
-    trigonometrically. ``direction`` need not be normalized; the result scales
-    with its length. A zero direction, one within TANGENCY_FLOOR of
-    tangency, and a probe line that does not enter the interior are refused.
-
-    An int j with a direction of shape (2,) returns a float and raises
-    TangentDirection on a refusal. An array of nodes with directions of
-    shape (k, 2) returns an array, NaN at each refused node.
+    trigonometrically. ``direction`` has shape (k, 2), or (2,) for one
+    direction at every node, and need not be normalized; the result scales
+    with its length. A node with a zero direction, one within
+    TANGENCY_FLOOR of tangency, or a probe line that does not enter the
+    interior is refused: its entry is NaN.
     """
     grid.check_field(f)
     if f.rank != "scalar":
         raise ValueError("directional derivative expects a scalar field")
-    one, j = boundary_nodes(j)
     d = np.broadcast_to(np.asarray(direction, float), j.shape + (2,))
-
-    def refuse(bad, message):
-        if one and bad[0]:
-            raise TangentDirection(message)
-
     dn = nm.norm_stack(d)
-    refuse(dn == 0, "zero direction")
     nu = grid.boundary_normals[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         cosang = np.vecdot(d, nu) / dn
         dd = d / dn[:, None]
-    tangent = np.abs(cosang) < TANGENCY_FLOOR
-    refuse(tangent, f"direction is tangent to the boundary within {TANGENCY_FLOOR:g}")
-    refused = (dn == 0) | tangent
+    refused = (dn == 0) | (np.abs(cosang) < TANGENCY_FLOOR)
     # point the probe outward, flip the result back; a refused node probes
     # along its normal so that its Newton iteration stays finite
     sign = np.where(cosang < 0, -1.0, 1.0)
@@ -536,12 +518,10 @@ def directional_derivative_at_boundary(grid, f, j, direction):
     ts, fs = [], []
     for i_ring in (grid.n_r - 2, grid.n_r - 3):
         s_i, t_i = grid.ring_line_intersection(i_ring, x0, dd, s_seed)
-        refuse(t_i <= 0, "probe line does not enter the interior")
         refused |= t_i <= 0
         ts.append(t_i)
         fs.append(grid.ring_values_at(f.data[i_ring], s_i))
         s_seed = s_i
     # derivative along the inward ray, then flip to the requested direction
     dfd_in = nm.one_sided_first(ts[0], ts[1], f0, fs[0], fs[1])
-    out = np.where(refused, np.nan, sign * (-dfd_in) * dn)
-    return float(out[0]) if one else out
+    return np.where(refused, np.nan, sign * (-dfd_in) * dn)

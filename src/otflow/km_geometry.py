@@ -30,10 +30,10 @@ operator equals the phi-weighted Laplace-Beltrami operator of w minus the
 time derivative, which ``verify_weighted_laplacian_identity`` measures.
 
 The boundary evaluators (``second_fundamental_form_w``,
-``verify_II_identity``) take one boundary node, an int, or an array of
-nodes; an array gives arrays, one entry per node, from one evaluation of
-the ring's and the grid's fields (beta, the Christoffel field of w, the
-transport Jacobian), and an image curve that degenerates at any node raises.
+``verify_II_identity``, ``dbeta_gradnorm_boundary``) take an int array of
+boundary nodes and return arrays, one entry per node, from one evaluation
+of the ring's and the grid's fields (beta, the Christoffel field of w, the
+transport Jacobian); an image curve that degenerates at any node raises.
 """
 
 from dataclasses import dataclass
@@ -44,7 +44,7 @@ from . import _numerics as nm
 from . import linearized
 from .errors import DegenerateImage, MetricDegenerate
 from .flow import time_index
-from .grid import boundary_nodes, directional_derivative_at_boundary
+from .grid import directional_derivative_at_boundary
 
 #: an image curve slower than this at the evaluation point is degenerate
 VELOCITY_FLOOR = 1e-12
@@ -171,15 +171,17 @@ def metric_christoffel(grid, w_field):
 
 @dataclass
 class IIPair:
-    intrinsic: float
-    ambient: float
+    """The two evaluations of II^w, one entry per boundary node."""
+
+    intrinsic: np.ndarray
+    ambient: np.ndarray
 
 
 @dataclass
 class IIReport:
-    """Both sides of the boundary curvature identity at one boundary node,
-    or at each node of a node array (every field but ``grid_shape`` is then
-    an array with one entry per node)."""
+    """Both sides of the boundary curvature identity at each node of a node
+    array: every field but ``grid_shape`` has one entry per node, and
+    ``at(i)`` is entry i as a one-node report of plain numbers."""
 
     node: int
     lhs: float
@@ -201,7 +203,7 @@ class IIReport:
                 "grid": list(self.grid_shape)}
 
     def at(self, i):
-        """The one-node report of entry i of a node-array report."""
+        """The one-node report of entry i."""
         return IIReport(node=int(self.node[i]), lhs=float(self.lhs[i]),
                         rhs=float(self.rhs[i]),
                         term_source_image=float(self.term_source_image[i]),
@@ -223,18 +225,13 @@ def _ring_w_data(state):
     return beta, W, tau_e, norm_w, tau_unit, beta_w
 
 
-def second_fundamental_form_w(state, j_node):
-    """II^w(tau, tau) for the w-unit boundary tangent at node(s) j, computed
-    intrinsically (Christoffel symbols of w) and through the ambient
-    connection of the split metric; returns both values, as floats for an
-    int j and as arrays for an array of nodes."""
-    one, j = boundary_nodes(j_node)
-    pair = _second_fundamental_form(state, j, _ring_w_data(state),
+def second_fundamental_form_w(state, j):
+    """II^w(tau, tau) for the w-unit boundary tangent at the boundary nodes
+    j (an int array), computed intrinsically (Christoffel symbols of w) and
+    through the ambient connection of the split metric; an ``IIPair`` of
+    arrays."""
+    return _second_fundamental_form(state, j, _ring_w_data(state),
                                     transport_jacobian(state)[-1])
-    if one:
-        return IIPair(intrinsic=float(pair.intrinsic[0]),
-                      ambient=float(pair.ambient[0]))
-    return pair
 
 
 def _second_fundamental_form(state, j, ring, DT):
@@ -279,8 +276,8 @@ def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
     under x -> grad_y c(x, anchor); 'target_image': the image of
     ``boundary_domain`` (the target) under y -> grad_x c(anchor, y). Returns
     the signed curvature at parameter ``s_eval`` (the second fundamental form
-    against a tangent vector v is curvature * |v|^2): a float for one anchor
-    (2,) and parameter, an array for anchors (k, 2) and parameters (k,).
+    against a tangent vector v is curvature * |v|^2), an array of the shape
+    the anchors (..., 2) and parameters broadcast to.
     """
     anchor = np.asarray(anchor, float)
     if which == "source_image":
@@ -304,14 +301,13 @@ def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
     if np.any(speed < VELOCITY_FLOOR):
         raise DegenerateImage(
             f"image curve velocity {np.min(speed):.3e} below floor")
-    kappa = orient * nm.cross2(qp, qpp) / speed ** 3
-    return float(kappa) if kappa.ndim == 0 else kappa
+    return orient * nm.cross2(qp, qpp) / speed ** 3
 
 
 def _target_boundary_param_of(target, point):
-    """Boundary parameter of the target closest to ``point``: a float for
-    one point (2,), an array for points (k, 2), each from its own Newton
-    iteration, frozen where its scalar form would stop."""
+    """Boundary parameters of the target closest to the points (k, 2), an
+    array; each point runs its own Newton iteration, frozen where it
+    converges or its derivative vanishes."""
     point = np.asarray(point, float)
     s_grid = np.arange(720) / 720
     bp = target.boundary_param(s_grid)
@@ -332,18 +328,17 @@ def _target_boundary_param_of(target, point):
         live &= ~(moved < 1e-15)
         if not live.any():
             break
-    return float(s % 1.0) if s.ndim == 0 else s % 1.0
+    return s % 1.0
 
 
-def verify_II_identity(state, j_node):
-    """Evaluate both sides of the boundary curvature identity at boundary
-    node(s) j and return the comparison report: one-node fields for an int
-    j, arrays for an array of nodes, from one evaluation of the ring's and
-    the grid's fields."""
+def verify_II_identity(state, j):
+    """Evaluate both sides of the boundary curvature identity at the
+    boundary nodes j (an int array) and return the comparison report, its
+    fields arrays, from one evaluation of the ring's and the grid's
+    fields."""
     grid = state.grid
     spec = state.spec
     cost = spec.cost
-    one, j = boundary_nodes(j_node)
     ring = _ring_w_data(state)
     beta, W, tau_e, norm_w, tau_unit, beta_w = ring
     DT_ring = transport_jacobian(state)[-1]
@@ -369,26 +364,25 @@ def verify_II_identity(state, j_node):
     rhs = term1 + term2
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
                                          1e-300)
-    rep = IIReport(node=j, lhs=lhs, rhs=rhs, term_source_image=term1,
-                   term_target_image=term2, ii_intrinsic=ii.intrinsic,
-                   ii_ambient=ii.ambient, rel_error=rel,
-                   grid_shape=(grid.n_r, grid.n_s))
-    return rep.at(0) if one else rep
+    return IIReport(node=j, lhs=lhs, rhs=rhs, term_source_image=term1,
+                    term_target_image=term2, ii_intrinsic=ii.intrinsic,
+                    ii_ambient=ii.ambient, rel_error=rel,
+                    grid_shape=(grid.n_r, grid.n_s))
 
 
-def dbeta_gradnorm_boundary(state, series, j_node, t):
+def dbeta_gradnorm_boundary(state, series, j, t):
     """The boundary derivative along beta of |grad^w f|^2_w for the gap
-    solution, two ways: geometrically as -2 |beta|_w II^w(grad^w f, grad^w f)
-    and by direct one-sided differencing of the scalar field. Returns
-    (geometric, direct)."""
+    solution at the boundary nodes j (an int array), two ways: geometrically
+    as -2 |beta|_w II^w(grad^w f, grad^w f) and by direct one-sided
+    differencing of the scalar field. Returns (geometric, direct), arrays
+    with one entry per node; the direct one is NaN at a refused node."""
     m = time_index(series.times, t)
     grid = state.grid
-    j = int(j_node)
     beta, W, tau_e, norm_w, tau_unit, beta_w = _ring_w_data(state)
     ii = second_fundamental_form_w(state, j)
     grad_f = series.grad_f[m]
-    tau_f = np.linalg.solve(W[j], grad_f[-1, j])
-    a = float(tau_f @ W[j] @ tau_unit[j])
+    tau_f = nm.solve2(W[j], grad_f[-1, j])
+    a = nm.bilinear_stack(tau_f, W[j], tau_unit[j])
     geo = -2.0 * beta_w[j] * ii.intrinsic * a ** 2
     winv = nm.inv2(state.W)
     q = grid.scalar(nm.quadform2(winv, grad_f))

@@ -29,11 +29,10 @@ W^{-1} at each snapshot; only the boundary audit of F (``dbetaF_direct``,
 ``flow.potential_fields``, the helper ``flow.build_state`` forms it with,
 without the rest of a flow state.
 
-The boundary derivatives of F take one boundary node (an int, giving
-floats) or an array of nodes (giving arrays, one entry per node). A node
-array is one evaluation of the ring's fields for all of its nodes; where
-the one-node call would raise on a refused node (the floor mask touches
-its window, or the probe direction is refused), its entry is NaN.
+The boundary derivatives of F take an int array of boundary nodes and
+return arrays, one entry per node, from one evaluation of the ring's fields
+for all of them. The direct derivative reads NaN at a node it refuses: the
+floor mask touches its window, or the probe direction is refused.
 """
 
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ import numpy as np
 from . import _numerics as nm
 from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
 from .flow import potential_fields, time_index
-from .grid import Field, boundary_nodes, directional_derivative_at_boundary
+from .grid import Field, directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
 DEFAULT_ALPHA = 2.0
@@ -286,28 +285,23 @@ def theta_special(trajectory, k=1):
 
 # --- boundary derivative of F -------------------------------------------------
 
-def dbetaF_direct(series, state, j_node, t):
-    """One-sided finite-difference derivative of F along beta at boundary
-    node(s) j at series offset t.
+def dbetaF_direct(series, state, j, t):
+    """One-sided finite-difference derivative of F along beta at the
+    boundary nodes j (an int array) at series offset t; an array, one entry
+    per node.
 
-    Refuses nodes whose sampling neighborhood touches the positivity-floor
-    mask: F is undefined there and differencing across the hole is
-    meaningless. An int j returns a float and raises on a refusal (this one,
-    or the probe's TangentDirection); an array of nodes returns an array
-    with NaN at each refused node.
+    Refuses nodes whose sampling neighborhood (a five-node window on the
+    three outer rings) touches the positivity-floor mask: F is undefined
+    there and differencing across the hole is meaningless. A refused node,
+    this way or by the probe direction, reads NaN.
     """
     m = time_index(series.times, t)
     grid = state.grid
-    one, j = boundary_nodes(j_node)
     window = (j[:, None] + np.arange(-2, 3)) % grid.n_s
     clear = series.mask[m][-3:, window].all(axis=(0, 2))
-    if one and not clear[0]:
-        raise NonPositiveTheta(
-            f"gap at offset {t} touches the floor near boundary node {j[0]}")
     beta = state.ring_beta()[j]
     vals = directional_derivative_at_boundary(grid, series.F_field(m), j, beta)
-    vals = np.where(clear, vals, np.nan)
-    return float(vals[0]) if one else vals
+    return np.where(clear, vals, np.nan)
 
 
 def _boundary_convexity_contraction(state, j, tau):
@@ -333,23 +327,23 @@ def _boundary_convexity_contraction(state, j, tau):
     return first - corr
 
 
-def dbetaF_closed(series, state, j_node, t, mode="general"):
-    """Closed-form boundary derivative of F along beta at node(s) j, offset t.
+def dbetaF_closed(series, state, j, t, mode="general"):
+    """Closed-form boundary derivative of F along beta at the boundary nodes
+    j (an int array), offset t.
 
     Returns (value, (term1, term2, term3)): the curvature-form term, the
     -G_pp(grad f, grad f) term, and the +alpha G_pp(grad f, grad theta) term,
     each already multiplied by t. ``mode='quadratic'`` uses the specialization
     valid for the inner-product cost (W = D^2 u, beta = grad h*(grad u));
-    ``mode='general'`` assembles the full G_pp from the cost calculus. An
-    int j gives floats; an array of nodes gives arrays, one entry per node,
-    from one evaluation of the ring's fields.
+    ``mode='general'`` assembles the full G_pp from the cost calculus. Each
+    is an array, one entry per node, from one evaluation of the ring's
+    fields.
     """
     if mode not in ("general", "quadratic"):
         raise ValueError("mode must be 'general' or 'quadratic'")
     m = time_index(series.times, t)
     grid = state.grid
     spec = state.spec
-    one, j = boundary_nodes(j_node)
     t_val = float(series.times[m])
     grad_f = series.grad_f[m][-1, j]
     grad_rate = grid.grad_values(state.rate)[-1, j]
@@ -372,10 +366,7 @@ def dbetaF_closed(series, state, j_node, t, mode="general"):
         term1 = -t_val * chi * form
     term2 = -t_val * nm.bilinear_stack(grad_f, g_pp, grad_f)
     term3 = t_val * alpha * nm.bilinear_stack(grad_rate, g_pp, grad_f)
-    value = term1 + term2 + term3
-    if one:
-        return float(value[0]), (float(term1[0]), float(term2[0]), float(term3[0]))
-    return value, (term1, term2, term3)
+    return term1 + term2 + term3, (term1, term2, term3)
 
 
 def boundary_tangency_defect(series, state, t):
@@ -411,21 +402,15 @@ class MonotonicityReport:
         return max(self.max_violation, self.min_violation)
 
 
-def max_principle_monitor(trajectory=None, times=None, sup_series=None,
-                          inf_series=None):
-    """Monotonicity of the running extrema of the rate field.
-
-    Pass a trajectory (uses the per-step records) or explicit series. The
-    violations are the largest forward increase of the max series and the
-    largest forward decrease of the min series.
+def max_principle_monitor(trajectory):
+    """Monotonicity of the running extrema of the rate field, from the
+    trajectory's per-step records. The violations are the largest forward
+    increase of the max series and the largest forward decrease of the min
+    series.
     """
-    if trajectory is not None:
-        times = trajectory.step_records[:, 0]
-        sup_series = trajectory.step_records[:, 2]
-        inf_series = trajectory.step_records[:, 3]
-    times = np.asarray(times, float)
-    sup_series = np.asarray(sup_series, float)
-    inf_series = np.asarray(inf_series, float)
+    times = trajectory.step_records[:, 0]
+    sup_series = trajectory.step_records[:, 2]
+    inf_series = trajectory.step_records[:, 3]
     if len(sup_series) == 0:
         return MonotonicityReport(times, sup_series, inf_series, 0.0, 0.0)
     # compare against the running envelope so persistent drift accumulates

@@ -145,7 +145,10 @@ def load_trajectory(outdir):
                                   f"field on the manifest grid {shape}")
             fields.append(values)
         snapshots.append(Snapshot(t, *fields))
-    records = read_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"))
+    records_path = os.path.join(outdir, "diagnostics.csv")
+    if not os.path.exists(records_path):
+        raise OTFlowError(f"missing diagnostics.csv in {outdir}")
+    records = read_diagnostics_csv(records_path)
     return Trajectory(ctx=ctx, snapshots=snapshots, step_records=records,
                       converged=converged,
                       reason=manifest.get("reason", "")), manifest

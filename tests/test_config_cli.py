@@ -454,3 +454,15 @@ class TestCLI:
         code = self.run_cli("replay-diagnostics", outdir)
         assert code == 1
         assert victims[-1] in capsys.readouterr().err
+
+    def test_missing_diagnostics_exits_1(self, tmp_path, capsys):
+        code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
+                            "--stop-tol", "5e-3", "--out", str(tmp_path))
+        assert code == 0
+        outdir = json.loads(capsys.readouterr().out)["outdir"]
+        os.remove(os.path.join(outdir, "diagnostics.csv"))
+        for command in ("replay-diagnostics", "audit-km", "audit-harnack"):
+            assert self.run_cli(command, outdir) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "OTFlowError"
+            assert "missing diagnostics.csv" in err["detail"]

@@ -173,12 +173,6 @@ class TestEnvelopeFits:
         stab, _, _ = diagnostics.sublinearity_stability(t, y)
         assert stab <= 0.25
 
-    def test_inverse_time_features(self):
-        t = np.linspace(0.5, 8, 40)
-        y = 2.0 / t + 0.3
-        fit = diagnostics.fit_envelope(t, y, features=("1/t", "1"))
-        np.testing.assert_allclose(fit.c1, 2.0, atol=0.05)
-
 
 def test_measured_norm_bound(ref_run_32):
     k = diagnostics.measured_norm_bound(ref_run_32)

@@ -52,13 +52,12 @@ class TestLinearMapOracle:
     is 2 I, so every curvature here has a closed form."""
 
     def test_second_fundamental_form_value(self, stationary_state):
-        for j in (0, 9, 40):
-            pair = km.second_fundamental_form_w(stationary_state, j)
-            np.testing.assert_allclose(pair.intrinsic, 1 / np.sqrt(2), atol=1e-6)
-            np.testing.assert_allclose(pair.ambient, 1 / np.sqrt(2), atol=1e-6)
+        pair = km.second_fundamental_form_w(stationary_state, np.array([0, 9, 40]))
+        np.testing.assert_allclose(pair.intrinsic, 1 / np.sqrt(2), atol=1e-6)
+        np.testing.assert_allclose(pair.ambient, 1 / np.sqrt(2), atol=1e-6)
 
     def test_identity_sides(self, stationary_state):
-        rep = km.verify_II_identity(stationary_state, 3)
+        rep = km.verify_II_identity(stationary_state, np.array([3])).at(0)
         np.testing.assert_allclose(rep.lhs, 2.0, atol=1e-5)
         np.testing.assert_allclose(rep.term_source_image, 1.0, atol=1e-5)
         np.testing.assert_allclose(rep.term_target_image, 1.0, atol=1e-5)
@@ -113,24 +112,25 @@ class TestIIIdentityGeneralCost:
     def test_evaluators_agree_and_identity_holds(self, sqrt_state_48):
         st = sqrt_state_48
         h = st.grid.dr
-        for j in range(0, st.grid.n_s, 12):
-            pair = km.second_fundamental_form_w(st, j)
-            assert abs(pair.intrinsic - pair.ambient) <= 2.0 * h
-            rep = km.verify_II_identity(st, j)
-            assert rep.rel_error <= 0.02
+        nodes = np.arange(0, st.grid.n_s, 12)
+        pair = km.second_fundamental_form_w(st, nodes)
+        assert np.abs(pair.intrinsic - pair.ambient).max() <= 2.0 * h
+        assert km.verify_II_identity(st, nodes).rel_error.max() <= 0.02
 
     def test_node_array_equals_one_node_calls(self, sqrt_run_16,
                                               stationary_state):
+        # each node's result is independent of the rest of the batch
         for st in (sqrt_run_16.final_state(), stationary_state):
             nodes = np.arange(0, st.grid.n_s, 3)
             rep = km.verify_II_identity(st, nodes)
             pair = km.second_fundamental_form_w(st, nodes)
-            for i, j in enumerate(nodes):
+            for i in range(len(nodes)):
+                one = nodes[i:i + 1]
                 assert rep.at(i).as_dict() == \
-                    km.verify_II_identity(st, int(j)).as_dict()
-                one = km.second_fundamental_form_w(st, int(j))
+                    km.verify_II_identity(st, one).at(0).as_dict()
+                one_pair = km.second_fundamental_form_w(st, one)
                 assert (pair.intrinsic[i], pair.ambient[i]) == \
-                    (one.intrinsic, one.ambient)
+                    (one_pair.intrinsic[0], one_pair.ambient[0])
 
     def test_identity_error_shrinks_under_refinement(self, sqrt_pair_spec):
         errs = []
@@ -138,8 +138,8 @@ class TestIIIdentityGeneralCost:
             g = grid.CurvilinearGrid(sqrt_pair_spec.source, n, 2 * n)
             st = flow.initialize(sqrt_pair_spec, g,
                                  flow.initial_antipodal_reflection(sqrt_pair_spec, g))
-            errs.append(max(km.verify_II_identity(st, j).rel_error
-                            for j in range(0, 2 * n, n // 2)))
+            errs.append(km.verify_II_identity(
+                st, np.arange(0, 2 * n, n // 2)).rel_error.max())
         assert errs[1] <= 0.6 * errs[0]
 
 
@@ -156,22 +156,19 @@ class TestGradNormBoundaryDerivative:
         h = st.grid.dr
         m = int(np.argmin(np.abs(ser.times - 1.0)))
         scale = max(np.abs(ser.winv_quad[m][-1]).max(), 1e-12)
-        count = 0
-        for j in range(0, st.grid.n_s, 4):
-            if not ser.mask[m][-3:, np.arange(j - 2, j + 3) % st.grid.n_s].all():
-                continue
-            geo, direct = km.dbeta_gradnorm_boundary(st, ser, j, 1.0)
-            assert abs(geo - direct) <= 10.0 * h * max(scale, 1.0)
-            assert geo <= 1e-10          # nonpositive under convexity
-            count += 1
-        assert count >= 10
+        nodes = np.array([j for j in range(0, st.grid.n_s, 4) if ser.mask[m][
+            -3:, np.arange(j - 2, j + 3) % st.grid.n_s].all()])
+        geo, direct = km.dbeta_gradnorm_boundary(st, ser, nodes, 1.0)
+        assert np.abs(geo - direct).max() <= 10.0 * h * max(scale, 1.0)
+        assert geo.max() <= 1e-10        # nonpositive under convexity
+        assert len(nodes) >= 10
 
     def test_zero_gradient_gives_zero(self, run_series):
         _, ser, st = run_series
         m = int(np.argmin(np.abs(ser.times - 1.0)))
         ser.grad_f[m][-1, 7] = 0.0
-        geo, _ = km.dbeta_gradnorm_boundary(st, ser, 7, 1.0)
-        assert abs(geo) <= 1e-14
+        geo, _ = km.dbeta_gradnorm_boundary(st, ser, np.array([7]), 1.0)
+        assert abs(geo[0]) <= 1e-14
 
 
 class TestWeightedLaplacianIdentity:

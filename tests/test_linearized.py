@@ -302,60 +302,53 @@ class TestBoundaryDerivativeOfF:
 
     def test_modes_agree_for_inner_product_cost(self, series_state):
         _, ser, st = series_state
-        for j in range(0, st.grid.n_s, 7):
-            vg, _ = linearized.dbetaF_closed(ser, st, j, 1.0, "general")
-            vq, _ = linearized.dbetaF_closed(ser, st, j, 1.0, "quadratic")
-            assert abs(vg - vq) <= 1e-10
+        nodes = np.arange(0, st.grid.n_s, 7)
+        vg, _ = linearized.dbetaF_closed(ser, st, nodes, 1.0, "general")
+        vq, _ = linearized.dbetaF_closed(ser, st, nodes, 1.0, "quadratic")
+        assert np.abs(vg - vq).max() <= 1e-10
 
     def test_direct_matches_closed_at_O_h(self, series_state):
         traj, ser, st = series_state
         h = st.grid.dr
         scale = max(np.abs(ser.F[ser.times == 1.0]).max(), 1e-10)
-        gaps = []
-        for j in range(0, st.grid.n_s, 4):
-            try:
-                dd = linearized.dbetaF_direct(ser, st, j, 1.0)
-            except NonPositiveTheta:
-                continue
-            dc, _ = linearized.dbetaF_closed(ser, st, j, 1.0, "general")
-            gaps.append(abs(dd - dc))
+        nodes = np.arange(0, st.grid.n_s, 4)
+        dd = linearized.dbetaF_direct(ser, st, nodes, 1.0)
+        dc, _ = linearized.dbetaF_closed(ser, st, nodes, 1.0, "general")
+        gaps = np.abs(dd - dc)[~np.isnan(dd)]
         assert len(gaps) >= 12
         assert max(gaps) <= 8.0 * h * max(scale, 1.0)
 
     def test_closed_form_nonpositive_for_gap_solution(self, series_state):
         traj, ser, _ = series_state
+        nodes = np.arange(0, traj.grid.n_s, 4)
         for t in (0.5, 1.0, 2.0):
             m = int(np.argmin(np.abs(ser.times - t)))
             st_t = traj.state_at(int(ser.snapshot_indices[m]))
-            for j in range(0, traj.grid.n_s, 4):
-                val, terms = linearized.dbetaF_closed(ser, st_t, j, t, "general")
-                assert val <= 1e-12
-                assert all(term <= 1e-12 for term in terms)
+            val, terms = linearized.dbetaF_closed(ser, st_t, nodes, t, "general")
+            assert val.max() <= 1e-12
+            assert all(term.max() <= 1e-12 for term in terms)
 
     def test_vanishing_gradient_gives_zero(self, series_state):
         _, ser, st = series_state
         m = int(np.argmin(np.abs(ser.times - 1.0)))
         ser.grad_f[m][-1, 5] = 0.0          # synthetic: grad f = 0 at node 5
-        val, terms = linearized.dbetaF_closed(ser, st, 5, 1.0, "general")
-        assert abs(val) <= 1e-14 and abs(terms[0]) <= 1e-14
+        val, terms = linearized.dbetaF_closed(ser, st, np.array([5]), 1.0,
+                                              "general")
+        assert abs(val[0]) <= 1e-14 and abs(terms[0][0]) <= 1e-14
 
 
-def one_node_stack(call, nodes):
-    """Per node, the one-node result of ``call(j)`` (a list of floats), or
-    NaN where the call refuses the node; returns (rows, refused nodes)."""
-    rows, refused = [], []
-    for j in nodes:
-        try:
-            rows.append(call(int(j)))
-        except NonPositiveTheta:
-            refused.append(int(j))
-            rows.append([np.nan])
-    return np.array(rows), refused
+def floor_touched(ser, t, nodes, n_s):
+    """The nodes whose five-node window on the three outer rings touches
+    the gap series' floor mask at offset t."""
+    m = flow.time_index(ser.times, t)
+    window = (nodes[:, None] + np.arange(-2, 3)) % n_s
+    return ~ser.mask[m][-3:, window].all(axis=(0, 2))
 
 
 class TestNodeArrays:
-    """A node-array call equals the stacked one-node calls bit for bit,
-    with NaN exactly where the one-node call raises."""
+    """Each node's entry of a node-array call equals, bit for bit, the call
+    on that node alone, and the direct derivative reads NaN exactly where
+    the floor mask touches a node's window."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -378,24 +371,24 @@ class TestNodeArrays:
     def check_direct(ser, st, t):
         nodes = np.arange(st.grid.n_s)
         batch = linearized.dbetaF_direct(ser, st, nodes, t)
-        rows, refused = one_node_stack(
-            lambda j: [linearized.dbetaF_direct(ser, st, j, t)], nodes)
-        assert batch.tobytes() == rows[:, 0].tobytes()
-        assert list(np.nonzero(np.isnan(batch))[0]) == refused
-        return refused
+        alone = np.concatenate([linearized.dbetaF_direct(ser, st, nodes[i:i + 1], t)
+                                for i in range(len(nodes))])
+        assert batch.tobytes() == alone.tobytes()
+        refused = np.isnan(batch)
+        assert refused.tolist() == floor_touched(ser, t, nodes, st.grid.n_s).tolist()
+        return list(np.nonzero(refused)[0])
 
     @staticmethod
     def check_closed(ser, st, t, mode):
+        def closed(j):
+            value, terms = linearized.dbetaF_closed(ser, st, j, t, mode)
+            return np.stack([value, *terms], axis=1)
+
         nodes = np.arange(st.grid.n_s)
-        value, terms = linearized.dbetaF_closed(ser, st, nodes, t, mode)
-
-        def one(j):
-            v, one_terms = linearized.dbetaF_closed(ser, st, j, t, mode)
-            return [v, *one_terms]
-
-        rows, refused = one_node_stack(one, nodes)
-        assert refused == []
-        assert np.stack([value, *terms], axis=1).tobytes() == rows.tobytes()
+        batch = closed(nodes)
+        alone = np.concatenate([closed(nodes[i:i + 1]) for i in range(len(nodes))])
+        assert not np.isnan(batch).any()
+        assert batch.tobytes() == alone.tobytes()
 
     def test_direct_nan_where_the_floor_refuses(self, doctored):
         refused = self.check_direct(*doctored)
@@ -429,7 +422,8 @@ class TestMaxPrincipleMonitor:
         assert rep.worst() <= 1e-6 + 0.5 * ref_run_32.grid.dr ** 2
 
     def test_reversed_series_flagged(self, ref_run_32):
-        rec = ref_run_32.step_records
+        rec = ref_run_32.step_records.copy()
+        rec[:, 2:4] = ref_run_32.step_records[::-1, 2:4]
         rep = linearized.max_principle_monitor(
-            times=rec[:, 0], sup_series=rec[::-1, 2], inf_series=rec[::-1, 3])
+            dataclasses.replace(ref_run_32, step_records=rec))
         assert rep.worst() > 1e-3
