@@ -51,8 +51,8 @@ print("max |pullback - W| (interior):", np.abs(pm.w - pm.w_flow)[:-1].max())
 
 # %%
 # the same metric drives the weighted Laplacian that the linearized flow is
-v = g.scalar(np.sin(2 * g.nodes[..., 0]) * np.exp(0.5 * g.nodes[..., 1]))
+v = np.sin(2 * g.nodes[..., 0]) * np.exp(0.5 * g.nodes[..., 1])
 res = km.verify_weighted_laplacian_identity(state, v, v, 1.0)
-mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None], res.data.shape)
+mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None], res.shape)
 print("weighted-Laplacian identity residual (interior):",
-      np.abs(res.data[mask]).max())
+      np.abs(res[mask]).max())

@@ -10,6 +10,6 @@ from . import (costs, diagnostics, domains, flow, grid, km_geometry,
 from .costs import CostModel, make_cost
 from .domains import (CosineBlob, Disk, Ellipse, ProblemSpec, make_density,
                       make_domain, validate_spec)
-from .grid import CurvilinearGrid, Field, gradient, hessian, integrate
+from .grid import CurvilinearGrid, integrate
 
 __version__ = "0.1.0"

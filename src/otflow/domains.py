@@ -61,6 +61,8 @@ class Domain:
 
     def __init__(self, star_center):
         self.star_center = np.asarray(star_center, float)
+        if not np.all(np.isfinite(self.star_center)):
+            raise ValueError("domain center must be finite")
 
     # -- defining function --------------------------------------------------
 
@@ -124,6 +126,13 @@ class Domain:
     def area(self):
         raise NotImplementedError
 
+    def half_widths(self):
+        """(hx, hy) of the box star_center +- (hx, hy) that holds the closed
+        domain: its extent for a disk and an ellipse, the largest boundary
+        radius on both axes for a blob. The audits sample in this box and
+        the densities scale by its larger side."""
+        raise NotImplementedError
+
     def describe(self):
         return {"kind": self.kind}
 
@@ -132,6 +141,8 @@ class Disk(Domain):
     kind = "disk"
 
     def __init__(self, radius=1.0, center=(0.0, 0.0)):
+        if not 0 < radius < np.inf:
+            raise ValueError("disk radius must be positive and finite")
         super().__init__(center)
         self.radius = float(radius)
         self.center = np.asarray(center, float)
@@ -166,6 +177,9 @@ class Disk(Domain):
     def area(self):
         return np.pi * self.radius ** 2
 
+    def half_widths(self):
+        return self.radius, self.radius
+
     def describe(self):
         return {"kind": "disk", "radius": self.radius, "center": self.center.tolist()}
 
@@ -174,6 +188,8 @@ class Ellipse(Domain):
     kind = "ellipse"
 
     def __init__(self, a=1.0, b=1.0, center=(0.0, 0.0)):
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ValueError("ellipse semi-axes must be positive and finite")
         super().__init__(center)
         self.a = float(a)
         self.b = float(b)
@@ -204,6 +220,9 @@ class Ellipse(Domain):
     def area(self):
         return np.pi * self.a * self.b
 
+    def half_widths(self):
+        return self.a, self.b
+
     def min_curvature(self):
         return min(self.a / self.b ** 2, self.b / self.a ** 2)
 
@@ -223,6 +242,8 @@ class CosineBlob(Domain):
     def __init__(self, radius=1.0, eps=0.2, k=2, center=(0.0, 0.0)):
         if not 0 <= eps < 1:
             raise ValueError("blob eps must lie in [0, 1)")
+        if not 0 < radius < np.inf:
+            raise ValueError("blob radius must be positive and finite")
         super().__init__(center)
         self.radius = float(radius)
         self.eps = float(eps)
@@ -267,6 +288,10 @@ class CosineBlob(Domain):
     def area(self):
         # 1/2 int r_b(phi)^2 dphi
         return np.pi * self.radius ** 2 * (1.0 + 0.5 * self.eps ** 2)
+
+    def half_widths(self):
+        r = self.radius * (1 + self.eps)
+        return r, r
 
     def describe(self):
         return {"kind": "blob", "radius": self.radius, "eps": self.eps,
@@ -336,19 +361,14 @@ def cosine_bump_density(domain, eps=0.1, k=1, scale=1.0):
     turns it into the harmonic polynomial eps Re(((y-c)/R)^k)). The modulation
     is odd under rotation by pi/k, so it integrates to zero on the library
     domains and the normalization constant stays the plain area. R is the
-    domain's radius scale, so the modulation amplitude reaches eps at the
-    boundary of a disk.
+    larger of the domain's half-widths, so the modulation amplitude reaches
+    eps at the boundary of a disk.
     """
     if not 0 <= eps < 1:
         raise ValueError("cosine_bump eps must lie in [0, 1)")
     center = domain.star_center
     area = domain.area
-    if domain.kind == "disk":
-        r_ref = domain.radius
-    elif domain.kind == "ellipse":
-        r_ref = max(domain.a, domain.b)
-    else:
-        r_ref = domain.radius * (1 + domain.eps)
+    r_ref = max(domain.half_widths())
 
     def _zhat(y):
         d = y - center
@@ -500,18 +520,9 @@ def _sample_interior(domain, n):
     points are drawn in blocks of max(64, n), each continuing the sequence
     where the last stopped, until n lie inside.
     """
-    lo = domain.star_center - 4.0
-    hi = domain.star_center + 4.0
-    if domain.kind == "disk":
-        lo = domain.center - domain.radius
-        hi = domain.center + domain.radius
-    elif domain.kind == "ellipse":
-        lo = domain.center - np.array([domain.a, domain.b])
-        hi = domain.center + np.array([domain.a, domain.b])
-    elif domain.kind == "blob":
-        r = domain.radius * (1 + domain.eps)
-        lo = domain.center - r
-        hi = domain.center + r
+    half = np.array(domain.half_widths())
+    lo = domain.star_center - half
+    hi = domain.star_center + half
     pts = []
     got = drawn = 0
     while got < n:

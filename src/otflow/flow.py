@@ -50,7 +50,6 @@ import numpy as np
 from . import _numerics as nm
 from .errors import (BoundaryIncompatible, ImageMismatch, NewtonStall,
                      NonPositiveDet, NotCConvex, ObliquenessLost, StepRejected)
-from .grid import Field
 
 #: columns of the per-step diagnostics table, in file order
 STEP_COLUMNS = ("t", "dt", "sup_theta", "inf_theta", "mass_balance_err",
@@ -268,12 +267,12 @@ def initialize(spec, grid, u0, schedule=None):
     on the boundary ring to 1e-7 + 5 dr^2, that the transport image stays
     inside the closed target to the same tolerance, and that the image of
     the boundary covers the target boundary to 4 times the mapped spacing.
-    No check depends on ``schedule``; it is accepted because callers pass
-    the run's Schedule.
+    ``u0`` is the potential's (n_r, n_s) node array; it is copied, never
+    written. No check depends on ``schedule``; it is accepted because
+    callers pass the run's Schedule.
     """
     ctx = FlowContext(spec, grid)
-    u = grid.apply_pole_projection(np.asarray(u0.data if isinstance(u0, Field)
-                                              else u0, float).copy())
+    u = grid.apply_pole_projection(np.array(u0, float))
     state = build_state(ctx, u, 0.0)
     if state.rate is None:
         lo, _ = nm.sym_eig_range2(state.W)
@@ -316,33 +315,31 @@ def initialize(spec, grid, u0, schedule=None):
 
 def initial_linear_scaling(spec, grid):
     """Potential of the affine map source -> target for the inner-product
-    cost between a centered disk source and a disk or ellipse target."""
+    cost between a centered disk source and a disk or ellipse target, as a
+    node array."""
     src, tgt = spec.source, spec.target
     if src.kind != "disk":
         raise ValueError("linear scaling initial data needs a disk source")
-    if tgt.kind == "disk":
-        ax = ay = tgt.radius / src.radius
-        c2 = tgt.center
-    elif tgt.kind == "ellipse":
-        ax, ay = tgt.a / src.radius, tgt.b / src.radius
-        c2 = tgt.center
-    else:
+    if tgt.kind not in ("disk", "ellipse"):
         raise ValueError("linear scaling initial data needs a disk or ellipse target")
+    hx, hy = tgt.half_widths()
+    ax, ay = hx / src.radius, hy / src.radius
+    c2 = tgt.center
     d = grid.nodes - src.center
-    u0 = (grid.nodes[..., 0] * c2[0] + grid.nodes[..., 1] * c2[1]
-          + 0.5 * (ax * d[..., 0] ** 2 + ay * d[..., 1] ** 2))
-    return grid.scalar(u0)
+    return (grid.nodes[..., 0] * c2[0] + grid.nodes[..., 1] * c2[1]
+            + 0.5 * (ax * d[..., 0] ** 2 + ay * d[..., 1] ** 2))
 
 
 def initial_antipodal_reflection(spec, grid):
     """Stationary potential of the point reflection T(x) = c2 - (x - c1)
-    between equal-radius disks under the sqrt(1 + |x - y|^2) cost."""
+    between equal-radius disks under the sqrt(1 + |x - y|^2) cost, as a
+    node array."""
     src, tgt = spec.source, spec.target
     if src.kind != "disk" or tgt.kind != "disk" or not np.isclose(
             src.radius, tgt.radius):
         raise ValueError("antipodal reflection initial data needs equal-radius disks")
     z = 2.0 * (grid.nodes - src.center) - (tgt.center - src.center)
-    return grid.scalar(0.5 * np.sqrt(1.0 + z[..., 0] ** 2 + z[..., 1] ** 2))
+    return 0.5 * np.sqrt(1.0 + z[..., 0] ** 2 + z[..., 1] ** 2)
 
 
 INITIAL_POTENTIALS = {

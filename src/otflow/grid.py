@@ -27,13 +27,18 @@ ring that carries them stably (factor (r_i / r_src)^k), which keeps the state
 consistent to O(r^k) while the time step scales with the radial spacing
 squared instead of the innermost arc length squared.
 
-Boundary derivative: ``directional_derivative_at_boundary`` takes an int
-array of boundary nodes and returns an array, one entry per node, NaN at a
-node whose direction or probe line it refuses; the ring helpers under it
-(``ring_line_intersection``, ``ring_values_at``) take and return arrays too.
-"""
+Fields are node arrays: a scalar field is an (n_r, n_s) array, its
+gradient (n_r, n_s, 2) and its Hessian (n_r, n_s, 2, 2). The calculus
+kernel (``scalar_calculus``, ``grad_values``), ``integrate`` and the
+boundary derivative take and return them bare, next to the grid they live
+on.
 
-from dataclasses import dataclass
+Boundary derivative: ``directional_derivative_at_boundary`` takes a scalar
+node array and an int array of boundary nodes and returns an array, one
+entry per node, NaN at a node whose direction or probe line it refuses; the
+ring helpers under it (``ring_line_intersection``, ``ring_values_at``) take
+and return arrays too.
+"""
 
 import numpy as np
 
@@ -42,28 +47,8 @@ from . import _numerics as nm
 #: angular modes whose extrapolation factor falls below this are zeroed
 _SLAVE_FLOOR = 1e-18
 
-#: a matrix field asymmetric by more than this is rejected
-SYMMETRY_TOL = 1e-12
-
 #: a boundary direction whose cosine with the normal is below this is tangent
 TANGENCY_FLOOR = 1e-6
-
-
-@dataclass
-class Field:
-    """Values attached to the nodes of one grid.
-
-    rank is 'scalar' (n_r, n_s), 'vector' (n_r, n_s, 2) or 'matrix'
-    (n_r, n_s, 2, 2, symmetric); grid_id ties the field to the grid that
-    produced it.
-    """
-
-    data: np.ndarray
-    rank: str
-    grid_id: int
-
-    def copy(self):
-        return Field(self.data.copy(), self.rank, self.grid_id)
 
 
 #: the coarsest grid: radial rings, and angular nodes (which must be even)
@@ -129,7 +114,6 @@ class CurvilinearGrid(_RadialMap):
     def __init__(self, domain, n_r, n_s):
         super().__init__(domain, n_r, n_s)
         n_r, n_s = self.n_r, self.n_s
-        self._id = id(self)
         self._vpp = domain.boundary_accel(self.s)
         self.jinv = nm.inv2(self.jac)
         self._build_metric_tables(self._vp, self._vpp)
@@ -315,34 +299,6 @@ class CurvilinearGrid(_RadialMap):
         res[:cut] = np.fft.irfft(terms[0] + terms[1], n=self.n_s, axis=1)
         return res
 
-    # -- field constructors -------------------------------------------------
-
-    def scalar(self, values):
-        arr = np.asarray(values, float)
-        if arr.shape != (self.n_r, self.n_s):
-            raise ValueError(f"scalar field must have shape {(self.n_r, self.n_s)}")
-        return Field(arr, "scalar", self._id)
-
-    def vector(self, values):
-        arr = np.asarray(values, float)
-        if arr.shape != (self.n_r, self.n_s, 2):
-            raise ValueError("vector field shape mismatch")
-        return Field(arr, "vector", self._id)
-
-    def matrix(self, values):
-        arr = np.asarray(values, float)
-        if arr.shape != (self.n_r, self.n_s, 2, 2):
-            raise ValueError("matrix field shape mismatch")
-        asym = np.max(np.abs(arr - np.swapaxes(arr, -1, -2)))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"matrix field asymmetric by {asym:.3e}")
-        return Field(arr, "matrix", self._id)
-
-    def check_field(self, f):
-        if f.grid_id != self._id:
-            raise ValueError("field belongs to a different grid")
-        return f
-
     # -- the calculus kernel ----------------------------------------------------
 
     def _logical_derivatives(self, arr):
@@ -461,34 +417,15 @@ class CurvilinearGrid(_RadialMap):
 
 # --- public operators --------------------------------------------------------
 
-def gradient(grid, f):
-    """Physical-space gradient of a scalar field."""
-    grid.check_field(f)
-    if f.rank != "scalar":
-        raise ValueError("gradient expects a scalar field")
-    return grid.vector(grid.grad_values(f.data))
-
-
-def hessian(grid, f):
-    """Physical-space Hessian of a scalar field (symmetrized cross terms)."""
-    grid.check_field(f)
-    if f.rank != "scalar":
-        raise ValueError("hessian expects a scalar field")
-    return grid.matrix(grid.scalar_calculus(f.data)[1])
-
-
-def integrate(grid, f):
-    """Mapped-quadrature integral of a scalar field over the domain."""
-    grid.check_field(f)
-    if f.rank != "scalar":
-        raise ValueError("integrate expects a scalar field")
-    return float(np.sum(grid.weights * f.data))
+def integrate(grid, values):
+    """Mapped-quadrature integral over the domain of a node array."""
+    return float(np.sum(grid.weights * values))
 
 
 def directional_derivative_at_boundary(grid, f, j, direction):
-    """Second-order one-sided derivative of f along ``direction`` at the
-    boundary nodes with angular indices j, an int array; returns an array,
-    one entry per node.
+    """Second-order one-sided derivative of the scalar node array f, shape
+    (n_r, n_s), along ``direction`` at the boundary nodes with angular
+    indices j, an int array; returns an array, one entry per node.
 
     Sample points are taken where the line through each node meets the two
     rings beneath the boundary, with ring values interpolated
@@ -498,9 +435,6 @@ def directional_derivative_at_boundary(grid, f, j, direction):
     TANGENCY_FLOOR of tangency, or a probe line that does not enter the
     interior is refused: its entry is NaN.
     """
-    grid.check_field(f)
-    if f.rank != "scalar":
-        raise ValueError("directional derivative expects a scalar field")
     d = np.broadcast_to(np.asarray(direction, float), j.shape + (2,))
     dn = nm.norm_stack(d)
     nu = grid.boundary_normals[j]
@@ -514,13 +448,13 @@ def directional_derivative_at_boundary(grid, f, j, direction):
     dd = np.where(refused[:, None], nu, sign[:, None] * dd)
     x0 = grid.nodes[-1, j]
     s_seed = grid.s[j]
-    f0 = f.data[-1, j]
+    f0 = f[-1, j]
     ts, fs = [], []
     for i_ring in (grid.n_r - 2, grid.n_r - 3):
         s_i, t_i = grid.ring_line_intersection(i_ring, x0, dd, s_seed)
         refused |= t_i <= 0
         ts.append(t_i)
-        fs.append(grid.ring_values_at(f.data[i_ring], s_i))
+        fs.append(grid.ring_values_at(f[i_ring], s_i))
         s_seed = s_i
     # derivative along the inward ray, then flip to the requested direction
     dfd_in = nm.one_sided_first(ts[0], ts[1], f0, fs[0], fs[1])

@@ -27,7 +27,8 @@ embedding) and cross-checked.
 The same metric drives the weighted Laplacian: with weight
 phi = log |det C(x,T)| - log rho*(T) - (1/2) log det W, the linearized flow
 operator equals the phi-weighted Laplace-Beltrami operator of w minus the
-time derivative, which ``verify_weighted_laplacian_identity`` measures.
+time derivative, which ``verify_weighted_laplacian_identity`` measures on
+node arrays.
 
 The boundary evaluators (``second_fundamental_form_w``,
 ``verify_II_identity``, ``dbeta_gradnorm_boundary``) take an int array of
@@ -385,25 +386,26 @@ def dbeta_gradnorm_boundary(state, series, j, t):
     a = nm.bilinear_stack(tau_f, W[j], tau_unit[j])
     geo = -2.0 * beta_w[j] * ii.intrinsic * a ** 2
     winv = nm.inv2(state.W)
-    q = grid.scalar(nm.quadform2(winv, grad_f))
+    q = nm.quadform2(winv, grad_f)
     direct = directional_derivative_at_boundary(grid, q, j, beta[j])
     return geo, direct
 
 
 def verify_weighted_laplacian_identity(state, v_now, v_prev, dt):
-    """Residual field of the identity between the linearized operator and the
-    phi-weighted Laplace-Beltrami operator of the pullback metric.
+    """Residual of the identity between the linearized operator and the
+    phi-weighted Laplace-Beltrami operator of the pullback metric, an
+    (n_r, n_s) node array from the node arrays v_now and v_prev on the
+    state's grid.
 
     Both sides carry the same backward time difference, so it cancels and the
     residual is purely spatial: [w^{ij} v_ij + drift . grad v] -
     [Delta_w v - <grad^w phi, grad^w v>_w]. Meaningful on interior nodes.
     """
     grid = state.grid
-    grid.check_field(v_now)
     coeffs = linearized.build_coeffs(state)
-    lv = linearized.apply_L(coeffs, grid, v_now, v_prev, dt).data
+    lv = linearized.apply_L(coeffs, grid, v_now, v_prev, dt)
     pm = pullback_metric(state)
-    gx, hess = grid.scalar_calculus(v_now.data)
+    gx, hess = grid.scalar_calculus(v_now)
     winv = coeffs.winv
     lap = (winv[..., 0, 0] * hess[..., 0, 0]
            + winv[..., 0, 1] * hess[..., 0, 1]
@@ -414,9 +416,8 @@ def verify_weighted_laplacian_identity(state, v_now, v_prev, dt):
     grad_phi = grid.grad_values(pm.phi)
     drift_phi = np.einsum('...i,...ij,...j->...', grad_phi, winv, gx)
     delta_phi = lap - drift_phi
-    dt_term = (v_now.data - v_prev.data) / dt
-    residual = lv - (delta_phi - dt_term)
-    return grid.scalar(residual)
+    dt_term = (v_now - v_prev) / dt
+    return lv - (delta_phi - dt_term)
 
 
 def map_chart_jacobian_check(cost, x0, y0):

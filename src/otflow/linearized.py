@@ -42,7 +42,7 @@ import numpy as np
 from . import _numerics as nm
 from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
 from .flow import potential_fields, time_index
-from .grid import Field, directional_derivative_at_boundary
+from .grid import directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
 DEFAULT_ALPHA = 2.0
@@ -114,32 +114,31 @@ def build_coeffs(state):
 
 def apply_L(coeffs, grid, v_now, v_prev, dt):
     """The linearized operator on a pair of consecutive snapshots of v:
-    w^{ij} v_ij + drift . grad v - (v_now - v_prev) / dt, as a scalar field.
+    w^{ij} v_ij + drift . grad v - (v_now - v_prev) / dt, an (n_r, n_s)
+    node array from two node arrays of v.
 
     Spatial derivatives act on v_now; the time derivative is the backward
     difference, so the residual of a true solution is O(h + dt).
     """
-    grid.check_field(v_now)
-    grid.check_field(v_prev)
-    gx, hess = grid.scalar_calculus(v_now.data)
+    gx, hess = grid.scalar_calculus(v_now)
     out = (coeffs.winv[..., 0, 0] * hess[..., 0, 0]
            + coeffs.winv[..., 0, 1] * hess[..., 0, 1]
            + coeffs.winv[..., 1, 0] * hess[..., 1, 0]
            + coeffs.winv[..., 1, 1] * hess[..., 1, 1])
     out = out + coeffs.drift[..., 0] * gx[..., 0] + coeffs.drift[..., 1] * gx[..., 1]
-    out = out - (v_now.data - v_prev.data) / dt
-    return grid.scalar(out)
+    return out - (v_now - v_prev) / dt
 
 
 def log_gradient_residual(coeffs, grid, f_now, f_prev, dt):
-    """Residual of the log-substituted equation: L f + w^{ij} f_i f_j.
+    """Residual of the log-substituted equation: L f + w^{ij} f_i f_j, a
+    node array like ``apply_L``'s.
 
     Vanishes (to discretization error) when f = log v for a positive solution
     v of the linearized equation.
     """
     lf = apply_L(coeffs, grid, f_now, f_prev, dt)
-    gx = grid.grad_values(f_now.data)
-    return grid.scalar(lf.data + nm.quadform2(coeffs.winv, gx))
+    gx = grid.grad_values(f_now)
+    return lf + nm.quadform2(coeffs.winv, gx)
 
 
 # --- special solutions and the Li-Yau quantity -------------------------------
@@ -179,7 +178,6 @@ class HarnackSeries(GapSeries):
     grad_f: np.ndarray               # (m, n_r, n_s, 2)
     winv_quad: np.ndarray            # w^{ij} f_i f_j per time
     F: np.ndarray                    # t (winv_quad - alpha dt_f)
-    grid_id: int
 
     def F_max_series(self):
         """max_x F(., t) over unmasked nodes for every series time."""
@@ -189,14 +187,6 @@ class HarnackSeries(GapSeries):
             if np.any(valid):
                 out[m] = np.max(self.F[m][valid])
         return out
-
-    def f_field(self, m):
-        return Field(np.nan_to_num(self.f[m], nan=0.0, neginf=0.0), "scalar",
-                     self.grid_id)
-
-    def F_field(self, m):
-        return Field(np.where(self.mask[m], self.F[m], 0.0), "scalar",
-                     self.grid_id)
 
 
 def gap_series(trajectory, k=1):
@@ -280,7 +270,7 @@ def theta_special(trajectory, k=1):
     mask = mask & np.isfinite(F) & np.isfinite(dt_f)
     return HarnackSeries(**{**vars(gaps), "mask": mask}, alpha=DEFAULT_ALPHA,
                          f=f, dt_f=dt_f, grad_f=grad_f, winv_quad=winv_quad,
-                         F=F, grid_id=grid._id)
+                         F=F)
 
 
 # --- boundary derivative of F -------------------------------------------------
@@ -300,7 +290,8 @@ def dbetaF_direct(series, state, j, t):
     window = (j[:, None] + np.arange(-2, 3)) % grid.n_s
     clear = series.mask[m][-3:, window].all(axis=(0, 2))
     beta = state.ring_beta()[j]
-    vals = directional_derivative_at_boundary(grid, series.F_field(m), j, beta)
+    vals = directional_derivative_at_boundary(
+        grid, np.where(series.mask[m], series.F[m], 0.0), j, beta)
     return np.where(clear, vals, np.nan)
 
 
@@ -322,7 +313,7 @@ def _boundary_convexity_contraction(state, j, tau):
     thirds = spec.cost.third_xxy(x, y)              # [i, j, r]
     cinv = nm.inv2(spec.cost.cross_hessian(x, y))   # [r, l]
     nu = grid.boundary_normals[j]
-    w = nm.matvec_stack(nm.transpose2(cinv), nu)    # w_r = c^(r,l) nu^l
+    w = nm.matvec_stack(cinv, nu)                   # w_r = c^(r,l) nu^l
     corr = np.einsum('...ijr,...i,...j,...r->...', thirds, tau, tau, w)
     return first - corr
 

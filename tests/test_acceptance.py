@@ -292,10 +292,10 @@ def test_criterion_10_curvature_identity(sqrt_scenario_state, stationary_state):
 
 def test_criterion_11_weighted_laplacian(stationary_state, perturbed_spec):
     g0 = stationary_state.grid
-    ones = g0.scalar(np.ones((g0.n_r, g0.n_s)))
-    prev = g0.scalar(0.5 * np.ones((g0.n_r, g0.n_s)))
+    ones = np.ones((g0.n_r, g0.n_s))
+    prev = 0.5 * np.ones((g0.n_r, g0.n_s))
     const_res = float(np.abs(km.verify_weighted_laplacian_identity(
-        stationary_state, ones, prev, 0.1).data[1:-1]).max())
+        stationary_state, ones, prev, 0.1)[1:-1]).max())
     vals = []
     for n, snap in ((16, 0.1), (32, 0.05)):
         g = grid.CurvilinearGrid(perturbed_spec.source, n, 2 * n)
@@ -305,12 +305,12 @@ def test_criterion_11_weighted_laplacian(stationary_state, perturbed_spec):
             sched)
         i = traj.snapshot_index_at_time(0.4)
         res = km.verify_weighted_laplacian_identity(
-            traj.state_at(i), g.scalar(traj.snapshots[i].rate),
-            g.scalar(traj.snapshots[i - 1].rate),
+            traj.state_at(i), traj.snapshots[i].rate,
+            traj.snapshots[i - 1].rate,
             traj.snapshots[i].t - traj.snapshots[i - 1].t)
         mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None],
-                               res.data.shape)
-        vals.append(float(np.abs(res.data[mask]).max()))
+                               res.shape)
+        vals.append(float(np.abs(res[mask]).max()))
     ratio = vals[0] / vals[1]
     ok = const_res <= 1e-10 and ratio >= 1.8
     report("criterion 11 (weighted-Laplacian identity)", ok,

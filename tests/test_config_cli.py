@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -385,7 +387,7 @@ class TestCLI:
                                                     monkeypatch):
         def concave_bump(spec, grid):
             r2 = (grid.nodes ** 2).sum(-1)
-            return grid.scalar(r2 - 0.5 * r2 ** 2)
+            return r2 - 0.5 * r2 ** 2
 
         monkeypatch.setitem(flow.INITIAL_POTENTIALS, "linear_scaling",
                             concave_bump)
@@ -466,3 +468,37 @@ class TestCLI:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "OTFlowError"
             assert "missing diagnostics.csv" in err["detail"]
+
+    @pytest.mark.parametrize("source,match", [
+        ({"kind": "disk", "radius": -1.0}, "radius"),
+        ({"kind": "disk", "radius": 0.0}, "radius"),
+        ({"kind": "blob", "radius": 0.0, "eps": 0.2, "k": 2}, "radius"),
+        ({"kind": "ellipse", "a": -1.2, "b": 1.0}, "semi-axes"),
+        ({"kind": "disk", "radius": float("inf")}, "radius"),
+        ({"kind": "disk", "radius": 1.0, "center": [float("nan"), 0.0]},
+         "center"),
+    ], ids=["disk_negative", "disk_zero", "blob_zero", "ellipse_negative",
+            "disk_infinite", "nan_center"])
+    def test_degenerate_domain_exit_2(self, tmp_path, source, match):
+        # in a subprocess with a timeout: a domain that slips past the
+        # checks can leave the audits' interior sampler looping forever, and
+        # that must fail this test, not hang the suite (json writes and reads
+        # the non-finite values as the literals Infinity and NaN)
+        bad = load_scenario("disk_uniform_stationary").to_dict()
+        bad["source"] = source
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code = ("import sys\n"
+                "from otflow.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(config.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, "run", str(path),
+                              "--out", str(tmp_path / "runs")],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        [err] = (tmp_path / "runs").glob("*/error.json")
+        report = json.load(open(err))
+        assert report["error"] == "ConfigError"
+        assert match in report["detail"]
+        assert json.loads(out.stderr) == report

@@ -36,6 +36,18 @@ def test_defining_function_normalized_on_boundary(dom):
     assert np.all(dom.h(inside) < 0)
 
 
+@pytest.mark.parametrize("dom", LIBRARY, ids=lambda d: d.describe()["kind"] + str(d.star_center))
+def test_half_widths_bound_the_boundary(dom):
+    s = np.linspace(0, 1, 720, endpoint=False)
+    reach = np.abs(dom.boundary_param(s) - dom.star_center).max(axis=0)
+    half = np.array(dom.half_widths())
+    assert np.all(reach <= half * (1 + 1e-12))
+    # tight on an axis-aligned ellipse or disk, and on a blob's x axis
+    # (its largest radius sits at angle 0)
+    tight = slice(None) if dom.kind != "blob" else slice(0, 1)
+    np.testing.assert_allclose(reach[tight], half[tight], rtol=1e-12)
+
+
 def test_curvature_oracle_matches_closed_forms():
     s = np.linspace(0, 1, 64, endpoint=False)
     np.testing.assert_allclose(Disk(2.0).curvature(s), 0.5, atol=1e-8)
@@ -75,7 +87,7 @@ def test_analytic_curvature_matches_closed_forms():
 def test_areas_match_quadrature():
     for dom in LIBRARY:
         g = grid.CurvilinearGrid(dom, 48, 96)
-        quad = grid.integrate(g, g.scalar(np.ones((48, 96))))
+        quad = grid.integrate(g, np.ones((48, 96)))
         np.testing.assert_allclose(dom.area, quad, rtol=2e-4)
 
 
@@ -95,7 +107,7 @@ class TestDensities:
             g = grid.CurvilinearGrid(dom, 48, 96)
             rho = uniform_density(dom)
             np.testing.assert_allclose(
-                grid.integrate(g, g.scalar(rho(g.nodes))), 1.0, atol=2e-4)
+                grid.integrate(g, rho(g.nodes)), 1.0, atol=2e-4)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cosine_bump_mass_and_bounds(self, k):
@@ -103,7 +115,7 @@ class TestDensities:
         rho = cosine_bump_density(dom, eps=0.15, k=k)
         g = grid.CurvilinearGrid(dom, 48, 96)
         vals = rho(g.nodes)
-        np.testing.assert_allclose(grid.integrate(g, g.scalar(vals)), 1.0,
+        np.testing.assert_allclose(grid.integrate(g, vals), 1.0,
                                    atol=5e-4)
         assert vals.min() >= rho.lo - 1e-12 and vals.max() <= rho.hi + 1e-12
 
@@ -337,8 +349,8 @@ def _two_grid_masses(spec):
     CurvilinearGrid of each domain at VALIDATION_GRID."""
     gs = grid.CurvilinearGrid(spec.source, *domains.VALIDATION_GRID)
     gt = grid.CurvilinearGrid(spec.target, *domains.VALIDATION_GRID)
-    return (grid.integrate(gs, gs.scalar(spec.rho(gs.nodes))),
-            grid.integrate(gt, gt.scalar(spec.rho_star(gt.nodes))))
+    return (grid.integrate(gs, spec.rho(gs.nodes)),
+            grid.integrate(gt, spec.rho_star(gt.nodes)))
 
 
 class TestMassQuadrature:

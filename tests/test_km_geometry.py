@@ -174,19 +174,19 @@ class TestGradNormBoundaryDerivative:
 class TestWeightedLaplacianIdentity:
     def test_constant_field_residual_vanishes(self, stationary_state):
         g = stationary_state.grid
-        ones = g.scalar(np.ones((g.n_r, g.n_s)))
-        prev = g.scalar(0.9 * np.ones((g.n_r, g.n_s)))
+        ones = np.ones((g.n_r, g.n_s))
+        prev = 0.9 * np.ones((g.n_r, g.n_s))
         res = km.verify_weighted_laplacian_identity(stationary_state, ones,
                                                     prev, 0.1)
-        assert np.abs(res.data[1:-1]).max() <= 1e-10
+        assert np.abs(res[1:-1]).max() <= 1e-10
 
     def test_constant_metric_reduction(self, stationary_state):
         # w = 2 I and constant weight: both sides share the same discrete
         # derivatives, so the residual is pure roundoff
         g = stationary_state.grid
-        v = g.scalar(np.sin(g.nodes[..., 0]) * np.exp(0.3 * g.nodes[..., 1]))
+        v = np.sin(g.nodes[..., 0]) * np.exp(0.3 * g.nodes[..., 1])
         res = km.verify_weighted_laplacian_identity(stationary_state, v, v, 1.0)
-        assert np.abs(res.data[2:-2]).max() <= 1e-9
+        assert np.abs(res[2:-2]).max() <= 1e-9
 
     def test_general_cost_residual_shrinks(self, sqrt_pair_spec):
         vals = []
@@ -194,11 +194,11 @@ class TestWeightedLaplacianIdentity:
             g = grid.CurvilinearGrid(sqrt_pair_spec.source, n, 2 * n)
             st = flow.initialize(sqrt_pair_spec, g,
                                  flow.initial_antipodal_reflection(sqrt_pair_spec, g))
-            v = g.scalar(np.sin(2 * g.nodes[..., 0]) * np.exp(0.5 * g.nodes[..., 1]))
+            v = np.sin(2 * g.nodes[..., 0]) * np.exp(0.5 * g.nodes[..., 1])
             res = km.verify_weighted_laplacian_identity(st, v, v, 1.0)
             mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None],
-                                   res.data.shape)
-            vals.append(np.abs(res.data[mask]).max())
+                                   res.shape)
+            vals.append(np.abs(res[mask]).max())
         assert vals[1] <= 0.65 * vals[0]
 
     def test_rate_field_residual_shrinks(self, perturbed_spec):
@@ -212,12 +212,12 @@ class TestWeightedLaplacianIdentity:
             i = traj.snapshot_index_at_time(0.4)
             st = traj.state_at(i)
             res = km.verify_weighted_laplacian_identity(
-                st, g.scalar(traj.snapshots[i].rate),
-                g.scalar(traj.snapshots[i - 1].rate),
+                st, traj.snapshots[i].rate,
+                traj.snapshots[i - 1].rate,
                 traj.snapshots[i].t - traj.snapshots[i - 1].t)
             mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None],
-                                   res.data.shape)
-            vals.append(np.abs(res.data[mask]).max())
+                                   res.shape)
+            vals.append(np.abs(res[mask]).max())
         assert vals[1] <= 0.65 * vals[0]
 
     def test_psi_base_recorded(self, sqrt_state_48):

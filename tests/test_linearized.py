@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from otflow import _numerics as nm
-from otflow import diagnostics, flow, grid, linearized, runner, serialize
+from otflow import (costs, diagnostics, domains, flow, grid, linearized,
+                    runner, serialize)
 from otflow.config import load_scenario
 from otflow.errors import DegenerateDenominator, NonPositiveTheta
 
@@ -45,17 +46,17 @@ class TestCoefficients:
 class TestApplyL:
     def test_annihilates_constants(self, stationary_state, coeffs_stationary):
         g = stationary_state.grid
-        c = g.scalar(np.full((g.n_r, g.n_s), 3.3))
+        c = np.full((g.n_r, g.n_s), 3.3)
         out = linearized.apply_L(coeffs_stationary, g, c, c, 0.1)
         # exact up to the non-associativity of the stencil coefficients
-        assert np.abs(out.data).max() <= 1e-11
+        assert np.abs(out).max() <= 1e-11
 
     def test_pure_time_dependence(self, stationary_state, coeffs_stationary):
         g = stationary_state.grid
-        va = g.scalar(np.full((g.n_r, g.n_s), 2.0))
-        vb = g.scalar(np.full((g.n_r, g.n_s), 1.9))
+        va = np.full((g.n_r, g.n_s), 2.0)
+        vb = np.full((g.n_r, g.n_s), 1.9)
         out = linearized.apply_L(coeffs_stationary, g, va, vb, 0.1)
-        np.testing.assert_allclose(out.data, -1.0, atol=1e-12)
+        np.testing.assert_allclose(out, -1.0, atol=1e-12)
 
     def test_rate_field_solves_the_linearization(self, perturbed_spec):
         # the interior residual of L acting on the flow's own rate field
@@ -70,15 +71,15 @@ class TestApplyL:
             state = traj.state_at(i)
             co = linearized.build_coeffs(state)
             out = linearized.apply_L(
-                co, g, g.scalar(traj.snapshots[i].rate),
-                g.scalar(traj.snapshots[i - 1].rate),
+                co, g, traj.snapshots[i].rate,
+                traj.snapshots[i - 1].rate,
                 traj.snapshots[i].t - traj.snapshots[i - 1].t)
             # fixed interior subdomain: the rings whose stencils touch the
             # projected boundary ring carry the scheme's consistency layer
             mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None],
-                                   out.data.shape)
+                                   out.shape)
             scale = np.abs(traj.snapshots[i].rate).max()
-            res.append(np.abs(out.data[mask]).max() / scale)
+            res.append(np.abs(out[mask]).max() / scale)
         assert res[1] <= 0.6 * res[0]
         assert res[1] <= 0.1
 
@@ -90,13 +91,13 @@ class TestApplyL:
         state = traj.state_at(idx)
         co = linearized.build_coeffs(state)
         g = traj.grid
-        f_now = ser.f_field(m)
-        f_prev = ser.f_field(m - 1)
+        f_now = np.nan_to_num(ser.f[m], nan=0.0, neginf=0.0)
+        f_prev = np.nan_to_num(ser.f[m - 1], nan=0.0, neginf=0.0)
         dt = float(ser.times[m] - ser.times[m - 1])
         out = linearized.log_gradient_residual(co, g, f_now, f_prev, dt)
         mask = np.broadcast_to(((g.r > 0.1) & (g.r < 0.9))[:, None],
-                               out.data.shape) & ser.mask[m] & ser.mask[m - 1]
-        assert np.abs(out.data[mask]).max() <= 0.15
+                               out.shape) & ser.mask[m] & ser.mask[m - 1]
+        assert np.abs(out[mask]).max() <= 0.15
 
 
 class TestGapSolutions:
@@ -343,6 +344,36 @@ def floor_touched(ser, t, nodes, n_s):
     m = flow.time_index(ser.times, t)
     window = (nodes[:, None] + np.arange(-2, 3)) % n_s
     return ~ser.mask[m][-3:, window].all(axis=(0, 2))
+
+
+class TestBoundaryConvexityContraction:
+    """The convexity form of ``dbetaF_closed``'s general mode is
+    ``domains.c_convexity_form``: both contract C^{-1}, whose index order is
+    (target, source), with the normal on its source index."""
+
+    @pytest.mark.parametrize("skew", [0.0, 0.7])
+    def test_matches_the_audit_form(self, skew):
+        # the sqrt cost's oracles with a constant antisymmetric part added to
+        # its cross Hessian: once C is not symmetric, the index order of
+        # C^{-1} decides the contraction
+        base = costs.make_cost("sqrt_one_plus_sq_dist")
+        part = np.array([[0.0, skew], [-skew, 0.0]])
+        cost = costs.CostModel(
+            "skewed", base.eval, base.grad_x, base.grad_y,
+            lambda x, y: base.cross_hessian(x, y) + part, base.hess_xx,
+            base.invert_Y, base.invert_X, base.third_xxy, base.third_xyy)
+        src, tgt = domains.Disk(0.5), domains.Disk(0.5, (1.2, 0.0))
+        spec = domains.ProblemSpec(src, tgt, cost, domains.uniform_density(src),
+                                   domains.uniform_density(tgt))
+        g = grid.CurvilinearGrid(src, 16, 32)
+        state = flow.build_state(flow.FlowContext(spec, g),
+                                 flow.initial_antipodal_reflection(spec, g), 0.0)
+        j = np.arange(g.n_s)
+        tau = src.boundary_tangent(g.s[j])
+        got = linearized._boundary_convexity_contraction(state, j, tau)
+        ref = np.diagonal(domains.c_convexity_form(spec, g.s[j],
+                                                   state.tmap[-1, j]))
+        assert np.abs(got - ref).max() <= 1e-12
 
 
 class TestNodeArrays:
