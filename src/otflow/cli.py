@@ -64,16 +64,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (OTFlowError, FileNotFoundError) as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 2
-    except OTFlowError as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, (ConfigError, FileNotFoundError)) else 1
 
 
 def _dispatch(args):
@@ -111,7 +106,7 @@ def _dispatch(args):
             report = runner.convexity_audit(spec, seed=config.seed)
         except OTFlowError as exc:
             if out and not isinstance(exc, ScenarioNotFound):
-                runner._error_report(out, type(exc).__name__, exc)
+                runner._error_report(out, exc)
             raise
         if out:
             os.makedirs(out, exist_ok=True)

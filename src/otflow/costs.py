@@ -94,30 +94,31 @@ class CostModel:
         """d^3 c / dx_i dx_j dy_r, shape (..., 2, 2, 2)."""
         if self._third_xxy is not None:
             return self._third_xxy(np.asarray(x, float), np.asarray(y, float))
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (2, 2, 2))
-        h = H_FD
-        for r in range(2):
-            e = np.zeros(2)
-            e[r] = h
-            out[..., r] = (self.hess_xx(x, y + e) - self.hess_xx(x, y - e)) / (2 * h)
-        return out
+        return _y_difference(self.hess_xx, x, y)
 
     def third_xyy(self, x, y):
         """d^3 c / dx_i dy_r dy_q, shape (..., 2, 2, 2)."""
         if self._third_xyy is not None:
             return self._third_xyy(np.asarray(x, float), np.asarray(y, float))
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (2, 2, 2))
-        h = H_FD
-        for q in range(2):
-            e = np.zeros(2)
-            e[q] = h
-            out[..., q] = (self.cross_hessian(x, y + e)
-                           - self.cross_hessian(x, y - e)) / (2 * h)
-        return out
+        return _y_difference(self.cross_hessian, x, y)
+
+    def convexity_correction(self, side, x, y, tau, nu):
+        """c^(r,l) c_(ij,r) tau^i tau^j nu^l at source x and target y: the
+        cost's part of the convexity form of the ``side`` ("source" or
+        "target") boundary, for tangents tau and that boundary's outward
+        normal nu. The thirds differentiate twice (i, j) at the side's own
+        point; C^{-1} keeps its (target, source) order, with nu on the side's
+        own index. Both audit forms and ``dbetaF_closed``'s term1 read it."""
+        cinv = nm.inv2(self.cross_hessian(x, y))
+        if side == "source":
+            thirds, sub = self.third_xxy(x, y), '...ijr'
+        elif side == "target":
+            thirds, sub = self.third_xyy(x, y), '...rij'
+            cinv = nm.transpose2(cinv)
+        else:
+            raise ValueError("side must be 'source' or 'target'")
+        w = nm.matvec2(cinv, nu)
+        return np.einsum(sub + ',...i,...j,...r->...', thirds, tau, tau, w)
 
     # -- twist inversion --------------------------------------------------
 
@@ -222,6 +223,18 @@ class CostModel:
         apm = self.matrix_A(x, p - step)
         d2a = (app - 2.0 * a00 + apm) / h ** 2
         return nm.quadform2(d2a, eta) * xin ** 2
+
+
+def _y_difference(oracle, x, y):
+    """Centered differences in y, step H_FD, of a (..., 2, 2) oracle, the
+    difference index last: the fallback of both mixed thirds."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (2, 2, 2))
+    for q in range(2):
+        e = np.zeros(2)
+        e[q] = H_FD
+        out[..., q] = (oracle(x, y + e) - oracle(x, y - e)) / (2 * H_FD)
+    return out
 
 
 # --- built-in costs -------------------------------------------------------

@@ -10,7 +10,9 @@ parametrization derivatives.
 The audits certify, by dense deterministic sampling with recorded witnesses,
 the hypotheses the flow needs: invertibility of the cross Hessian on the
 product of the closures, the two boundary convexity forms, density bounds,
-and equality of total masses.
+and equality of total masses. Every sweep samples a domain through
+``_audit_points``. Both convexity forms are ``convexity_form(spec, side,
+...)``: the curvature minus ``CostModel.convexity_correction``.
 
 The total masses (``ProblemSpec.masses``) are integrated with the nodes and
 weights of ``grid.quadrature`` on VALIDATION_GRID, without the calculus
@@ -21,10 +23,11 @@ step's mass error is measured.
 Of the post-run readers in ``linearized``, the gap series and its Harnack
 ratios read nothing here; the closed-form boundary derivative of the
 Li-Yau quantity F reads the source boundary's tangent and curvature
-(``Domain.curvature``) and, through the cost, the target's h*.
+(``Domain.curvature``) and, through the cost, the target's h*; its term1
+reads the same correction as the source side of ``convexity_form``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -452,14 +455,8 @@ class ConvexityReport:
     argmin_y: np.ndarray
     argmin_tau: np.ndarray
     argmin_s: float
-    n_boundary: int
-    n_other: int
     y_variance: float
     ties: int
-    delta: float = field(init=False)
-
-    def __post_init__(self):
-        self.delta = self.min_value
 
 
 @dataclass
@@ -535,6 +532,15 @@ def _sample_interior(domain, n):
     return np.concatenate(pts, axis=0)[:n]
 
 
+def _audit_points(domain, n_interior, n_lattice):
+    """The sample set of the audit sweeps: the first n_interior Sobol points
+    inside the domain (``_sample_interior``), then the boundary at the
+    lattice s = k / n_lattice."""
+    s = np.arange(n_lattice) / n_lattice
+    return np.concatenate([_sample_interior(domain, n_interior),
+                           domain.boundary_param(s)], axis=0)
+
+
 def check_bitwist(spec, n_samples=4096):
     """Minimum |det cross Hessian| over a quasi-random sweep of both closures.
 
@@ -544,14 +550,11 @@ def check_bitwist(spec, n_samples=4096):
     order over the (x, y) pairs, or the first NaN, which fails the check.
     A ``cross_identity`` cost skips the sweep: its report is the sweep's.
     """
-    nin = max(16, n_samples)
-    xs = _sample_interior(spec.source, nin // 2)
-    ys = _sample_interior(spec.target, nin // 2)
+    nin = max(16, n_samples) // 2
     # power-of-two lattice so sweeps with more samples contain smaller ones
     nb = max(16, 2 ** int(np.log2(max(np.sqrt(n_samples), 1))))
-    sb = np.arange(nb) / nb
-    xs = np.concatenate([xs, spec.source.boundary_param(sb)], axis=0)
-    ys = np.concatenate([ys, spec.target.boundary_param(sb)], axis=0)
+    xs = _audit_points(spec.source, nin, nb)
+    ys = _audit_points(spec.target, nin, nb)
     if spec.cost.cross_identity:
         # |det I| is exactly 1 at every pair: the first pair is the witness
         return BitwistReport(1.0, xs[0].copy(), ys[0].copy(),
@@ -568,50 +571,27 @@ def check_bitwist(spec, n_samples=4096):
                          len(xs) * len(ys), BITWIST_MARGIN)
 
 
-def c_convexity_form(spec, s, y):
-    """The source boundary convexity form at boundary parameter(s) s against
-    target point(s) y, contracted with the unit tangent.
-
-    Broadcasts s (shape S) against y (shape Y x 2) to an (S, Y) array when
-    both are batched.
-    """
+def convexity_form(spec, side, s, other):
+    """The convexity form of the ``side`` ("source" or "target") boundary at
+    parameter(s) s against point(s) of the other domain, contracted with the
+    unit tangent: the curvature kappa minus the cost's
+    ``convexity_correction``, which ``thirds_vanish`` skips. Broadcasts s
+    (shape S) against other (shape O x 2) to an (S, O) array."""
+    domain = getattr(spec, side)
     s = np.atleast_1d(np.asarray(s, float))
-    y = np.atleast_2d(np.asarray(y, float))
-    x = spec.source.boundary_param(s)
-    tau = spec.source.boundary_tangent(s)
-    nu = spec.source.outward_normal(s)
-    kappa = spec.source.curvature(s)
+    other = np.atleast_2d(np.asarray(other, float))
+    kappa = domain.curvature(s)[:, None]
     if spec.cost.thirds_vanish:
-        return np.broadcast_to(kappa[:, None], (s.shape[0], y.shape[0])).copy()
-    xb = x[:, None, :]
-    yb = y[None, :, :]
-    thirds = spec.cost.third_xxy(xb, yb)                  # [i, j, l]
-    cinv = nm.inv2(spec.cost.cross_hessian(xb, yb))       # [l, k]
-    w = np.einsum('ablk,ak->abl', cinv, nu)
-    corr = np.einsum('abijl,ai,aj,abl->ab', thirds, tau, tau, w)
-    return kappa[:, None] - corr
+        return np.broadcast_to(kappa, (s.shape[0], other.shape[0])).copy()
+    own = domain.boundary_param(s)[:, None]
+    x, y = (own, other[None]) if side == "source" else (other[None], own)
+    corr = spec.cost.convexity_correction(
+        side, x, y, domain.boundary_tangent(s)[:, None],
+        domain.outward_normal(s)[:, None])
+    return kappa - corr
 
 
-def cstar_convexity_form(spec, s, x):
-    """Mirror form on the target boundary against source point(s) x."""
-    s = np.atleast_1d(np.asarray(s, float))
-    x = np.atleast_2d(np.asarray(x, float))
-    y = spec.target.boundary_param(s)
-    tau = spec.target.boundary_tangent(s)
-    nu = spec.target.outward_normal(s)
-    kappa = spec.target.curvature(s)
-    if spec.cost.thirds_vanish:
-        return np.broadcast_to(kappa[:, None], (s.shape[0], x.shape[0])).copy()
-    yb = y[:, None, :]
-    xb = x[None, :, :]
-    thirds = spec.cost.third_xyy(xb, yb)                  # [l, i, j]
-    cinv = nm.inv2(spec.cost.cross_hessian(xb, yb))       # [k, l]
-    w = np.einsum('abkl,ak->abl', cinv, nu)
-    corr = np.einsum('ablij,ai,aj,abl->ab', thirds, tau, tau, w)
-    return kappa[:, None] - corr
-
-
-def _convexity_report(form_values, domain, s, other_pts, n_other):
+def _convexity_report(form_values, domain, s, other_pts):
     lo = float(np.min(form_values))
     # a NaN minimum ties with the NaN samples
     ties = (form_values <= lo + WITNESS_RTOL * abs(lo)) | np.isnan(form_values)
@@ -623,26 +603,29 @@ def _convexity_report(form_values, domain, s, other_pts, n_other):
         argmin_y=other_pts[j].copy(),
         argmin_tau=domain.boundary_tangent(s[i]),
         argmin_s=float(s[i]),
-        n_boundary=len(s), n_other=n_other, y_variance=y_var,
+        y_variance=y_var,
         ties=int(np.count_nonzero(ties)))
 
 
-def check_c_convexity(spec, n_boundary=128, n_target=64):
+def _convexity_sweep(spec, side, n_boundary, n_other):
+    """The ``side`` form on a lattice of n_boundary boundary parameters
+    against n_other // 2 Sobol points of the other domain and a boundary
+    lattice of max(8, n_other // 2) on it."""
+    other = spec.target if side == "source" else spec.source
     s = np.arange(n_boundary) / n_boundary
-    ys = _sample_interior(spec.target, max(1, n_target // 2))
-    sb = np.arange(max(8, n_target // 2)) / max(8, n_target // 2)
-    ys = np.concatenate([ys, spec.target.boundary_param(sb)], axis=0)
-    vals = c_convexity_form(spec, s, ys)
-    return _convexity_report(vals, spec.source, s, ys, n_target)
+    pts = _audit_points(other, max(1, n_other // 2), max(8, n_other // 2))
+    return _convexity_report(convexity_form(spec, side, s, pts),
+                             getattr(spec, side), s, pts)
+
+
+def check_c_convexity(spec, n_boundary=128, n_target=64):
+    """The source boundary's c-convexity sweep against target points."""
+    return _convexity_sweep(spec, "source", n_boundary, n_target)
 
 
 def check_cstar_convexity(spec, n_boundary=128, n_source=64):
-    s = np.arange(n_boundary) / n_boundary
-    xs = _sample_interior(spec.source, max(1, n_source // 2))
-    sb = np.arange(max(8, n_source // 2)) / max(8, n_source // 2)
-    xs = np.concatenate([xs, spec.source.boundary_param(sb)], axis=0)
-    vals = cstar_convexity_form(spec, s, xs)
-    return _convexity_report(vals, spec.target, s, xs, n_source)
+    """The target boundary's c*-convexity sweep against source points."""
+    return _convexity_sweep(spec, "target", n_boundary, n_source)
 
 
 def validate_spec(spec):
@@ -652,19 +635,13 @@ def validate_spec(spec):
     balance quadrature, and the cross-Hessian invertibility sweep.
     """
     problems = []
-    pts_s = _sample_interior(spec.source, 1024)
-    pts_t = _sample_interior(spec.target, 1024)
-    rho_v = spec.rho(pts_s)
-    rho_t = spec.rho_star(pts_t)
     slack = 1e-12
-    if np.any(rho_v < spec.rho.lo - slack) or np.any(rho_v > spec.rho.hi + slack) \
-            or np.any(rho_v <= 0):
-        problems.append(DensityOutOfBounds(
-            f"source density leaves [{spec.rho.lo:g}, {spec.rho.hi:g}]"))
-    if np.any(rho_t < spec.rho_star.lo - slack) or np.any(rho_t > spec.rho_star.hi + slack) \
-            or np.any(rho_t <= 0):
-        problems.append(DensityOutOfBounds(
-            f"target density leaves [{spec.rho_star.lo:g}, {spec.rho_star.hi:g}]"))
+    for side, density in (("source", spec.rho), ("target", spec.rho_star)):
+        vals = density(_sample_interior(getattr(spec, side), 1024))
+        if np.any(vals < density.lo - slack) or np.any(vals > density.hi + slack) \
+                or np.any(vals <= 0):
+            problems.append(DensityOutOfBounds(
+                f"{side} density leaves [{density.lo:g}, {density.hi:g}]"))
 
     m_src, m_tgt = spec.masses()
     if abs(m_src - m_tgt) > MASS_TOL:

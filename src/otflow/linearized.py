@@ -29,6 +29,10 @@ W^{-1} at each snapshot; only the boundary audit of F (``dbetaF_direct``,
 ``flow.potential_fields``, the helper ``flow.build_state`` forms it with,
 without the rest of a flow state.
 
+The closed form's term1 is the source boundary's convexity form at
+tau = W^{-1} grad f; its cost part is ``CostModel.convexity_correction``,
+which the source audit (``domains.convexity_form``) reads too.
+
 The boundary derivatives of F take an int array of boundary nodes and
 return arrays, one entry per node, from one evaluation of the ring's fields
 for all of them. The direct derivative reads NaN at a node it refuses: the
@@ -298,24 +302,18 @@ def dbetaF_direct(series, state, j, t):
 def _boundary_convexity_contraction(state, j, tau):
     """(Dnu - c^(r,l) c_(ij,r) nu^l)-form at the boundary nodes j (an int
     array) contracted with the (not necessarily unit) tangent vectors tau,
-    shape (k, 2)."""
+    shape (k, 2): kappa (tau . t)^2 minus the cost's source-side
+    ``convexity_correction``."""
     grid = state.grid
     spec = state.spec
     s_j = grid.s[j]
-    tan = spec.source.boundary_tangent(s_j)
-    kappa = spec.source.curvature(s_j)
-    tau_t = np.vecdot(tau, tan)
-    first = kappa * tau_t ** 2
+    tau_t = np.vecdot(tau, spec.source.boundary_tangent(s_j))
+    first = spec.source.curvature(s_j) * tau_t ** 2
     if spec.cost.thirds_vanish:
         return first
-    x = grid.nodes[-1, j]
-    y = state.tmap[-1, j]
-    thirds = spec.cost.third_xxy(x, y)              # [i, j, r]
-    cinv = nm.inv2(spec.cost.cross_hessian(x, y))   # [r, l]
-    nu = grid.boundary_normals[j]
-    w = nm.matvec_stack(cinv, nu)                   # w_r = c^(r,l) nu^l
-    corr = np.einsum('...ijr,...i,...j,...r->...', thirds, tau, tau, w)
-    return first - corr
+    return first - spec.cost.convexity_correction(
+        "source", grid.nodes[-1, j], state.tmap[-1, j], tau,
+        grid.boundary_normals[j])
 
 
 def dbetaF_closed(series, state, j, t, mode="general"):

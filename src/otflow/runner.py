@@ -46,17 +46,19 @@ def resolve_outdir(config, output_root=None):
     return os.path.join(_output_root(output_root), config.output_dir or config.name)
 
 
-def _error_report(outdir, kind, exc):
-    payload = {"error": kind, "detail": str(exc)}
+def _error_report(outdir, exc, detail=None):
+    """Write and return the error.json payload of exc to outdir: the
+    exception's type, ``detail`` (str(exc) by default) and its witness."""
+    payload = {"error": type(exc).__name__,
+               "detail": str(exc) if detail is None else detail}
     witness = getattr(exc, "witness", None)
     if witness is not None:             # NotCConvex: W's worst node
         i, j, x, eig = witness
         payload["witness"] = {"node": [int(i), int(j)],
                               "x": [float(v) for v in x],
                               "min_eig_W": float(eig)}
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        serialize.write_json(os.path.join(outdir, "error.json"), payload)
+    os.makedirs(outdir, exist_ok=True)
+    serialize.write_json(os.path.join(outdir, "error.json"), payload)
     return payload
 
 
@@ -64,7 +66,7 @@ def config_failure(name, exc, output_root=None):
     """Exit-2 result for a config that failed to parse or validate; its
     error.json goes to the run directory ``name`` under the output root."""
     outdir = os.path.join(_output_root(output_root), name)
-    return RunResult(2, outdir, None, _error_report(outdir, type(exc).__name__, exc))
+    return RunResult(2, outdir, None, _error_report(outdir, exc))
 
 
 def run_scenario(config, output_root=None):
@@ -75,14 +77,12 @@ def run_scenario(config, output_root=None):
         spec, grid = config.build_problem()
         u0 = config.build_initial(spec, grid)
     except OTFlowError as exc:
-        return RunResult(2, outdir, None, _error_report(outdir, type(exc).__name__, exc))
+        return RunResult(2, outdir, None, _error_report(outdir, exc))
     problems = domains.validate_spec(spec)
     if problems:
         detail = "; ".join(f"{type(p).__name__}: {p}" for p in problems)
-        payload = {"error": type(problems[0]).__name__, "detail": detail}
-        os.makedirs(outdir, exist_ok=True)
-        serialize.write_json(os.path.join(outdir, "error.json"), payload)
-        return RunResult(2, outdir, None, payload)
+        return RunResult(2, outdir, None,
+                         _error_report(outdir, problems[0], detail))
     try:
         schedule = config.build_schedule()
         trajectory = run_to_convergence(spec, grid, u0, schedule)
@@ -91,7 +91,7 @@ def run_scenario(config, output_root=None):
         serialize.write_json(os.path.join(outdir, "summary.json"), summary)
         run_audits(trajectory, config, outdir)
     except OTFlowError as exc:
-        return RunResult(1, outdir, None, _error_report(outdir, type(exc).__name__, exc))
+        return RunResult(1, outdir, None, _error_report(outdir, exc))
     return RunResult(0, outdir, summary)
 
 
@@ -170,15 +170,16 @@ def convexity_audit(spec, seed=0):
     rep_c = domains.check_c_convexity(spec)
     rep_s = domains.check_cstar_convexity(spec)
     bit = domains.check_bitwist(spec)
+
+    def witness(rep):
+        return {"x": rep.argmin_x, "y": rep.argmin_y, "tau": rep.argmin_tau,
+                "s": rep.argmin_s, "ties": rep.ties}
+
     return {
         "delta": rep_c.min_value,
         "delta_star": rep_s.min_value,
-        "c_convex_witness": {"x": rep_c.argmin_x, "y": rep_c.argmin_y,
-                             "tau": rep_c.argmin_tau, "s": rep_c.argmin_s,
-                             "ties": rep_c.ties},
-        "cstar_convex_witness": {"x": rep_s.argmin_x, "y": rep_s.argmin_y,
-                                 "tau": rep_s.argmin_tau, "s": rep_s.argmin_s,
-                                 "ties": rep_s.ties},
+        "c_convex_witness": witness(rep_c),
+        "cstar_convex_witness": witness(rep_s),
         "bitwist_min_abs_det": bit.min_abs_det,
         "bitwist_ok": bit.ok,
         "y_variance_c": rep_c.y_variance,

@@ -22,12 +22,12 @@ def _fmt(x):
     return repr(float(x))
 
 
-def write_field(path, values, grid, rank="scalar", t=0.0, name=""):
+def write_field(path, values, grid, t=0.0, name=""):
     values = np.asarray(values, dtype="<f8")     # keeps a 0-d shape
     header = {
         "format": "otflow-field-v1",
         "name": name,
-        "rank": rank,
+        "rank": "scalar",
         "shape": list(values.shape),
         "grid": {"n_r": grid.n_r, "n_s": grid.n_s,
                  "domain": grid.domain.describe()},
@@ -88,9 +88,8 @@ def save_trajectory(outdir, trajectory, config_dict):
     for i, snap in enumerate(trajectory.snapshots):
         fu = f"snap_{i:04d}_u.field"
         fr = f"snap_{i:04d}_rate.field"
-        write_field(os.path.join(outdir, fu), snap.u, grid, "scalar", snap.t, "u")
-        write_field(os.path.join(outdir, fr), snap.rate, grid, "scalar",
-                    snap.t, "rate")
+        write_field(os.path.join(outdir, fu), snap.u, grid, snap.t, "u")
+        write_field(os.path.join(outdir, fr), snap.rate, grid, snap.t, "rate")
         files.append({"t": snap.t, "u": fu, "rate": fr})
     manifest = {
         "format": "otflow-trajectory-v1",

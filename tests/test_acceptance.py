@@ -339,8 +339,8 @@ def test_criterion_12_convexity_audits():
                                domains.uniform_density(blob),
                                domains.uniform_density(domains.Disk(2.0)))
     rep = domains.check_c_convexity(spec, 256, 16)
-    witness_val = float(domains.c_convexity_form(
-        spec, np.array([rep.argmin_s]), rep.argmin_y[None, :])[0, 0])
+    witness_val = float(domains.convexity_form(
+        spec, "source", np.array([rep.argmin_s]), rep.argmin_y[None, :])[0, 0])
     ok &= rep.min_value < 0 and abs(witness_val - rep.min_value) <= 1e-12
     details.append(f"nonconvex source detected: min form {rep.min_value:.3f} "
                    f"with reproducible witness at s={rep.argmin_s:.3f}")

@@ -97,7 +97,7 @@ class TestFieldFiles:
     def test_round_trip(self, tmp_path, stationary_state):
         grid = stationary_state.grid
         path = tmp_path / "u.field"
-        serialize.write_field(path, stationary_state.u, grid, "scalar", 1.25, "u")
+        serialize.write_field(path, stationary_state.u, grid, 1.25, "u")
         header, data = serialize.read_field(path)
         assert header["t"] == 1.25
         assert header["grid"]["domain"]["kind"] == "disk"

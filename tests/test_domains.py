@@ -12,11 +12,10 @@ from otflow import costs, domains, flow, grid, serialize
 from otflow.config import load_scenario
 from otflow._numerics import det2
 from otflow.domains import (CosineBlob, Disk, Ellipse, ProblemSpec,
-                            c_convexity_form, check_bitwist,
-                            check_c_convexity, check_cstar_convexity,
-                            cosine_bump_density, cstar_convexity_form,
-                            make_density, make_domain, uniform_density,
-                            validate_spec)
+                            check_bitwist, check_c_convexity,
+                            check_cstar_convexity, convexity_form,
+                            cosine_bump_density, make_density, make_domain,
+                            uniform_density, validate_spec)
 from otflow.errors import DensityOutOfBounds, MassImbalance
 
 LIBRARY = [Disk(1.3, (0.2, -0.1)), Ellipse(1.4, 0.7, (0.0, 0.5)),
@@ -278,8 +277,8 @@ class TestConvexityAudits:
         rep = check_c_convexity(spec, 256, 16)
         assert rep.min_value < -0.1
         # the witness reproduces the reported minimum
-        again = c_convexity_form(spec, np.array([rep.argmin_s]),
-                                 rep.argmin_y[None, :])
+        again = convexity_form(spec, "source", np.array([rep.argmin_s]),
+                               rep.argmin_y[None, :])
         np.testing.assert_allclose(float(again[0, 0]), rep.min_value,
                                    atol=1e-12)
 
@@ -339,7 +338,7 @@ class TestConvexityAudits:
             rhs = kappa_img * float(qp @ qp) * float(np.linalg.norm(beta))
             np.testing.assert_allclose(lhs, rhs, rtol=1e-5)
         # and the boundary convexity form carries the image curvature's sign
-        form = cstar_convexity_form(spec, np.array([0.2]), x0[None, :])
+        form = convexity_form(spec, "target", np.array([0.2]), x0[None, :])
         assert np.sign(form[0, 0]) == np.sign(
             coordinate_domain_II(spec.cost, "target_image", x0, spec.target, 0.2))
 

@@ -346,22 +346,41 @@ def floor_touched(ser, t, nodes, n_s):
     return ~ser.mask[m][-3:, window].all(axis=(0, 2))
 
 
+def _skewed_sqrt_cost(skew):
+    """The sqrt cost's oracles with a constant antisymmetric part added to
+    its cross Hessian: once C is not symmetric, the index order of C^{-1}
+    decides the contraction."""
+    base = costs.make_cost("sqrt_one_plus_sq_dist")
+    part = np.array([[0.0, skew], [-skew, 0.0]])
+    return costs.CostModel(
+        "skewed", base.eval, base.grad_x, base.grad_y,
+        lambda x, y: base.cross_hessian(x, y) + part, base.hess_xx,
+        base.invert_Y, base.invert_X, base.third_xxy, base.third_xyy)
+
+
+def _mirrored_cost(cost):
+    """c*(a, b) = c(b, a) from the same oracles: the source and target roles
+    swap, C is transposed and the thirds are permuted. D^2_aa c* is the
+    sqrt cost's D^2_yy c, which equals its D^2_xx c."""
+    return costs.CostModel(
+        "mirrored", lambda a, b: cost.eval(b, a),
+        lambda a, b: cost.grad_y(b, a), lambda a, b: cost.grad_x(b, a),
+        lambda a, b: np.swapaxes(cost.cross_hessian(b, a), -1, -2),
+        lambda a, b: cost.hess_xx(b, a),
+        lambda a, p: cost.invert_X(p, a), lambda q, b: cost.invert_Y(b, q),
+        lambda a, b: np.moveaxis(cost.third_xyy(b, a), -3, -1),
+        lambda a, b: np.moveaxis(cost.third_xxy(b, a), -1, -3))
+
+
 class TestBoundaryConvexityContraction:
-    """The convexity form of ``dbetaF_closed``'s general mode is
-    ``domains.c_convexity_form``: both contract C^{-1}, whose index order is
-    (target, source), with the normal on its source index."""
+    """The convexity form of ``dbetaF_closed``'s general mode is the source
+    side of ``domains.convexity_form``: both contract C^{-1}, whose index
+    order is (target, source), with the normal on its source index; the
+    target side puts the normal on the target index."""
 
     @pytest.mark.parametrize("skew", [0.0, 0.7])
     def test_matches_the_audit_form(self, skew):
-        # the sqrt cost's oracles with a constant antisymmetric part added to
-        # its cross Hessian: once C is not symmetric, the index order of
-        # C^{-1} decides the contraction
-        base = costs.make_cost("sqrt_one_plus_sq_dist")
-        part = np.array([[0.0, skew], [-skew, 0.0]])
-        cost = costs.CostModel(
-            "skewed", base.eval, base.grad_x, base.grad_y,
-            lambda x, y: base.cross_hessian(x, y) + part, base.hess_xx,
-            base.invert_Y, base.invert_X, base.third_xxy, base.third_xyy)
+        cost = _skewed_sqrt_cost(skew)
         src, tgt = domains.Disk(0.5), domains.Disk(0.5, (1.2, 0.0))
         spec = domains.ProblemSpec(src, tgt, cost, domains.uniform_density(src),
                                    domains.uniform_density(tgt))
@@ -371,9 +390,28 @@ class TestBoundaryConvexityContraction:
         j = np.arange(g.n_s)
         tau = src.boundary_tangent(g.s[j])
         got = linearized._boundary_convexity_contraction(state, j, tau)
-        ref = np.diagonal(domains.c_convexity_form(spec, g.s[j],
-                                                   state.tmap[-1, j]))
+        ref = np.diagonal(domains.convexity_form(spec, "source", g.s[j],
+                                                 state.tmap[-1, j]))
         assert np.abs(got - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("skew", [0.0, 0.7])
+    def test_target_side_is_the_mirrored_source_side(self, skew):
+        # the target form of (source, target, c) is the source form of the
+        # mirrored problem (target, source, c*) with c*(y, x) = c(x, y)
+        cost = _skewed_sqrt_cost(skew)
+        src, tgt = domains.Disk(0.5), domains.Ellipse(0.6, 0.4, (1.2, 0.3))
+        spec = domains.ProblemSpec(src, tgt, cost, domains.uniform_density(src),
+                                   domains.uniform_density(tgt))
+        mirrored = domains.ProblemSpec(tgt, src, _mirrored_cost(cost),
+                                       domains.uniform_density(tgt),
+                                       domains.uniform_density(src))
+        s = np.arange(48) / 48
+        xs = domains._audit_points(src, 16, 16)
+        got = domains.convexity_form(spec, "target", s, xs)
+        ref = domains.convexity_form(mirrored, "source", s, xs)
+        assert np.abs(got - ref).max() <= 1e-12
+        # the cost's correction is far from zero on this pair
+        assert np.abs(got - tgt.curvature(s)[:, None]).max() > 0.1
 
 
 class TestNodeArrays:

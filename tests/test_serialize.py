@@ -29,7 +29,7 @@ def path(tmp_path_factory):
 
 
 def _write(path, values, t=0.0):
-    serialize.write_field(path, values, GRID, "scalar", t, "u")
+    serialize.write_field(path, values, GRID, t, "u")
     return path.read_bytes()
 
 

@@ -11,7 +11,15 @@ fields, diagnostics.csv, summary.json, audits, or error.json), with its
 path relative to the run directory; the second covers the same files except
 those under ``audits/``. Two checkouts that print the same lines produced
 byte-identical run directories; two that differ only in the first digest
-differ only in their audit files. Run from the root of a checkout:
+differ only in their audit files.
+
+It then prints, for every bundled scenario (those without an initial
+potential too), one sha256 of its convexity audit,
+
+    <sha256>  <scenario> convexity
+
+over the JSON that ``otflow audit-convexity <scenario>`` prints. Run from
+the root of a checkout:
 
     python3 tools/run_digests.py
 
@@ -24,13 +32,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from otflow import config, runner  # noqa: E402
+from otflow import config, runner, serialize  # noqa: E402
 
 SMALL = (16, 32)
 EXTRA = (("disk_cosine_perturbed", (32, 64)),)
@@ -58,6 +67,16 @@ def directory_digest(root, skip_audits=False):
     return digest.hexdigest()
 
 
+def convexity_digest(name):
+    """sha256 of the bytes ``otflow audit-convexity name`` prints, without
+    its trailing newline."""
+    cfg = config.load_scenario(name)
+    spec, _ = cfg.build_problem()
+    report = runner.convexity_audit(spec, seed=cfg.seed)
+    text = json.dumps(report, sort_keys=True, default=serialize._json_default)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as scratch:
         for name, grid in runs():
@@ -67,6 +86,8 @@ def main():
             print(f"{directory_digest(result.outdir)}  "
                   f"{directory_digest(result.outdir, skip_audits=True)}  {name} "
                   f"{grid[0]}x{grid[1]} exit={result.status}", flush=True)
+    for name in config.bundled_scenario_names():
+        print(f"{convexity_digest(name)}  {name} convexity", flush=True)
 
 
 if __name__ == "__main__":
