@@ -1,4 +1,4 @@
-"""Small vectorized helpers for 2x2 linear algebra and finite differences.
+"""Small vectorized helpers for 2x2 linear algebra.
 
 All matrix arguments have shape (..., 2, 2) and vectors (..., 2); operations
 broadcast over the leading axes. Written out by component so the hot loops
@@ -93,9 +93,3 @@ def cross2(u, v):
 def norm2(v):
     return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2)
 
-
-def one_sided_first(t1, t2, f0, f1, f2):
-    """Derivative at 0 of the quadratic through (0, f0), (t1, f1), (t2, f2)."""
-    return (-(t1 + t2) / (t1 * t2) * f0
-            + t2 / (t1 * (t2 - t1)) * f1
-            - t1 / (t2 * (t2 - t1)) * f2)

@@ -55,10 +55,20 @@ def _check_choice(section, mapping, key, known):
                           f"(known: {known})")
 
 
+def _is_finite_number(value):
+    """A number, not a bool, that converts to a finite float (a JSON
+    integer can be too large to)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return -float("inf") < float(value) < float("inf")
+    except OverflowError:
+        return False
+
+
 def _check_time(time):
     for key, value in time.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0.0 < value < float("inf")):
+        if not (_is_finite_number(value) and value > 0.0):
             raise ConfigError(f"time '{key}' must be a positive number, "
                               f"got {value!r}")
 
@@ -72,6 +82,22 @@ def _check_grid(grid):
     if grid["n_s"] < MIN_N_S or grid["n_s"] % 2:
         raise ConfigError(f"grid n_s = {grid['n_s']} must be even and at least "
                           f"{MIN_N_S}")
+
+
+def _check_fit(fit):
+    window = fit.get("window")
+    if window is not None and not (
+            isinstance(window, (list, tuple)) and len(window) == 2
+            and all(_is_finite_number(v) for v in window)):
+        raise ConfigError(f"fit 'window' must be null or two finite numbers, "
+                          f"got {window!r}")
+    if "u_tail_trim" in fit and not _is_finite_number(fit["u_tail_trim"]):
+        raise ConfigError(f"fit 'u_tail_trim' must be a finite number, "
+                          f"got {fit['u_tail_trim']!r}")
+    min_samples = fit.get("min_samples", 10)
+    if not isinstance(min_samples, int) or isinstance(min_samples, bool):
+        raise ConfigError(f"fit 'min_samples' must be an integer, "
+                          f"got {min_samples!r}")
 
 
 @dataclass
@@ -124,6 +150,7 @@ class ScenarioConfig:
         _check_keys("tolerances", raw.get("tolerances", {}), set())
         _check_keys("audits", raw.get("audits", {}), _AUDIT_KEYS)
         _check_keys("fit", raw.get("fit", {}), _FIT_KEYS)
+        _check_fit(raw.get("fit", {}))
         return cls(name=raw["name"], cost=dict(raw["cost"]),
                    source=dict(raw["source"]), target=dict(raw["target"]),
                    source_density=dict(raw["source_density"]),

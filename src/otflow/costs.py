@@ -247,6 +247,20 @@ def _broadcast_copy(a, b):
     return out
 
 
+def _constant_oracle(value):
+    """An oracle (x, y) -> a new array holding ``value`` at every broadcast
+    pair of points."""
+    def oracle(x, y):
+        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        return np.broadcast_to(value, shape + value.shape).copy()
+    return oracle
+
+
+#: the cross Hessian and mixed thirds of both quadratic costs
+_IDENTITY = _constant_oracle(np.eye(2))
+_ZERO_THIRDS = _constant_oracle(np.zeros((2, 2, 2)))
+
+
 def _inner_product():
     def ev(x, y):
         return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
@@ -257,23 +271,12 @@ def _inner_product():
     def gy(x, y):
         return _broadcast_copy(x, y)
 
-    def cr(x, y):
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-
-    def hxx(x, y):
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.zeros(shape + (2, 2))
-
-    def t3(x, y):
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.zeros(shape + (2, 2, 2))
-
     # the twist maps are the identity, so each inverse is a gradient map:
     # Y(x, p) = p and X(q, y) = q
-    return CostModel("inner_product", ev, gx, gy, cr, hxx, gx, gy, t3, t3,
-                     thirds_vanish=True, cross_identity=True,
-                     hess_xx_vanishes=True)
+    return CostModel("inner_product", ev, gx, gy, _IDENTITY,
+                     _constant_oracle(np.zeros((2, 2))), gx, gy,
+                     _ZERO_THIRDS, _ZERO_THIRDS, thirds_vanish=True,
+                     cross_identity=True, hess_xx_vanishes=True)
 
 
 def _neg_half_sq_dist():
@@ -287,21 +290,12 @@ def _neg_half_sq_dist():
     def gy(x, y):
         return x - y
 
-    def cr(x, y):
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-
-    def hxx(x, y):
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.broadcast_to(-np.eye(2), shape + (2, 2)).copy()
-
-    def t3(x, y):
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        return np.zeros(shape + (2, 2, 2))
-
-    return CostModel("neg_half_sq_dist", ev, gx, gy, cr, hxx,
-                     lambda x, p: x + p, lambda q, y: y + q, t3, t3,
-                     thirds_vanish=True, cross_identity=True)
+    # -np.eye(2) has -0.0 off the diagonal, and the oracle's bits keep it
+    return CostModel("neg_half_sq_dist", ev, gx, gy, _IDENTITY,
+                     _constant_oracle(-np.eye(2)),
+                     lambda x, p: x + p, lambda q, y: y + q,
+                     _ZERO_THIRDS, _ZERO_THIRDS, thirds_vanish=True,
+                     cross_identity=True)
 
 
 def _sqrt_one_plus_sq_dist():

@@ -259,28 +259,37 @@ def build_state(ctx, u_values, t):
 
 # --- initialization ---------------------------------------------------------
 
+def _require_c_convex(state, what):
+    """Raise NotCConvex, with W's worst node as its witness, when the state
+    has no rate because W is not positive definite somewhere."""
+    if state.rate is not None:
+        return
+    nodes = state.grid.nodes
+    lo, _ = nm.sym_eig_range2(state.W)
+    i, j = (int(k) for k in np.unravel_index(np.argmin(lo), lo.shape))
+    raise NotCConvex(
+        f"{what} not locally uniformly cost-convex: min eigenvalue "
+        f"{lo[i, j]:.3e} at node {(i, j)}, x = {nodes[i, j]}",
+        witness=(i, j, nodes[i, j].copy(), float(lo[i, j])))
+
+
 def initialize(spec, grid, u0, schedule=None):
     """Validate initial data and return the state at t = 0.
 
     Checks, in order: positive definiteness of W(u0) everywhere (with a
     witness node on failure), the boundary compatibility h*(Y(x, grad u0)) = 0
     on the boundary ring to 1e-7 + 5 dr^2, that the transport image stays
-    inside the closed target to the same tolerance, and that the image of
-    the boundary covers the target boundary to 4 times the mapped spacing.
-    ``u0`` is the potential's (n_r, n_s) node array; it is copied, never
-    written. No check depends on ``schedule``; it is accepted because
+    inside the closed target to the same tolerance, positive definiteness
+    again after the boundary projection when that runs, and that the image
+    of the boundary covers the target boundary to 4 times the mapped
+    spacing. ``u0`` is the potential's (n_r, n_s) node array; it is copied,
+    never written. No check depends on ``schedule``; it is accepted because
     callers pass the run's Schedule.
     """
     ctx = FlowContext(spec, grid)
     u = grid.apply_pole_projection(np.array(u0, float))
     state = build_state(ctx, u, 0.0)
-    if state.rate is None:
-        lo, _ = nm.sym_eig_range2(state.W)
-        i, j = np.unravel_index(np.argmin(lo), lo.shape)
-        raise NotCConvex(
-            f"initial potential not locally uniformly cost-convex: min "
-            f"eigenvalue {lo[i, j]:.3e} at node {(i, j)}, x = {grid.nodes[i, j]}",
-            witness=(int(i), int(j), grid.nodes[i, j].copy(), float(lo[i, j])))
+    _require_c_convex(state, "initial potential")
     # the discrete gradient of exact continuum-compatible data carries an
     # O(h^2) boundary defect, so the compatibility tolerance scales with it
     init_tol = 1e-7 + 5.0 * grid.dr ** 2
@@ -297,6 +306,8 @@ def initialize(spec, grid, u0, schedule=None):
         # start the flow exactly on the boundary constraint
         _project_boundary(ctx, u)
         state = build_state(ctx, u, 0.0)
+        _require_c_convex(state, "initial potential after the boundary "
+                          "projection")
     # boundary coverage: every target boundary sample must be near a mapped node
     n_probe = 4 * grid.n_s
     probes = spec.target.boundary_param(np.arange(n_probe) / n_probe)

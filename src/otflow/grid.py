@@ -35,9 +35,10 @@ on.
 
 Boundary derivative: ``directional_derivative_at_boundary`` takes a scalar
 node array and an int array of boundary nodes and returns an array, one
-entry per node, NaN at a node whose direction or probe line it refuses; the
-ring helpers under it (``ring_line_intersection``, ``ring_values_at``) take
-and return arrays too.
+entry per node: the kernel's gradient on the boundary ring contracted with
+the given directions. The boundary ring's d/dr is the row ``ring_dr`` that
+the boundary Newton reads too, so the audits' boundary derivative and the
+flow's boundary condition share one stencil; no direction is refused.
 """
 
 import numpy as np
@@ -46,9 +47,6 @@ from . import _numerics as nm
 
 #: angular modes whose extrapolation factor falls below this are zeroed
 _SLAVE_FLOOR = 1e-18
-
-#: a boundary direction whose cosine with the normal is below this is tangent
-TANGENCY_FLOOR = 1e-6
 
 
 #: the coarsest grid: radial rings, and angular nodes (which must be even)
@@ -365,54 +363,10 @@ class CurvilinearGrid(_RadialMap):
 
     # -- boundary helpers -------------------------------------------------------
 
-    def ring_values_at(self, row_values, s_eval):
-        """Trigonometric interpolation of one ring's values at an array of
-        parameters s."""
-        fhat = np.fft.rfft(row_values)
-        n = self.n_s
-        k = np.arange(fhat.shape[0])
-        phase = np.exp(2j * np.pi * np.outer(s_eval, k))
-        scale = np.full(fhat.shape[0], 2.0)
-        scale[0] = 1.0
-        if n % 2 == 0:
-            scale[-1] = 1.0
-        return (phase * (scale * fhat)).real.sum(axis=1) / n
-
     def d_s_ring(self, row_values):
         """Spectral d/ds of values on a single ring (any trailing axes), by
         ``ring_ds``, the boundary Newton's d/ds block."""
         return np.tensordot(self.ring_ds, row_values, axes=1)
-
-    def ring_line_intersection(self, i_ring, x0, direction, s_seed):
-        """Parameter s where the ring r_i meets the line x0 - t * direction.
-
-        Takes a batch of lines (x0 and direction of shapes (k, 2), seeds of
-        shape (k,)) and returns arrays (s, t), t > 0 measured along the unit
-        direction. Each line runs its own Newton iteration, frozen where it
-        converges or its derivative vanishes, so a line's result does not
-        depend on the rest of the batch.
-        """
-        c = self.domain.star_center
-        r = self.r[i_ring]
-        x0 = np.asarray(x0, float)
-        d = np.asarray(direction, float)
-        d = d / nm.norm_stack(d)[..., None]
-        s = np.array(s_seed, float)
-        live = np.ones(s.shape, bool)
-        for _ in range(60):
-            p = c + r * (self.domain.boundary_param(s) - c)
-            vel = r * self.domain.boundary_velocity(s)
-            g = nm.cross2(p - x0, -d)
-            dg = nm.cross2(vel, -d)
-            live &= ~(np.abs(dg) < 1e-14)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / dg
-            s = np.where(live, s - step, s)
-            live &= ~(np.abs(step) < 1e-15)
-            if not live.any():
-                break
-        p = c + r * (self.domain.boundary_param(s) - c)
-        return s % 1.0, np.vecdot(x0 - p, d)
 
 
 # --- public operators --------------------------------------------------------
@@ -423,39 +377,14 @@ def integrate(grid, values):
 
 
 def directional_derivative_at_boundary(grid, f, j, direction):
-    """Second-order one-sided derivative of the scalar node array f, shape
-    (n_r, n_s), along ``direction`` at the boundary nodes with angular
-    indices j, an int array; returns an array, one entry per node.
+    """Derivative of the scalar node array f, shape (n_r, n_s), along
+    ``direction`` at the boundary nodes with angular indices j, an int
+    array; returns an array, one entry per node.
 
-    Sample points are taken where the line through each node meets the two
-    rings beneath the boundary, with ring values interpolated
-    trigonometrically. ``direction`` has shape (k, 2), or (2,) for one
-    direction at every node, and need not be normalized; the result scales
-    with its length. A node with a zero direction, one within
-    TANGENCY_FLOOR of tangency, or a probe line that does not enter the
-    interior is refused: its entry is NaN.
+    It is the calculus kernel's gradient (``grad_values``) on the boundary
+    ring, whose d/dr is the one-sided ``ring_dr`` stencil over the three
+    outer rings, contracted with ``direction``. ``direction`` has shape
+    (k, 2), or (2,) for one direction at every node, and need not be
+    normalized; the result scales with its length.
     """
-    d = np.broadcast_to(np.asarray(direction, float), j.shape + (2,))
-    dn = nm.norm_stack(d)
-    nu = grid.boundary_normals[j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosang = np.vecdot(d, nu) / dn
-        dd = d / dn[:, None]
-    refused = (dn == 0) | (np.abs(cosang) < TANGENCY_FLOOR)
-    # point the probe outward, flip the result back; a refused node probes
-    # along its normal so that its Newton iteration stays finite
-    sign = np.where(cosang < 0, -1.0, 1.0)
-    dd = np.where(refused[:, None], nu, sign[:, None] * dd)
-    x0 = grid.nodes[-1, j]
-    s_seed = grid.s[j]
-    f0 = f[-1, j]
-    ts, fs = [], []
-    for i_ring in (grid.n_r - 2, grid.n_r - 3):
-        s_i, t_i = grid.ring_line_intersection(i_ring, x0, dd, s_seed)
-        refused |= t_i <= 0
-        ts.append(t_i)
-        fs.append(grid.ring_values_at(f[i_ring], s_i))
-        s_seed = s_i
-    # derivative along the inward ray, then flip to the requested direction
-    dfd_in = nm.one_sided_first(ts[0], ts[1], f0, fs[0], fs[1])
-    return np.where(refused, np.nan, sign * (-dfd_in) * dn)
+    return np.vecdot(grid.grad_values(f)[-1, j], direction)

@@ -35,6 +35,8 @@ The boundary evaluators (``second_fundamental_form_w``,
 boundary nodes and return arrays, one entry per node, from one evaluation
 of the ring's and the grid's fields (beta, the Christoffel field of w, the
 transport Jacobian); an image curve that degenerates at any node raises.
+The direct side of ``dbeta_gradnorm_boundary`` is the calculus kernel's
+boundary gradient (``grid.directional_derivative_at_boundary``).
 """
 
 from dataclasses import dataclass
@@ -374,9 +376,9 @@ def verify_II_identity(state, j):
 def dbeta_gradnorm_boundary(state, series, j, t):
     """The boundary derivative along beta of |grad^w f|^2_w for the gap
     solution at the boundary nodes j (an int array), two ways: geometrically
-    as -2 |beta|_w II^w(grad^w f, grad^w f) and by direct one-sided
-    differencing of the scalar field. Returns (geometric, direct), arrays
-    with one entry per node; the direct one is NaN at a refused node."""
+    as -2 |beta|_w II^w(grad^w f, grad^w f) and directly, as the calculus
+    kernel's boundary gradient of the scalar field contracted with beta.
+    Returns (geometric, direct), arrays with one entry per node."""
     m = time_index(series.times, t)
     grid = state.grid
     beta, W, tau_e, norm_w, tau_unit, beta_w = _ring_w_data(state)

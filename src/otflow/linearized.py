@@ -35,8 +35,9 @@ which the source audit (``domains.convexity_form``) reads too.
 
 The boundary derivatives of F take an int array of boundary nodes and
 return arrays, one entry per node, from one evaluation of the ring's fields
-for all of them. The direct derivative reads NaN at a node it refuses: the
-floor mask touches its window, or the probe direction is refused.
+for all of them. The direct derivative is the calculus kernel's boundary
+gradient of F (``grid.directional_derivative_at_boundary``) contracted with
+beta; it reads NaN at a node whose window touches the floor mask.
 """
 
 from dataclasses import dataclass
@@ -280,14 +281,14 @@ def theta_special(trajectory, k=1):
 # --- boundary derivative of F -------------------------------------------------
 
 def dbetaF_direct(series, state, j, t):
-    """One-sided finite-difference derivative of F along beta at the
-    boundary nodes j (an int array) at series offset t; an array, one entry
-    per node.
+    """Derivative of F along beta at the boundary nodes j (an int array) at
+    series offset t, from the calculus kernel's gradient of F on the
+    boundary ring; an array, one entry per node.
 
-    Refuses nodes whose sampling neighborhood (a five-node window on the
-    three outer rings) touches the positivity-floor mask: F is undefined
-    there and differencing across the hole is meaningless. A refused node,
-    this way or by the probe direction, reads NaN.
+    Refuses nodes whose neighborhood (a five-node window on the three outer
+    rings, the rings the one-sided d/dr reads) touches the positivity-floor
+    mask: F is undefined there and differencing across the hole is
+    meaningless. A refused node reads NaN.
     """
     m = time_index(series.times, t)
     grid = state.grid

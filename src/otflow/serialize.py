@@ -100,9 +100,7 @@ def save_trajectory(outdir, trajectory, config_dict):
         "converged": bool(trajectory.converged),
         "reason": trajectory.reason,
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
     write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"),
                           trajectory.step_records)
     return manifest

@@ -253,8 +253,7 @@ def test_criterion_09_boundary_dbetaF(run64):
         mode_gap = max(mode_gap, float(np.max(np.abs(vg - vq))))
         closed_max = max(closed_max, float(np.max(vg)))
         dd = linearized.dbetaF_direct(series, st, nodes, t)
-        # only the positivity floor may refuse a node; a refused direction
-        # fails the criterion
+        # only the positivity floor may refuse a node
         window = (nodes[:, None] + np.arange(-2, 3)) % traj.grid.n_s
         floor = ~series.mask[flow.time_index(series.times, t)][
             -3:, window].all(axis=(0, 2))

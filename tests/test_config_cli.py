@@ -81,6 +81,14 @@ class TestConfigParsing:
         assert sched == Schedule(stop_tol=2e-8, t_max=3.0, snapshot_dt=0.5)
         assert type(sched.t_max) is float
 
+    @pytest.mark.parametrize("fit", [
+        {}, {"window": None}, {"window": [0, 1.5]}, {"u_tail_trim": -3},
+        {"u_tail_trim": 1.0, "min_samples": 8}])
+    def test_well_formed_fit_accepted(self, fit):
+        raw = load_scenario("disk_uniform_stationary").to_dict()
+        raw["fit"] = fit
+        assert ScenarioConfig.from_dict(raw).fit == fit
+
     @pytest.mark.parametrize("grid", [(2, 64), (16, 33), (16, 6)])
     def test_invalid_grid_override_rejected(self, grid):
         with pytest.raises(ConfigError, match="grid"):
@@ -136,6 +144,21 @@ class TestRunner:
         assert result.error["error"] == "MassImbalance"
         report = json.load(open(os.path.join(result.outdir, "error.json")))
         assert report["error"] == "MassImbalance"
+
+    def test_projected_start_not_c_convex_exits_1_with_witness(self, tmp_path):
+        # at 4x8 W(u0) is positive definite, but the boundary projection
+        # leaves it indefinite at a node
+        cfg = load_scenario("offset_disks_sqrt").with_overrides(grid=(4, 8))
+        result = runner.run_scenario(cfg, output_root=str(tmp_path))
+        assert result.status == 1
+        report = json.load(open(os.path.join(result.outdir, "error.json")))
+        assert report == result.error
+        assert report["error"] == "NotCConvex"
+        assert "after the boundary projection" in report["detail"]
+        _, grid = cfg.build_problem()
+        i, j = report["witness"]["node"]
+        assert report["witness"]["x"] == grid.nodes[i, j].tolist()
+        assert report["witness"]["min_eig_W"] < 0
 
     def test_perturbed_run_with_audits(self, tmp_path):
         cfg = load_scenario("disk_cosine_perturbed").with_overrides(
@@ -250,6 +273,14 @@ class TestCLI:
         ("cost", {"name": "inner_product", "newton_tol": 1e-11}, "newton_tol"),
         ("time", {"stop_tol": 1e-8, "t_max": "abc"}, "t_max"),
         ("time", {"stop_tol": 1e-8, "snapshot_dt": 0}, "snapshot_dt"),
+        ("fit", {"window": 5}, "window"),
+        ("fit", {"window": [0, "a"]}, "window"),
+        ("fit", {"window": [0, 1, 2]}, "window"),
+        ("fit", {"min_samples": "x"}, "min_samples"),
+        ("fit", {"min_samples": True}, "min_samples"),
+        ("fit", {"u_tail_trim": "abc"}, "u_tail_trim"),
+        ("fit", {"window": [0, 10 ** 400]}, "window"),
+        ("time", {"stop_tol": 1e-8, "t_max": 10 ** 400}, "t_max"),
     ])
     def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
                                                      section, value, match):

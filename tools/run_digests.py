@@ -18,8 +18,14 @@ potential too), one sha256 of its convexity audit,
 
     <sha256>  <scenario> convexity
 
-over the JSON that ``otflow audit-convexity <scenario>`` prints. Run from
-the root of a checkout:
+over the JSON that ``otflow audit-convexity <scenario>`` prints. Last, it
+replays the Harnack audit on the ``offset_disks_sqrt`` 16x32 run, the
+bundled run on a cost with non-vanishing mixed thirds, into a directory
+outside that run, and prints
+
+    <sha256 harnack.csv>  <sha256 harnack_summary.json>  offset_disks_sqrt 16x32 harnack
+
+Run from the root of a checkout:
 
     python3 tools/run_digests.py
 
@@ -43,6 +49,7 @@ from otflow import config, runner, serialize  # noqa: E402
 
 SMALL = (16, 32)
 EXTRA = (("disk_cosine_perturbed", (32, 64)),)
+HARNACK_RUN = ("offset_disks_sqrt", SMALL)
 
 
 def runs():
@@ -77,17 +84,34 @@ def convexity_digest(name):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def harnack_digests(run_dir, audit_dir):
+    """sha256 of harnack.csv and of harnack_summary.json from the Harnack
+    audit of the trajectory in run_dir, written to audit_dir."""
+    trajectory, _ = serialize.load_trajectory(run_dir)
+    os.makedirs(audit_dir)
+    runner.harnack_audit(trajectory, audit_dir)
+    return [hashlib.sha256(Path(audit_dir, name).read_bytes()).hexdigest()
+            for name in ("harnack.csv", "harnack_summary.json")]
+
+
 def main():
     with tempfile.TemporaryDirectory() as scratch:
+        outdirs = {}
         for name, grid in runs():
             cfg = config.load_scenario(name).with_overrides(grid=grid)
             out_root = os.path.join(scratch, f"{name}_{grid[0]}x{grid[1]}")
             result = runner.run_scenario(cfg, output_root=out_root)
+            outdirs[name, grid] = result.outdir
             print(f"{directory_digest(result.outdir)}  "
                   f"{directory_digest(result.outdir, skip_audits=True)}  {name} "
                   f"{grid[0]}x{grid[1]} exit={result.status}", flush=True)
-    for name in config.bundled_scenario_names():
-        print(f"{convexity_digest(name)}  {name} convexity", flush=True)
+        for name in config.bundled_scenario_names():
+            print(f"{convexity_digest(name)}  {name} convexity", flush=True)
+        name, grid = HARNACK_RUN
+        csv_sha, summary_sha = harnack_digests(
+            outdirs[HARNACK_RUN], os.path.join(scratch, "harnack_replay"))
+        print(f"{csv_sha}  {summary_sha}  {name} {grid[0]}x{grid[1]} harnack",
+              flush=True)
 
 
 if __name__ == "__main__":
