@@ -2,9 +2,8 @@
 
 All matrix arguments have shape (..., 2, 2) and vectors (..., 2); operations
 broadcast over the leading axes. Written out by component so the hot loops
-avoid einsum/linalg dispatch overhead; the ``*_stack`` helpers instead
-reproduce the BLAS-backed ``@`` and ``np.linalg.norm`` of one vector bit for
-bit over a stack of them.
+avoid einsum/linalg dispatch overhead. The step pipeline and the boundary
+audits share these helpers; the package has no other 2x2 algebra.
 """
 
 import numpy as np
@@ -46,24 +45,6 @@ def matmul2(a, b):
         for j in range(2):
             out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
     return out
-
-
-def matvec_stack(m, v):
-    """m @ v over stacks of matrices and vectors of any size, by batched
-    matmul: each product is that of the one-pair ``m @ v``, bit for bit
-    (``matvec2`` sums its components in another order)."""
-    return np.matmul(m, v[..., None])[..., 0]
-
-
-def bilinear_stack(u, m, v):
-    """u @ m @ v over stacks, evaluated left to right as the one-triple
-    expression is, bit for bit."""
-    return np.vecdot(np.matmul(u[..., None, :], m)[..., 0, :], v)
-
-
-def norm_stack(v):
-    """``np.linalg.norm`` of each vector of a stack, bit for bit."""
-    return np.sqrt(np.vecdot(v, v))
 
 
 def transpose2(m):

@@ -100,6 +100,23 @@ def _check_fit(fit):
                           f"got {min_samples!r}")
 
 
+def _check_scalars(raw):
+    """The top-level scalars and the audit toggles."""
+    if not isinstance(raw["name"], str):
+        raise ConfigError(f"'name' must be a string, got {raw['name']!r}")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"'output_dir' must be a string or null, "
+                          f"got {output_dir!r}")
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    for key, value in raw.get("audits", {}).items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"audits '{key}' must be true or false, "
+                              f"got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -151,6 +168,7 @@ class ScenarioConfig:
         _check_keys("audits", raw.get("audits", {}), _AUDIT_KEYS)
         _check_keys("fit", raw.get("fit", {}), _FIT_KEYS)
         _check_fit(raw.get("fit", {}))
+        _check_scalars(raw)
         return cls(name=raw["name"], cost=dict(raw["cost"]),
                    source=dict(raw["source"]), target=dict(raw["target"]),
                    source_density=dict(raw["source_density"]),

@@ -5,7 +5,8 @@ h = 0 on the boundary, grad h = outward unit normal on the boundary) with a
 periodic boundary parametrization s in [0, 1) traversed counterclockwise.
 The built-in library is disks, ellipses, and star-shaped cosine blobs
 r(phi) = R (1 + eps cos(k phi)); all are C-infinity with analytic
-parametrization derivatives.
+parametrization derivatives and a closed-form inverse ``boundary_s``, which
+the curvature-identity audit reads for the target parameter of T(x0).
 
 The audits certify, by dense deterministic sampling with recorded witnesses,
 the hypotheses the flow needs: invertibility of the cross Hessian on the
@@ -63,9 +64,12 @@ class Domain:
     kind = "abstract"
 
     def __init__(self, star_center):
-        self.star_center = np.asarray(star_center, float)
-        if not np.all(np.isfinite(self.star_center)):
-            raise ValueError("domain center must be finite")
+        center = np.asarray(star_center)
+        if not (center.shape == (2,) and center.dtype.kind in "iuf"
+                and np.all(np.isfinite(center))):
+            raise ValueError(f"domain center must be two finite numbers, "
+                             f"got {star_center!r}")
+        self.star_center = center.astype(float)
 
     # -- defining function --------------------------------------------------
 
@@ -109,6 +113,14 @@ class Domain:
 
     def boundary_accel(self, s):
         raise NotImplementedError
+
+    def boundary_s(self, y):
+        """The boundary parameter of boundary point(s) y (..., 2): the polar
+        angle of y about ``star_center`` over 2 pi, mod 1. It inverts the
+        radial parametrizations (a point at polar angle 2 pi s); a domain
+        with another parametrization overrides it."""
+        d = np.asarray(y, float) - self.star_center
+        return (np.arctan2(d[..., 1], d[..., 0]) / (2 * np.pi)) % 1.0
 
     def boundary_tangent(self, s):
         v = self.boundary_velocity(s)
@@ -219,6 +231,12 @@ class Ellipse(Domain):
         ang = 2 * np.pi * np.asarray(s, float)
         return -(2 * np.pi) ** 2 * np.stack([self.a * np.cos(ang), self.b * np.sin(ang)], axis=-1)
 
+    def boundary_s(self, y):
+        """The eccentric anomaly of y (..., 2) over 2 pi, mod 1: the polar
+        angle of (y - center) / (a, b), which inverts ``boundary_param``."""
+        d = (np.asarray(y, float) - self.center) / np.array([self.a, self.b])
+        return (np.arctan2(d[..., 1], d[..., 0]) / (2 * np.pi)) % 1.0
+
     @property
     def area(self):
         return np.pi * self.a * self.b
@@ -247,6 +265,7 @@ class CosineBlob(Domain):
             raise ValueError("blob eps must lie in [0, 1)")
         if not 0 < radius < np.inf:
             raise ValueError("blob radius must be positive and finite")
+        _check_int("blob k", k)
         super().__init__(center)
         self.radius = float(radius)
         self.eps = float(eps)
@@ -299,6 +318,11 @@ class CosineBlob(Domain):
     def describe(self):
         return {"kind": "blob", "radius": self.radius, "eps": self.eps,
                 "k": self.k, "center": self.center.tolist()}
+
+
+def _check_int(what, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 _DOMAINS = {"disk": Disk, "ellipse": Ellipse, "blob": CosineBlob}
@@ -369,6 +393,7 @@ def cosine_bump_density(domain, eps=0.1, k=1, scale=1.0):
     """
     if not 0 <= eps < 1:
         raise ValueError("cosine_bump eps must lie in [0, 1)")
+    _check_int("cosine_bump k", k)
     center = domain.star_center
     area = domain.area
     r_ref = max(domain.half_widths())

@@ -24,6 +24,10 @@ normals. II^w is evaluated two independent ways (intrinsically through the
 Christoffel symbols of w, and through the ambient connection of h along the
 embedding) and cross-checked.
 
+The target parameter of T(x0) is the closed form ``Domain.boundary_s``, each
+image is oriented by sign det C (the image map's Jacobian is C^T or C), and
+the 2x2 algebra is ``_numerics``'.
+
 The same metric drives the weighted Laplacian: with weight
 phi = log |det C(x,T)| - log rho*(T) - (1/2) log det W, the linearized flow
 operator equals the phi-weighted Laplace-Beltrami operator of w minus the
@@ -114,9 +118,6 @@ class PullbackMetric:
     w: np.ndarray            # (n_r, n_s, 2, 2) assembled via the pullback
     w_flow: np.ndarray       # the flow's W field, for comparison
     phi: np.ndarray          # weighted-Laplacian weight
-    psi_base: np.ndarray     # rho*^2 det DT / |det C|; conformal-exponent
-                             # base, recorded only (its exponent 1/(n-2) is
-                             # undefined in two dimensions)
     christoffel: np.ndarray  # (n_r, n_s, 2, 2, 2): Gamma^k_(ij) of w
 
 
@@ -149,10 +150,9 @@ def pullback_metric(state):
     det_c = np.abs(nm.det2(C))
     rho_star_t = spec.rho_star(state.tmap)
     phi = np.log(det_c) - np.log(rho_star_t) - 0.5 * np.log(state.det_W)
-    psi_base = rho_star_t ** 2 * (state.det_W / det_c) / det_c
     gamma = metric_christoffel(grid, state.W)
     return PullbackMetric(w=w, w_flow=state.W.copy(), phi=phi,
-                          psi_base=psi_base, christoffel=gamma)
+                          christoffel=gamma)
 
 
 def metric_christoffel(grid, w_field):
@@ -251,21 +251,21 @@ def _second_fundamental_form(state, j, ring, DT):
     gamma_w = metric_christoffel(grid, state.W)[-1]
     corr = np.einsum('...kab,...a,...b->...k', gamma_w[j], tau_e[j], nhat[j])
     cov = (dnhat[j] + corr) / norm_w[j][:, None]
-    ii_intr = nm.bilinear_stack(cov, W[j], tau_unit[j])
+    ii_intr = np.vecdot(cov, nm.matvec2(W[j], tau_unit[j]))
 
     # ambient: II = -|beta|_w^{-1} h(beta (+) DT beta, nabla^h_U V)
-    V = np.concatenate([tau_unit, np.einsum('skl,sl->sk', DT, tau_unit)], axis=-1)
+    V = np.concatenate([tau_unit, nm.matvec2(DT, tau_unit)], axis=-1)
     dV = grid.d_s_ring(V)
     x0 = grid.nodes[-1, j]
     y0 = state.tmap[-1, j]
     km = KMMetric(state.spec.cost)
     gam_h = km.christoffel(x0, y0)
-    U4 = (np.concatenate([tau_e[j], nm.matvec_stack(DT[j], tau_e[j])], axis=-1)
+    U4 = (np.concatenate([tau_e[j], nm.matvec2(DT[j], tau_e[j])], axis=-1)
           / norm_w[j][:, None])
     corr4 = np.einsum('...dgl,...g,...l->...d', gam_h, U4, V[j])
     cov4 = dV[j] / norm_w[j][:, None] + corr4
-    beta4 = np.concatenate([beta[j], nm.matvec_stack(DT[j], beta[j])], axis=-1)
-    flat = nm.matvec_stack(km.metric(x0, y0), beta4)
+    beta4 = np.concatenate([beta[j], nm.matvec2(DT[j], beta[j])], axis=-1)
+    flat = np.einsum('...ml,...l->...m', km.metric(x0, y0), beta4)
     ii_amb = -np.vecdot(flat, cov4) / beta_w[j]
     return IIPair(intrinsic=ii_intr, ambient=ii_amb)
 
@@ -281,57 +281,32 @@ def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
     the signed curvature at parameter ``s_eval`` (the second fundamental form
     against a tangent vector v is curvature * |v|^2), an array of the shape
     the anchors (..., 2) and parameters broadcast to.
+
+    The curvature is a centered difference at s_eval +- step. The image map
+    has Jacobian C^T (source image) or C (target image), C the cross Hessian
+    at the evaluation point; under the twist condition it keeps the
+    counterclockwise orientation iff det C > 0, so sign det C orients it.
     """
-    anchor = np.asarray(anchor, float)
-    if which == "source_image":
-        def img(s, a):
-            return cost.grad_y(boundary_domain.boundary_param(s), a)
-    elif which == "target_image":
-        def img(s, a):
-            return cost.grad_x(a, boundary_domain.boundary_param(s))
-    else:
+    if which not in ("source_image", "target_image"):
         raise ValueError("which must be 'source_image' or 'target_image'")
-    # orientation from the signed area of each full image curve
-    s_all = np.arange(256) / 256
-    q = img(s_all, anchor[..., None, :])
-    area2 = np.sum(nm.cross2(q, np.roll(q, -1, axis=-2)), axis=-1)
-    orient = np.where(area2 > 0, 1.0, -1.0)
+    anchor = np.asarray(anchor, float)
     s_eval = np.asarray(s_eval, float)
-    qp = (img(s_eval + step, anchor) - img(s_eval - step, anchor)) / (2 * step)
-    qpp = (img(s_eval + step, anchor) - 2 * img(s_eval, anchor)
-           + img(s_eval - step, anchor)) / step ** 2
-    speed = nm.norm_stack(qp)
+    grad = cost.grad_y if which == "source_image" else cost.grad_x
+
+    def pair(s):
+        """The cost's (x, y) at boundary parameter(s) s."""
+        b = boundary_domain.boundary_param(s)
+        return (b, anchor) if which == "source_image" else (anchor, b)
+
+    orient = np.sign(nm.det2(cost.cross_hessian(*pair(s_eval))))
+    q_m, q_0, q_p = (grad(*pair(s_eval + d)) for d in (-step, 0.0, step))
+    qp = (q_p - q_m) / (2 * step)
+    qpp = (q_p - 2 * q_0 + q_m) / step ** 2
+    speed = nm.norm2(qp)
     if np.any(speed < VELOCITY_FLOOR):
         raise DegenerateImage(
             f"image curve velocity {np.min(speed):.3e} below floor")
     return orient * nm.cross2(qp, qpp) / speed ** 3
-
-
-def _target_boundary_param_of(target, point):
-    """Boundary parameters of the target closest to the points (k, 2), an
-    array; each point runs its own Newton iteration, frozen where it
-    converges or its derivative vanishes."""
-    point = np.asarray(point, float)
-    s_grid = np.arange(720) / 720
-    bp = target.boundary_param(s_grid)
-    dist2 = ((bp - point[..., None, :]) ** 2).sum(-1)
-    s = s_grid[np.argmin(dist2, axis=-1)]
-    live = np.ones(s.shape, bool)
-    for _ in range(60):
-        p = target.boundary_param(s)
-        v = target.boundary_velocity(s)
-        a = target.boundary_accel(s)
-        g = np.vecdot(p - point, v)
-        dg = np.vecdot(v, v) + np.vecdot(p - point, a)
-        live &= ~(np.abs(dg) < 1e-14)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            snew = s - g / dg
-        moved = np.abs(snew - s)
-        s = np.where(live, snew, s)
-        live &= ~(moved < 1e-15)
-        if not live.any():
-            break
-    return s % 1.0
 
 
 def verify_II_identity(state, j):
@@ -353,17 +328,16 @@ def verify_II_identity(state, j):
     C = cost.cross_hessian(x0, y0)
     DT = DT_ring[j]
     tau = tau_unit[j]
-    tau_hat = nm.matvec_stack(nm.transpose2(C), tau)
-    taubar_hat = nm.matvec_stack(C, nm.matvec_stack(DT, tau))
-    dt_beta = nm.matvec_stack(DT, beta[j])
+    tau_hat = nm.matvec2(nm.transpose2(C), tau)
+    taubar_hat = nm.matvec2(C, nm.matvec2(DT, tau))
+    dt_beta = nm.matvec2(DT, beta[j])
 
     kappa_src = coordinate_domain_II(cost, "source_image", y0, spec.source,
                                      grid.s[j])
-    s_star = _target_boundary_param_of(spec.target, y0)
     kappa_tgt = coordinate_domain_II(cost, "target_image", x0, spec.target,
-                                     s_star)
-    term1 = nm.norm_stack(dt_beta) * kappa_src * np.vecdot(tau_hat, tau_hat)
-    term2 = nm.norm_stack(beta[j]) * kappa_tgt * np.vecdot(taubar_hat, taubar_hat)
+                                     spec.target.boundary_s(y0))
+    term1 = nm.norm2(dt_beta) * kappa_src * np.vecdot(tau_hat, tau_hat)
+    term2 = nm.norm2(beta[j]) * kappa_tgt * np.vecdot(taubar_hat, taubar_hat)
     rhs = term1 + term2
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
                                          1e-300)
@@ -373,7 +347,7 @@ def verify_II_identity(state, j):
                     grid_shape=(grid.n_r, grid.n_s))
 
 
-def dbeta_gradnorm_boundary(state, series, j, t):
+def dbeta_gradnorm_boundary(series, state, j, t):
     """The boundary derivative along beta of |grad^w f|^2_w for the gap
     solution at the boundary nodes j (an int array), two ways: geometrically
     as -2 |beta|_w II^w(grad^w f, grad^w f) and directly, as the calculus
@@ -381,11 +355,12 @@ def dbeta_gradnorm_boundary(state, series, j, t):
     Returns (geometric, direct), arrays with one entry per node."""
     m = time_index(series.times, t)
     grid = state.grid
-    beta, W, tau_e, norm_w, tau_unit, beta_w = _ring_w_data(state)
-    ii = second_fundamental_form_w(state, j)
+    ring = _ring_w_data(state)
+    beta, W, tau_e, norm_w, tau_unit, beta_w = ring
+    ii = _second_fundamental_form(state, j, ring, transport_jacobian(state)[-1])
     grad_f = series.grad_f[m]
     tau_f = nm.solve2(W[j], grad_f[-1, j])
-    a = nm.bilinear_stack(tau_f, W[j], tau_unit[j])
+    a = np.vecdot(tau_f, nm.matvec2(W[j], tau_unit[j]))
     geo = -2.0 * beta_w[j] * ii.intrinsic * a ** 2
     winv = nm.inv2(state.W)
     q = nm.quadform2(winv, grad_f)

@@ -323,11 +323,13 @@ def dbetaF_closed(series, state, j, t, mode="general"):
 
     Returns (value, (term1, term2, term3)): the curvature-form term, the
     -G_pp(grad f, grad f) term, and the +alpha G_pp(grad f, grad theta) term,
-    each already multiplied by t. ``mode='quadratic'`` uses the specialization
-    valid for the inner-product cost (W = D^2 u, beta = grad h*(grad u));
-    ``mode='general'`` assembles the full G_pp from the cost calculus. Each
-    is an array, one entry per node, from one evaluation of the ring's
-    fields.
+    each already multiplied by t. Both modes read term1 from
+    ``_boundary_convexity_contraction`` at tau = W^{-1} grad f and differ
+    only in G_pp: ``mode='quadratic'`` uses the specialization valid for the
+    inner-product cost (G_pp = D^2 h*(grad u)); ``mode='general'`` assembles
+    the full G_pp from the cost calculus. Each is an array, one entry per
+    node, from one evaluation of the ring's fields, with the package's 2x2
+    helpers.
     """
     if mode not in ("general", "quadratic"):
         raise ValueError("mode must be 'general' or 'quadratic'")
@@ -339,23 +341,17 @@ def dbetaF_closed(series, state, j, t, mode="general"):
     grad_rate = grid.grad_values(state.rate)[-1, j]
     W = state.W[-1, j]
     beta = state.ring_beta()[j]
-    chi = nm.norm_stack(nm.matvec_stack(W, beta))
-    tau = np.linalg.solve(W, grad_f[..., None])[..., 0]
-    alpha = series.alpha
+    chi = nm.norm2(nm.matvec2(W, beta))
+    tau = nm.solve2(W, grad_f)
+    form = _boundary_convexity_contraction(state, j, tau)
     if mode == "quadratic":
-        s_j = grid.s[j]
-        kappa = spec.source.curvature(s_j)
-        tan = spec.source.boundary_tangent(s_j)
-        tau_t = np.vecdot(tau, tan)
         g_pp = spec.target.h_hess(state.grad_u[-1, j])
-        term1 = -t_val * chi * kappa * tau_t ** 2
     else:
-        form = _boundary_convexity_contraction(state, j, tau)
         g_pp = spec.cost.G_hessian_p(spec.target, grid.nodes[-1, j],
                                      state.grad_u[-1, j], y=state.tmap[-1, j])
-        term1 = -t_val * chi * form
-    term2 = -t_val * nm.bilinear_stack(grad_f, g_pp, grad_f)
-    term3 = t_val * alpha * nm.bilinear_stack(grad_rate, g_pp, grad_f)
+    term1 = -t_val * chi * form
+    term2 = -t_val * nm.quadform2(g_pp, grad_f)
+    term3 = t_val * series.alpha * np.vecdot(grad_rate, nm.matvec2(g_pp, grad_f))
     return term1 + term2 + term3, (term1, term2, term3)
 
 

@@ -281,6 +281,22 @@ class TestCLI:
         ("fit", {"u_tail_trim": "abc"}, "u_tail_trim"),
         ("fit", {"window": [0, 10 ** 400]}, "window"),
         ("time", {"stop_tol": 1e-8, "t_max": 10 ** 400}, "t_max"),
+        ("source", {"kind": "disk", "radius": 1.0, "center": [0, 0, 0]},
+         "center"),
+        ("source", {"kind": "disk", "radius": 1.0, "center": [0, "x"]},
+         "center"),
+        ("target_density", {"name": "cosine_bump", "k": "x"},
+         "cosine_bump k"),
+        ("target_density", {"name": "cosine_bump", "k": True},
+         "cosine_bump k"),
+        ("source", {"kind": "blob", "radius": 1.0, "eps": 0.2, "k": 2.5},
+         "blob k"),
+        ("seed", "abc", "seed"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
+        ("name", 7, "name"),
+        ("output_dir", 5, "output_dir"),
+        ("audits", {"harnack": "yes"}, "harnack"),
     ])
     def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
                                                      section, value, match):

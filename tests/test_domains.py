@@ -47,6 +47,13 @@ def test_half_widths_bound_the_boundary(dom):
     np.testing.assert_allclose(reach[tight], half[tight], rtol=1e-12)
 
 
+@pytest.mark.parametrize("dom", LIBRARY, ids=lambda d: d.describe()["kind"] + str(d.star_center))
+def test_boundary_s_inverts_boundary_param(dom):
+    s = np.linspace(0, 1, 720, endpoint=False)
+    back = dom.boundary_s(dom.boundary_param(s))
+    assert np.abs((back - s + 0.5) % 1.0 - 0.5).max() <= 1e-15
+
+
 def test_curvature_oracle_matches_closed_forms():
     s = np.linspace(0, 1, 64, endpoint=False)
     np.testing.assert_allclose(Disk(2.0).curvature(s), 0.5, atol=1e-8)

@@ -25,6 +25,10 @@ outside that run, and prints
 
     <sha256 harnack.csv>  <sha256 harnack_summary.json>  offset_disks_sqrt 16x32 harnack
 
+and, from that run's own curvature-identity audit,
+
+    <sha256 km.jsonl>  offset_disks_sqrt 16x32 km
+
 Run from the root of a checkout:
 
     python3 tools/run_digests.py
@@ -49,7 +53,7 @@ from otflow import config, runner, serialize  # noqa: E402
 
 SMALL = (16, 32)
 EXTRA = (("disk_cosine_perturbed", (32, 64)),)
-HARNACK_RUN = ("offset_disks_sqrt", SMALL)
+HARNACK_RUN = KM_RUN = ("offset_disks_sqrt", SMALL)
 
 
 def runs():
@@ -112,6 +116,10 @@ def main():
             outdirs[HARNACK_RUN], os.path.join(scratch, "harnack_replay"))
         print(f"{csv_sha}  {summary_sha}  {name} {grid[0]}x{grid[1]} harnack",
               flush=True)
+        name, grid = KM_RUN
+        km_sha = hashlib.sha256(
+            Path(outdirs[KM_RUN], "audits", "km.jsonl").read_bytes()).hexdigest()
+        print(f"{km_sha}  {name} {grid[0]}x{grid[1]} km", flush=True)
 
 
 if __name__ == "__main__":
