@@ -41,13 +41,13 @@ print("sample node:", {"lhs": round(r.lhs, 5), "rhs": round(r.rhs, 5),
 # %%
 # the two second-fundamental-form evaluators (intrinsic Christoffel route vs
 # the ambient connection of the split metric) agree independently
-pair = km.second_fundamental_form_w(state, np.array([3]))
-print("II intrinsic:", pair.intrinsic[0], " ambient:", pair.ambient[0])
+ii = km.verify_II_identity(state, np.array([3]))
+print("II intrinsic:", ii.ii_intrinsic[0], " ambient:", ii.ii_ambient[0])
 
 # %%
 # the pullback coefficients coincide with the flow's W
 pm = km.pullback_metric(state)
-print("max |pullback - W| (interior):", np.abs(pm.w - pm.w_flow)[:-1].max())
+print("max |pullback - W| (interior):", np.abs(pm.w - state.W)[:-1].max())
 
 # %%
 # the same metric drives the weighted Laplacian that the linearized flow is

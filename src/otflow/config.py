@@ -66,11 +66,21 @@ def _is_finite_number(value):
         return False
 
 
+#: most snapshots a run may take: a run keeps every snapshot in memory and
+#: writes two field files for each (the bundled maximum is 64)
+MAX_SNAPSHOTS = 10_000
+
+
 def _check_time(time):
     for key, value in time.items():
         if not (_is_finite_number(value) and value > 0.0):
             raise ConfigError(f"time '{key}' must be a positive number, "
                               f"got {value!r}")
+    t_max = time.get("t_max", Schedule.t_max)
+    snapshot_dt = time.get("snapshot_dt", Schedule.snapshot_dt)
+    if t_max / snapshot_dt > MAX_SNAPSHOTS:
+        raise ConfigError(f"time 't_max' / 'snapshot_dt' = {t_max:g} / "
+                          f"{snapshot_dt:g} exceeds {MAX_SNAPSHOTS} snapshots")
 
 
 def _check_grid(grid):

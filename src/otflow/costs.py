@@ -9,8 +9,13 @@ Ma-Trudinger-Wang form.
 Each twist inverse is the closed form its cost supplies; every registered
 cost has one that solves the twist equation to roundoff, so no iterative
 inversion is needed. Only the mixed third derivatives have a
-finite-difference fallback, and the three fast-path flags (``thirds_vanish``,
-``cross_identity``, ``hess_xx_vanishes``) are declared by the cost itself.
+finite-difference fallback. The cost declares three fast-path flags, read
+only where they save measured time: ``hess_xx_vanishes`` by
+``flow.potential_fields``; ``cross_identity`` by ``flow.build_state``,
+``oblique_beta`` and ``domains.check_bitwist``; ``thirds_vanish`` by the
+boundary convexity forms (``domains.convexity_form``, the term1 of
+``linearized.dbetaF_closed``). Elsewhere the general formulas give the
+same values up to the sign of a zero.
 
 Conventions. Points are arrays of shape (..., 2). The cross Hessian
 ``cross_hessian(x, y)[..., i, j]`` is d^2 c / dx_i dy_j; its inverse carries

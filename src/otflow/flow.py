@@ -279,11 +279,12 @@ def initialize(spec, grid, u0, schedule=None):
     Checks, in order: positive definiteness of W(u0) everywhere (with a
     witness node on failure), the boundary compatibility h*(Y(x, grad u0)) = 0
     on the boundary ring to 1e-7 + 5 dr^2, that the transport image stays
-    inside the closed target to the same tolerance, positive definiteness
-    again after the boundary projection when that runs, and that the image
-    of the boundary covers the target boundary to 4 times the mapped
-    spacing. ``u0`` is the potential's (n_r, n_s) node array; it is copied,
-    never written. No check depends on ``schedule``; it is accepted because
+    inside the closed target to the same tolerance, obliqueness beta . nu
+    at the ring image of the boundary projection (which every initial state
+    takes, as every stage does), positive definiteness again when that
+    projection moved the ring, and that the image of the boundary covers
+    the target boundary to 4 times the mapped spacing. ``u0`` is the
+    potential's (n_r, n_s) node array; it is copied, never written. No check depends on ``schedule``; it is accepted because
     callers pass the run's Schedule.
     """
     ctx = FlowContext(spec, grid)
@@ -302,9 +303,9 @@ def initialize(spec, grid, u0, schedule=None):
     if inside > init_tol:
         raise ImageMismatch(
             f"transport image leaves the closed target: max h* = {inside:.3e}")
-    if max_g > BOUNDARY_TOL:
-        # start the flow exactly on the boundary constraint
-        _project_boundary(ctx, u)
+    # start the flow exactly on the boundary constraint; a ring already on
+    # it takes no Newton iteration, but its obliqueness is still checked
+    if _project_boundary(ctx, u):
         state = build_state(ctx, u, 0.0)
         _require_c_convex(state, "initial potential after the boundary "
                           "projection")

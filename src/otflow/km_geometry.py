@@ -34,13 +34,13 @@ operator equals the phi-weighted Laplace-Beltrami operator of w minus the
 time derivative, which ``verify_weighted_laplacian_identity`` measures on
 node arrays.
 
-The boundary evaluators (``second_fundamental_form_w``,
-``verify_II_identity``, ``dbeta_gradnorm_boundary``) take an int array of
-boundary nodes and return arrays, one entry per node, from one evaluation
-of the ring's and the grid's fields (beta, the Christoffel field of w, the
-transport Jacobian); an image curve that degenerates at any node raises.
-The direct side of ``dbeta_gradnorm_boundary`` is the calculus kernel's
-boundary gradient (``grid.directional_derivative_at_boundary``).
+The boundary evaluators (``verify_II_identity``, which reports both II^w
+evaluations, and ``dbeta_gradnorm_boundary``) take an int array of boundary
+nodes and return arrays, one entry per node, from one evaluation of the
+ring's fields (beta, the transport Jacobian, the Christoffel symbols of w);
+an image curve that degenerates at any node raises. The direct side of
+``dbeta_gradnorm_boundary`` is the calculus kernel's boundary gradient
+(``grid.directional_derivative_at_boundary``).
 """
 
 from dataclasses import dataclass
@@ -116,7 +116,6 @@ class PullbackMetric:
     """The pullback metric field with its weight and connection data."""
 
     w: np.ndarray            # (n_r, n_s, 2, 2) assembled via the pullback
-    w_flow: np.ndarray       # the flow's W field, for comparison
     phi: np.ndarray          # weighted-Laplacian weight
     christoffel: np.ndarray  # (n_r, n_s, 2, 2, 2): Gamma^k_(ij) of w
 
@@ -151,19 +150,29 @@ def pullback_metric(state):
     rho_star_t = spec.rho_star(state.tmap)
     phi = np.log(det_c) - np.log(rho_star_t) - 0.5 * np.log(state.det_W)
     gamma = metric_christoffel(grid, state.W)
-    return PullbackMetric(w=w, w_flow=state.W.copy(), phi=phi,
-                          christoffel=gamma)
+    return PullbackMetric(w=w, phi=phi, christoffel=gamma)
 
 
 def metric_christoffel(grid, w_field):
     """Gamma^k_(ij) of a 2x2 metric field by differentiating its components
     with the grid calculus."""
-    dw = np.empty((grid.n_r, grid.n_s, 2, 2, 2))   # [i, j, l] = d_l w_ij
+    return _christoffel_algebra(w_field, _metric_gradient(grid, w_field))
+
+
+def _metric_gradient(grid, w_field):
+    """dw[..., i, j, l] = d_l w_ij of a symmetric 2x2 field on the grid."""
+    dw = np.empty((grid.n_r, grid.n_s, 2, 2, 2))
     dw[..., 0, 0, :] = grid.grad_values(w_field[..., 0, 0])
     dw[..., 0, 1, :] = grid.grad_values(w_field[..., 0, 1])
     dw[..., 1, 0, :] = dw[..., 0, 1, :]
     dw[..., 1, 1, :] = grid.grad_values(w_field[..., 1, 1])
-    winv = nm.inv2(w_field)
+    return dw
+
+
+def _christoffel_algebra(w, dw):
+    """Gamma^k_(ij) from w and its gradient ``_metric_gradient``, node by
+    node: any slice of the nodes gives the same slice of the field."""
+    winv = nm.inv2(w)
     sym = (np.einsum('...lji->...ijl', dw)
            + np.einsum('...lij->...ijl', dw)
            - np.einsum('...ijl->...ijl', dw))
@@ -171,14 +180,6 @@ def metric_christoffel(grid, w_field):
 
 
 # --- second fundamental forms ---------------------------------------------------
-
-@dataclass
-class IIPair:
-    """The two evaluations of II^w, one entry per boundary node."""
-
-    intrinsic: np.ndarray
-    ambient: np.ndarray
-
 
 @dataclass
 class IIReport:
@@ -228,18 +229,11 @@ def _ring_w_data(state):
     return beta, W, tau_e, norm_w, tau_unit, beta_w
 
 
-def second_fundamental_form_w(state, j):
-    """II^w(tau, tau) for the w-unit boundary tangent at the boundary nodes
-    j (an int array), computed intrinsically (Christoffel symbols of w) and
-    through the ambient connection of the split metric; an ``IIPair`` of
-    arrays."""
-    return _second_fundamental_form(state, j, _ring_w_data(state),
-                                    transport_jacobian(state)[-1])
-
-
 def _second_fundamental_form(state, j, ring, DT):
-    """Both II^w evaluations at the nodes j (an int array), from the ring
-    data of ``_ring_w_data`` and the ring's transport Jacobian DT."""
+    """II^w(tau, tau) for the w-unit boundary tangent at the nodes j (an int
+    array), from the ring data of ``_ring_w_data`` and the ring's transport
+    Jacobian DT; (intrinsic, ambient), computed through the Christoffel
+    symbols of w and through the ambient connection of the split metric."""
     grid = state.grid
     beta, W, tau_e, norm_w, tau_unit, beta_w = ring
     if np.min(beta_w) <= 0:
@@ -248,7 +242,7 @@ def _second_fundamental_form(state, j, ring, DT):
     # intrinsic: II = w(nabla^w_tau nhat, tau)
     nhat = beta / beta_w[:, None]
     dnhat = grid.d_s_ring(nhat)
-    gamma_w = metric_christoffel(grid, state.W)[-1]
+    gamma_w = _christoffel_algebra(W, _metric_gradient(grid, state.W)[-1])
     corr = np.einsum('...kab,...a,...b->...k', gamma_w[j], tau_e[j], nhat[j])
     cov = (dnhat[j] + corr) / norm_w[j][:, None]
     ii_intr = np.vecdot(cov, nm.matvec2(W[j], tau_unit[j]))
@@ -267,7 +261,7 @@ def _second_fundamental_form(state, j, ring, DT):
     beta4 = np.concatenate([beta[j], nm.matvec2(DT[j], beta[j])], axis=-1)
     flat = np.einsum('...ml,...l->...m', km.metric(x0, y0), beta4)
     ii_amb = -np.vecdot(flat, cov4) / beta_w[j]
-    return IIPair(intrinsic=ii_intr, ambient=ii_amb)
+    return ii_intr, ii_amb
 
 
 def coordinate_domain_II(cost, which, anchor, boundary_domain, s_eval,
@@ -320,8 +314,8 @@ def verify_II_identity(state, j):
     ring = _ring_w_data(state)
     beta, W, tau_e, norm_w, tau_unit, beta_w = ring
     DT_ring = transport_jacobian(state)[-1]
-    ii = _second_fundamental_form(state, j, ring, DT_ring)
-    lhs = 2.0 * beta_w[j] * ii.intrinsic
+    ii_intr, ii_amb = _second_fundamental_form(state, j, ring, DT_ring)
+    lhs = 2.0 * beta_w[j] * ii_intr
 
     x0 = grid.nodes[-1, j]
     y0 = state.tmap[-1, j]
@@ -342,8 +336,8 @@ def verify_II_identity(state, j):
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
                                          1e-300)
     return IIReport(node=j, lhs=lhs, rhs=rhs, term_source_image=term1,
-                    term_target_image=term2, ii_intrinsic=ii.intrinsic,
-                    ii_ambient=ii.ambient, rel_error=rel,
+                    term_target_image=term2, ii_intrinsic=ii_intr,
+                    ii_ambient=ii_amb, rel_error=rel,
                     grid_shape=(grid.n_r, grid.n_s))
 
 
@@ -357,11 +351,12 @@ def dbeta_gradnorm_boundary(series, state, j, t):
     grid = state.grid
     ring = _ring_w_data(state)
     beta, W, tau_e, norm_w, tau_unit, beta_w = ring
-    ii = _second_fundamental_form(state, j, ring, transport_jacobian(state)[-1])
+    ii_intr = _second_fundamental_form(state, j, ring,
+                                       transport_jacobian(state)[-1])[0]
     grad_f = series.grad_f[m]
     tau_f = nm.solve2(W[j], grad_f[-1, j])
     a = np.vecdot(tau_f, nm.matvec2(W[j], tau_unit[j]))
-    geo = -2.0 * beta_w[j] * ii.intrinsic * a ** 2
+    geo = -2.0 * beta_w[j] * ii_intr * a ** 2
     winv = nm.inv2(state.W)
     q = nm.quadform2(winv, grad_f)
     direct = directional_derivative_at_boundary(grid, q, j, beta[j])

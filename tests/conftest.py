@@ -18,6 +18,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def quarter_turned_beta(monkeypatch):
+    """``CostModel.oblique_beta`` turned a quarter turn, for this test
+    only: on a disk's boundary ring the true beta is normal, so the turned
+    one is tangent there and beta . nu is roundoff."""
+    oblique_beta = costs.CostModel.oblique_beta
+
+    def turned(self, *args, **kwargs):
+        beta = oblique_beta(self, *args, **kwargs)
+        return np.stack([-beta[..., 1], beta[..., 0]], axis=-1)
+
+    monkeypatch.setattr(costs.CostModel, "oblique_beta", turned)
+
+
 @pytest.fixture(scope="session")
 def disk_pair_spec():
     """disk(1) -> disk(2), inner product, uniform densities (stationary)."""

@@ -160,6 +160,16 @@ class TestRunner:
         assert report["witness"]["x"] == grid.nodes[i, j].tolist()
         assert report["witness"]["min_eig_W"] < 0
 
+    def test_lost_obliqueness_at_start_exits_1(self, tmp_path,
+                                               quarter_turned_beta):
+        cfg = load_scenario("disk_uniform_stationary").with_overrides(
+            grid=(16, 32))
+        result = runner.run_scenario(cfg, output_root=str(tmp_path))
+        assert result.status == 1
+        report = json.load(open(os.path.join(result.outdir, "error.json")))
+        assert report == result.error
+        assert report["error"] == "ObliquenessLost"
+
     def test_perturbed_run_with_audits(self, tmp_path):
         cfg = load_scenario("disk_cosine_perturbed").with_overrides(
             grid=(24, 48), stop_tol=1.5e-3)
@@ -297,6 +307,7 @@ class TestCLI:
         ("name", 7, "name"),
         ("output_dir", 5, "output_dir"),
         ("audits", {"harnack": "yes"}, "harnack"),
+        ("time", {"stop_tol": 1e-8, "snapshot_dt": 1e-300}, "snapshot_dt"),
     ])
     def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
                                                      section, value, match):

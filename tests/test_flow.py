@@ -45,6 +45,16 @@ class TestInitialize:
         gap = np.sqrt(((probes[:, None] - mapped[None]) ** 2).sum(-1).min(1).max())
         assert gap <= 4 * 2 * np.pi * 2.0 / st.grid.n_s
 
+    def test_obliqueness_checked_when_the_ring_needs_no_iteration(
+            self, quarter_turned_beta):
+        # the stationary ring meets the boundary condition to roundoff, so
+        # its projection takes no Newton iteration and checks beta . nu only
+        cfg = load_scenario("disk_uniform_stationary").with_overrides(
+            grid=(16, 32))
+        spec, g = cfg.build_problem()
+        with pytest.raises(ObliquenessLost):
+            flow.initialize(spec, g, cfg.build_initial(spec, g))
+
 
 class TestInteriorRHS:
     def test_stationary_disk_rate_vanishes(self, stationary_state):

@@ -14,10 +14,10 @@ class TestMetricPlumbing:
         # exact for the affine map; O(h) through the differenced transport
         # Jacobian in general (the boundary ring carries the largest constant)
         pm0 = km.pullback_metric(stationary_state)
-        assert np.abs(pm0.w - pm0.w_flow).max() <= 1e-11
+        assert np.abs(pm0.w - stationary_state.W).max() <= 1e-11
         pm = km.pullback_metric(sqrt_state_48)
         h_phys = sqrt_state_48.grid.dr * 0.5
-        diff = np.abs(pm.w - pm.w_flow)
+        diff = np.abs(pm.w - sqrt_state_48.W)
         assert diff[:-1].max() <= 1.0 * h_phys
         assert diff[-1].max() <= 5.0 * h_phys
 
@@ -52,9 +52,9 @@ class TestLinearMapOracle:
     is 2 I, so every curvature here has a closed form."""
 
     def test_second_fundamental_form_value(self, stationary_state):
-        pair = km.second_fundamental_form_w(stationary_state, np.array([0, 9, 40]))
-        np.testing.assert_allclose(pair.intrinsic, 1 / np.sqrt(2), atol=1e-6)
-        np.testing.assert_allclose(pair.ambient, 1 / np.sqrt(2), atol=1e-6)
+        rep = km.verify_II_identity(stationary_state, np.array([0, 9, 40]))
+        np.testing.assert_allclose(rep.ii_intrinsic, 1 / np.sqrt(2), atol=1e-6)
+        np.testing.assert_allclose(rep.ii_ambient, 1 / np.sqrt(2), atol=1e-6)
 
     def test_identity_sides(self, stationary_state):
         rep = km.verify_II_identity(stationary_state, np.array([3])).at(0)
@@ -139,9 +139,9 @@ class TestIIIdentityGeneralCost:
         st = sqrt_state_48
         h = st.grid.dr
         nodes = np.arange(0, st.grid.n_s, 12)
-        pair = km.second_fundamental_form_w(st, nodes)
-        assert np.abs(pair.intrinsic - pair.ambient).max() <= 2.0 * h
-        assert km.verify_II_identity(st, nodes).rel_error.max() <= 0.02
+        rep = km.verify_II_identity(st, nodes)
+        assert np.abs(rep.ii_intrinsic - rep.ii_ambient).max() <= 2.0 * h
+        assert rep.rel_error.max() <= 0.02
 
     def test_node_array_equals_one_node_calls(self, sqrt_run_16,
                                               stationary_state):
@@ -149,14 +149,19 @@ class TestIIIdentityGeneralCost:
         for st in (sqrt_run_16.final_state(), stationary_state):
             nodes = np.arange(0, st.grid.n_s, 3)
             rep = km.verify_II_identity(st, nodes)
-            pair = km.second_fundamental_form_w(st, nodes)
             for i in range(len(nodes)):
                 one = nodes[i:i + 1]
                 assert rep.at(i).as_dict() == \
                     km.verify_II_identity(st, one).at(0).as_dict()
-                one_pair = km.second_fundamental_form_w(st, one)
-                assert (pair.intrinsic[i], pair.ambient[i]) == \
-                    (one_pair.intrinsic[0], one_pair.ambient[0])
+
+    def test_ring_christoffel_equals_whole_grid_ring(self, sqrt_run_16,
+                                                     stationary_state):
+        # the identity evaluates the per-node algebra on the ring only
+        for st in (sqrt_run_16.final_state(), stationary_state):
+            ring = km._christoffel_algebra(
+                st.W[-1], km._metric_gradient(st.grid, st.W)[-1])
+            assert np.array_equal(ring,
+                                  km.metric_christoffel(st.grid, st.W)[-1])
 
     def test_identity_error_shrinks_under_refinement(self, sqrt_pair_spec):
         errs = []
