@@ -74,3 +74,10 @@ def cross2(u, v):
 def norm2(v):
     return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2)
 
+
+def sym2(planes):
+    """The C-contiguous symmetric (..., 2, 2) matrices whose entries (0, 0),
+    (0, 1) = (1, 0) and (1, 1) are the three planes of ``planes``, shape
+    (3, ...)."""
+    xx, xy, yy = planes
+    return np.stack((xx, xy, xy, yy), axis=-1).reshape(xx.shape + (2, 2))

@@ -245,9 +245,14 @@ def _y_difference(oracle, x, y):
 # --- built-in costs -------------------------------------------------------
 
 def _broadcast_copy(a, b):
-    """A new array holding a broadcast against b."""
+    """A new array holding a broadcast against b; when a already has the
+    broadcast shape, a copy in a's own memory order (a node-major view of
+    component planes stays plane-major)."""
     a = np.asarray(a)
-    out = np.empty(np.broadcast(a, b).shape, a.dtype)
+    shape = np.broadcast(a, b).shape
+    if shape == a.shape:
+        return a.copy(order="K")
+    out = np.empty(shape, a.dtype)
     out[...] = a
     return out
 

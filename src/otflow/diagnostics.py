@@ -33,10 +33,11 @@ def snapshot_alignment(trajectory, i):
     ``flow.build_state`` takes them, and beta as ``FlowState.ring_beta``."""
     grid = trajectory.grid
     spec = trajectory.spec
-    grad, tmap, W = potential_fields(grid, spec.cost, trajectory.snapshots[i].u)
+    grad, tmap, w = potential_fields(grid, spec.cost,
+                                     trajectory.snapshots[i].u)
     beta = spec.cost.oblique_beta(spec.target, grid.nodes[-1], grad[-1],
                                   y=tmap[-1])
-    return _alignment(W[-1], beta, grid.boundary_normals)
+    return _alignment(nm.sym2(w[:, -1]), beta, grid.boundary_normals)
 
 
 def _alignment(w_ring, beta, nu):

@@ -13,6 +13,14 @@ only in ``potential_fields``. beta comes only from ``CostModel.oblique_beta``
 on the boundary ring: at the projection's ring image, and through
 ``FlowState.ring_beta`` for a state.
 
+A stage runs plane-major: the calculus kernel returns the gradient and the
+Hessian as contiguous (n_r, n_s) planes (``CurvilinearGrid.calculus_planes``),
+W is kept as its three planes (xx, xy, yy), and det W, the
+positive-definiteness test, the rate and ``policy_dt`` read those planes.
+The (n_r, n_s, 2, 2) W is assembled only when read (``FlowState.W``). Every
+floating-point operation keeps the operands and the order of the node-major
+formulas, so the results are theirs bit for bit.
+
 Stability: a step is one Runge-Kutta-Legendre super-step of second order
 (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014). Its s stages
 are each a forward-Euler-like update of the non-boundary rows, and the
@@ -97,15 +105,19 @@ class FlowContext:
 class FlowState:
     """Potential at one time with the derived fields the stepper reuses.
     ``rate`` is None exactly when W is not positive definite everywhere.
-    The monitors ``min_eig_W``, ``max_boundary_G`` and ``mass_err`` are
-    computed when read: a stage only needs ``rate``."""
+    W is kept as its three planes ``w_planes`` (xx, xy, yy), shape
+    (3, n_r, n_s); the property ``W`` assembles the C-contiguous
+    (n_r, n_s, 2, 2) matrices on each read. ``grad_u`` is a node-major
+    (n_r, n_s, 2) view of the kernel's gradient planes. The monitors
+    ``min_eig_W``, ``max_boundary_G`` and ``mass_err`` are computed when
+    read: a stage only needs ``rate``."""
 
     ctx: FlowContext
     u: np.ndarray
     t: float
     grad_u: np.ndarray
     tmap: np.ndarray
-    W: np.ndarray
+    w_planes: np.ndarray
     det_W: np.ndarray
     rate: np.ndarray | None
 
@@ -118,9 +130,15 @@ class FlowState:
         return self.ctx.spec
 
     @property
+    def W(self):
+        """W as (n_r, n_s, 2, 2) matrices, assembled from ``w_planes`` on
+        every read."""
+        return nm.sym2(self.w_planes)
+
+    @property
     def min_eig_W(self):
         """Smallest eigenvalue of W over the grid."""
-        return float(np.min(nm.sym_eig_range2(self.W)[0]))
+        return float(nm.sym_eig_range2(self.W)[0].min())
 
     @property
     def max_boundary_G(self):
@@ -228,12 +246,16 @@ def time_index(times, t):
 
 def potential_fields(grid, cost, u):
     """(grad u, Y(x, Du), W = D^2 u - D_xx c(x, Y)) of a potential's node
-    values: the one place W is formed."""
-    grad, hess = grid.scalar_calculus(u)
+    values, W as its three planes (xx, xy, yy), shape (3, n_r, n_s): the one
+    place W is formed. ``nm.sym2`` assembles the (n_r, n_s, 2, 2) matrices."""
+    gx, w = grid.calculus_planes(u)
+    grad = gx.transpose(1, 2, 0)
     tmap = cost.invert_Y(grid.nodes, grad)
-    if cost.hess_xx_vanishes:
-        return grad, tmap, hess
-    return grad, tmap, hess - cost.hess_xx(grid.nodes, tmap)
+    if not cost.hess_xx_vanishes:
+        a = cost.hess_xx(grid.nodes, tmap)
+        w = np.stack((w[0] - a[..., 0, 0], w[1] - a[..., 0, 1],
+                      w[2] - a[..., 1, 1]))
+    return grad, tmap, w
 
 
 def build_state(ctx, u_values, t):
@@ -244,17 +266,21 @@ def build_state(ctx, u_values, t):
     spec = ctx.spec
     cost = spec.cost
     u = np.asarray(u_values, float)
-    grad, tmap, W = potential_fields(grid, cost, u)
-    det_w = nm.det2(W)
+    grad, tmap, w = potential_fields(grid, cost, u)
+    det_w = w[0] * w[2]
+    det_w -= w[1] * w[1]
     rate = None
     # a symmetric 2x2 W is positive definite iff W_00 > 0 and det W > 0
-    if np.all(W[..., 0, 0] > 0.0) and np.all(det_w > 0.0):
-        log_b = ctx.log_rho - np.log(spec.rho_star(tmap))
+    # (a NaN minimum fails the test, as a NaN entry does)
+    if w[0].min() > 0.0 and det_w.min() > 0.0:
+        log_b = np.log(spec.rho_star(tmap))
+        np.subtract(ctx.log_rho, log_b, out=log_b)
         if not cost.cross_identity:
-            log_b = log_b + np.log(cost.cross_det(grid.nodes, tmap))
-        rate = np.log(det_w) - log_b
-    return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap, W=W,
-                     det_W=det_w, rate=rate)
+            log_b += np.log(cost.cross_det(grid.nodes, tmap))
+        rate = np.log(det_w)
+        rate -= log_b
+    return FlowState(ctx=ctx, u=u, t=float(t), grad_u=grad, tmap=tmap,
+                     w_planes=w, det_W=det_w, rate=rate)
 
 
 # --- initialization ---------------------------------------------------------
@@ -284,8 +310,9 @@ def initialize(spec, grid, u0, schedule=None):
     takes, as every stage does), positive definiteness again when that
     projection moved the ring, and that the image of the boundary covers
     the target boundary to 4 times the mapped spacing. ``u0`` is the
-    potential's (n_r, n_s) node array; it is copied, never written. No check depends on ``schedule``; it is accepted because
-    callers pass the run's Schedule.
+    potential's (n_r, n_s) node array; it is copied, never written. No
+    check depends on ``schedule``; it is accepted because callers pass the
+    run's Schedule.
     """
     ctx = FlowContext(spec, grid)
     u = grid.apply_pole_projection(np.array(u0, float))
@@ -367,7 +394,8 @@ def _oblique_beta(ctx, y):
     falls below OBLIQUENESS_FLOOR."""
     spec, grid = ctx.spec, ctx.grid
     beta = spec.cost.oblique_beta(spec.target, grid.nodes[-1], None, y=y)
-    obl = float(np.min(np.sum(beta * grid.boundary_normals, axis=-1)))
+    nu = grid.ring_nu
+    obl = float((beta[:, 0] * nu[0] + beta[:, 1] * nu[1]).min())
     if obl < OBLIQUENESS_FLOOR:
         raise ObliquenessLost(f"beta . nu = {obl:.3e} on the boundary ring")
     return beta
@@ -379,7 +407,8 @@ def _project_boundary(ctx, u_values, chord=None):
 
     The ring gradient is the calculus kernel's: d/dr is the grid's
     ``ring_dr`` row, whose last entry is the Jacobian's diagonal weight, and
-    d/ds its ``ring_ds`` block. Mutates u_values in place; returns the
+    d/ds its ``ring_ds`` block; the chain rule reads the contiguous rows
+    ``ring_jinv``. Mutates u_values in place; returns the
     Newton iteration count. The LU factorization of the ring Jacobian is
     kept in ``chord`` and reused across calls while it keeps converging; it
     is rebuilt when progress slows. Without a chord the call factors
@@ -387,35 +416,39 @@ def _project_boundary(ctx, u_values, chord=None):
     accepted ring image on every call, and at every refactorization. A
     non-finite ring residual raises NewtonStall.
     """
-    from scipy.linalg import lu_factor
     from scipy.linalg.lapack import dgetrs
 
     grid, spec = ctx.grid, ctx.spec
-    x, ji, d_s, w_dr = grid.nodes[-1], grid.jinv[-1], grid.ring_ds, grid.ring_dr
+    x, (j_r, j_s), d_s, w_dr = (grid.nodes[-1], grid.ring_jinv, grid.ring_ds,
+                                grid.ring_dr)
+    invert_y, h = spec.cost.invert_Y, spec.target.h
+    w_b = w_dr[-1]
     u_r_inner = w_dr[:-1] @ u_values[:-1]
     if chord is None:
         chord = Chord()
     b = u_values[-1].copy()
 
     def residual(bv):
-        u_r = u_r_inner + w_dr[-1] * bv
-        u_s = d_s @ bv
-        grad = u_r[:, None] * ji[:, 0] + u_s[:, None] * ji[:, 1]
-        y = spec.cost.invert_Y(x, grad)
-        return spec.target.h(y), y
+        # the ring gradient component by component, (2, n_s), read
+        # node-major through its transpose
+        grad = (u_r_inner + w_b * bv) * j_r
+        grad += (d_s @ bv) * j_s
+        y = invert_y(x, grad.T)
+        return h(y), y
 
     def refresh_jacobian(y):
+        from scipy.linalg import lu_factor
         beta = _oblique_beta(ctx, y)
-        a_r = (beta[:, 0] * ji[:, 0, 0] + beta[:, 1] * ji[:, 0, 1]) * w_dr[-1]
-        a_s = beta[:, 0] * ji[:, 1, 0] + beta[:, 1] * ji[:, 1, 1]
+        a_r = (beta[:, 0] * j_r[0] + beta[:, 1] * j_r[1]) * w_b
+        a_s = beta[:, 0] * j_s[0] + beta[:, 1] * j_s[1]
         jac = a_s[:, None] * d_s
         jac[np.arange(grid.n_s), np.arange(grid.n_s)] += a_r
         chord.lu = lu_factor(jac)
 
     g, y = residual(b)
-    err = float(np.max(np.abs(g)))
-    if not np.isfinite(err):
-        # dgetrs does not check its right-hand side
+    err = float(np.abs(g).max())
+    if not err < np.inf:
+        # NaN or inf: dgetrs does not check its right-hand side
         raise NewtonStall(f"non-finite boundary residual (max |G| = {err})")
     iters = 0
     fresh = False
@@ -429,8 +462,9 @@ def _project_boundary(ctx, u_values, chord=None):
         delta, _ = dgetrs(*chord.lu, -g)
         lam = 1.0
         while True:
-            g_new, y_new = residual(b + lam * delta)
-            err_new = float(np.max(np.abs(g_new)))
+            trial = b + lam * delta
+            g_new, y_new = residual(trial)
+            err_new = float(np.abs(g_new).max())
             if err_new < err or err_new <= BOUNDARY_TOL:
                 break
             lam *= 0.5
@@ -444,8 +478,7 @@ def _project_boundary(ctx, u_values, chord=None):
             chord.lu = None         # slow chord progress: force a rebuild
             if lam < 1.0 / 64.0:
                 continue
-        b = b + lam * delta
-        g, y = g_new, y_new
+        b, g, y = trial, g_new, y_new
         err = err_new
         iters += 1
     _oblique_beta(ctx, y)
@@ -474,8 +507,9 @@ _POWER_CAP = 12
 
 def policy_dt(state):
     """Forward-Euler stability limit: C_STAB h_min^2 / max trace(W^{-1})."""
-    tr_winv = (state.W[..., 0, 0] + state.W[..., 1, 1]) / state.det_W
-    return C_STAB * state.grid.h_min ** 2 / float(np.max(tr_winv))
+    w = state.w_planes
+    tr_winv = (w[0] + w[2]) / state.det_W
+    return C_STAB * state.grid.h_min ** 2 / float(tr_winv.max())
 
 
 def stiffest_eigenvalue(state, chord, start=None):
@@ -596,20 +630,24 @@ def _rkl2_super_step(state, tau, stages, chord):
     prev = state
     iters = 0
     for j in range(1, stages + 1):
-        d = (mu[j] * d_prev + nu[j] * d_prev2
-             + (mu_t[j] * tau) * prev.rate[:-1] + gamma_t[j] * tau_l0)
-        u = prev.u.copy()               # the ring seeds the projection
-        u[:-1] = y0 + d
-        # predict the ring so that its d/dr keeps its last value
-        u[-1] -= (w_dr[:-1] @ (u[:-1] - prev.u[:-1])) / w_dr[-1]
-        if not np.all(np.isfinite(u)):
+        # the increment's four terms, summed in place left to right
+        d = mu[j] * d_prev
+        d += nu[j] * d_prev2
+        d += (mu_t[j] * tau) * prev.rate[:-1]
+        d += gamma_t[j] * tau_l0
+        u = np.empty(prev.u.shape)
+        np.add(y0, d, out=u[:-1])
+        # the ring seeds the projection: the previous stage's ring, moved
+        # so that its d/dr keeps its last value
+        u[-1] = prev.u[-1] - (w_dr[:-1] @ (u[:-1] - prev.u[:-1])) / w_dr[-1]
+        if not np.isfinite(u).all():
             raise _StageFailed(f"non-finite potential at stage {j}")
         stage, n_newton = _project_stage(ctx, u, state.t + tau, chord)
         iters += n_newton
         if stage.rate is None:
             raise _StageFailed(f"W lost positivity at stage {j} "
                                f"(min eig {stage.min_eig_W:.3e})")
-        if not np.all(np.isfinite(stage.rate)):
+        if not np.isfinite(stage.rate).all():
             raise _StageFailed(f"non-finite rate at stage {j}")
         d_prev2, d_prev = d_prev, stage.u[:-1] - y0
         prev = stage

@@ -12,12 +12,14 @@ Calculus: the angular direction is periodic and differentiated spectrally
 the radial direction uses second-order finite differences, centered in the
 interior and one-sided at the boundary ring and (when the domain is not
 centrally symmetric) at the innermost ring. Both are dense tables the grid
-builds once: the angular table holds d/ds and d^2/ds^2 of the periodic
-cardinal functions, the radial table every ring's d/dr and d^2/dr^2 stencil
-over the rings and two antipodal ghost rows, so a field's logical
-derivatives are two small matrix products. The field is shifted by its
-value at one node first, so a constant maps to exactly 0. Quadrature is the
-mapped midpoint product rule, second-order accurate.
+builds once, stored plane by plane: the angular planes hold d/ds and
+d^2/ds^2 of the periodic cardinal functions, the radial tables every ring's
+d/dr and d^2/dr^2 stencil over the rings and two antipodal ghost rows, so a
+field's logical derivatives are small matrix products that land in
+contiguous (n_r, n_s) planes, and the chain rule runs on stacked planes.
+The field is shifted by its value at one node first, so a constant maps to
+exactly 0. Quadrature is the mapped midpoint product rule, second-order
+accurate.
 
 Pole treatment: a smooth function has angular mode k decaying like r^k toward
 the center, but an explicit stage can only afford modes with k / r bounded by
@@ -31,7 +33,10 @@ Fields are node arrays: a scalar field is an (n_r, n_s) array, its
 gradient (n_r, n_s, 2) and its Hessian (n_r, n_s, 2, 2). The calculus
 kernel (``scalar_calculus``, ``grad_values``), ``integrate`` and the
 boundary derivative take and return them bare, next to the grid they live
-on.
+on. The kernel itself, ``calculus_planes``, returns the gradient and the
+Hessian plane-major, (2, n_r, n_s) and (3, n_r, n_s) with the Hessian's
+entries (xx, xy, yy); the flow stepper reads those planes, and
+``scalar_calculus`` is their node-major assembly.
 
 Boundary derivative: ``directional_derivative_at_boundary`` takes a scalar
 node array and an int array of boundary nodes and returns an array, one
@@ -124,54 +129,63 @@ class CurvilinearGrid(_RadialMap):
             np.max(np.abs(self._v + self._v[self._antipode])) < 1e-12)
 
         self.boundary_normals = domain.outward_normal(self.s)
+        # the boundary Newton's contiguous rows: ring_jinv[a, k] holds
+        # component k of the gradient of logical coordinate a (r, then s)
+        # along the boundary ring, ring_nu[k] component k of the normals
+        self.ring_jinv = np.ascontiguousarray(self.jinv[-1].transpose(1, 2, 0))
+        self.ring_nu = self.boundary_normals.T.copy()
         self._build_calculus_tables()
         self._build_pole_plan()
 
     # -- metric tables ----------------------------------------------------
 
     def _build_metric_tables(self, vp, vpp):
-        """Contiguous per-node coefficient tables of the chain rule, so the
+        """Contiguous per-node coefficient planes of the chain rule, so the
         calculus kernel reads no strided view of ``jinv``.
 
         With (a, b, c, d) = (jinv[0, 0], jinv[1, 0], jinv[0, 1], jinv[1, 1]):
-        ``_grad_map[k]`` maps the logical (f_r, f_s) to component k of the
-        gradient; ``_x_rs[k]`` and ``_x_ss[k]`` hold component k of the
-        mapping's second derivatives x_rs = v' (one row, broadcast over the
-        rings) and x_ss = r v''; ``_hess_map[e]`` maps the
-        curvature-corrected (f_rr, h_rs, h_ss) to the Hessian entries
-        (0, 0), (0, 1) and (1, 1). Each product is formed in the order the
+        ``_grad_map[0]`` and ``_grad_map[1]`` hold the coefficients of f_r
+        and of f_s in the two gradient components, (a, c) and (b, d);
+        ``_curv[k]`` holds component k of the mapping's second derivatives
+        x_rs = v' (the same on every ring) and x_ss = r v''; ``_hess_map[0]``,
+        ``[1]`` and ``[2]`` hold the coefficients of the curvature-corrected
+        f_rr, h_rs and h_ss in the Hessian entries (xx, xy, yy). Each table
+        is a stack of contiguous (n_r, n_s) planes, so one multiply serves
+        every plane it scales, and each product is formed in the order the
         chain rule writes it, e.g. ``2 * a * b``, so the kernel's arithmetic
         is that of the componentwise formula.
         """
         ji = self.jinv
         a, b = ji[..., 0, 0], ji[..., 1, 0]
         c, d = ji[..., 0, 1], ji[..., 1, 1]
-        self._grad_map = np.array([[a, b], [c, d]])
-        self._x_rs = vp.T[:, None, :].copy()                # (2, 1, n_s)
-        self._x_ss = self.r[None, :, None] * vpp.T[:, None, :]
-        self._hess_map = np.array([[a * a, 2 * a * b, b * b],
-                                   [a * c, a * d + b * c, b * d],
-                                   [c * c, 2 * c * d, d * d]])
+        self._grad_map = np.array([[a, c], [b, d]])
+        x_rs = np.broadcast_to(vp.T[:, None, :], (2, self.n_r, self.n_s))
+        x_ss = self.r[None, :, None] * vpp.T[:, None, :]
+        self._curv = np.stack((x_rs, x_ss), axis=1)         # (2, 2, n_r, n_s)
+        self._hess_map = np.array([[a * a, a * c, c * c],
+                                   [2 * a * b, a * d + b * c, 2 * c * d],
+                                   [b * b, b * d, d * d]])
 
     # -- derivative tables ------------------------------------------------
 
     def _build_calculus_tables(self):
-        """The two derivative tables of the calculus kernel.
+        """The derivative tables of the calculus kernel, plane by plane.
 
-        ``_ang`` (n_s, 2 n_s): row j holds d/ds, then d^2/ds^2, of the j-th
-        periodic cardinal function at every node, so ``f @ _ang`` is
-        (f_s | f_ss); the odd derivative of the unpaired Nyquist mode is
-        dropped. ``_rad`` (2 n_r, n_r + 2): row i is ring i's d/dr stencil
-        and row n_r + i its d^2/dr^2 stencil, over the antipodal ghosts of
-        rings 1 and 0 (columns 0 and 1, zero unless the domain is centrally
-        symmetric) and the rings (column j + 2 is ring j). ``_ghost_take``
-        holds the flat indices, into the stacked (n_r + 2, 2 n_s) buffer of
-        ``_logical_derivatives``, that the ghost rows read.
+        ``_ang`` (2, n_s, n_s): row j of plane 0 holds d/ds, and of plane 1
+        d^2/ds^2, of the j-th periodic cardinal function at every node, so
+        ``f @ _ang[0]`` is f_s and ``f @ _ang[1]`` is f_ss; the odd
+        derivative of the unpaired Nyquist mode is dropped. ``_rad`` and
+        ``_rad2`` (n_r, n_r + 2): row i is ring i's d/dr, and its d^2/dr^2,
+        stencil over the antipodal ghosts of rings 1 and 0 (columns 0 and 1,
+        zero unless the domain is centrally symmetric) and the rings (column
+        j + 2 is ring j). ``_ghost_take`` (2, 2, n_s) holds the flat
+        indices, into a stacked (k, n_r + 2, n_s) buffer of planes under
+        their ghost rows, that plane p's two ghost rows read.
 
         The boundary Newton's operators: ``ring_dr @ f`` is the boundary
         ring's d/dr, ``ring_dr`` a view of ``_rad[n_r - 1]`` over the rings
         (the one-sided row reads no ghost); ``ring_ds @ b`` is db/ds on one
-        ring, ``ring_ds`` the transposed d/ds block of ``_ang``.
+        ring, ``ring_ds`` the transposed d/ds plane of ``_ang``.
 
         Radial truncation error in the first derivative is amplified by the
         1/r metric factors near the center; a wider centered d/dr stencil on
@@ -186,37 +200,39 @@ class CurvilinearGrid(_RadialMap):
         d1 = 1j * k
         d1[-1] = 0.0              # n_s is even: the unpaired Nyquist mode
         fhat = np.fft.rfft(np.eye(n_s), axis=1)
-        ang = np.empty((n_s, 2 * n_s))
-        ang[:, :n_s] = np.fft.irfft(fhat * d1, n=n_s, axis=1)
-        ang[:, n_s:] = np.fft.irfft(fhat * -k ** 2, n=n_s, axis=1)
+        ang = np.empty((2, n_s, n_s))
+        ang[0] = np.fft.irfft(fhat * d1, n=n_s, axis=1)
+        ang[1] = np.fft.irfft(fhat * -k ** 2, n=n_s, axis=1)
         self._ang = ang
 
-        rad = np.zeros((2 * n_r, n_r + 2))
+        rad = np.zeros((2, n_r, n_r + 2))        # d/dr, d^2/dr^2
 
-        def put(row, col, weights, denom):
-            rad[row, col:col + len(weights)] = [w / denom for w in weights]
+        def put(order, row, col, weights, denom):
+            rad[order, row, col:col + len(weights)] = [w / denom
+                                                       for w in weights]
 
         for i in range(n_r):
             c = i + 2
             if i < n_wide:
-                put(i, c - 2, (1, -8, 0, 8, -1), 12 * dr)
+                put(0, i, c - 2, (1, -8, 0, 8, -1), 12 * dr)
             elif i == 0:
-                put(i, c, (-3, 4, -1), 2 * dr)
+                put(0, i, c, (-3, 4, -1), 2 * dr)
             elif i == n_r - 1:
-                put(i, c - 2, (1, -4, 3), 2 * dr)
+                put(0, i, c - 2, (1, -4, 3), 2 * dr)
             else:
-                put(i, c - 1, (-1, 0, 1), 2 * dr)
+                put(0, i, c - 1, (-1, 0, 1), 2 * dr)
             if i == 0 and not self.center_symmetric:
-                put(n_r + i, c, (2, -5, 4, -1), dr ** 2)
+                put(1, i, c, (2, -5, 4, -1), dr ** 2)
             elif i == n_r - 1:
-                put(n_r + i, c - 3, (-1, 4, -5, 2), dr ** 2)
+                put(1, i, c - 3, (-1, 4, -5, 2), dr ** 2)
             else:
-                put(n_r + i, c - 1, (1, -2, 1), dr ** 2)
-        self._rad = rad
-        self.ring_dr = rad[n_r - 1, 2:]
-        self.ring_ds = ang[:, :n_s].T.copy()
-        cols = np.concatenate([self._antipode, n_s + self._antipode])
-        self._ghost_take = np.array([3 * 2 * n_s + cols, 2 * 2 * n_s + cols])
+                put(1, i, c - 1, (1, -2, 1), dr ** 2)
+        self._rad, self._rad2 = rad
+        self.ring_dr = self._rad[n_r - 1, 2:]
+        self.ring_ds = ang[0].T.copy()
+        plane = (n_r + 2) * n_s * np.arange(2)[:, None, None]
+        rows = np.array([3, 2])[:, None] * n_s
+        self._ghost_take = plane + rows + self._antipode
 
     # -- pole projection plan ---------------------------------------------
 
@@ -291,75 +307,87 @@ class CurvilinearGrid(_RadialMap):
         if not self._pole_active:
             return values
         cut = self._pole_cut
-        fhat = np.fft.rfft(values[:cut], axis=1).ravel()
-        terms = self._pole_w * fhat.take(self._pole_take)
+        terms = np.fft.rfft(values[:cut], axis=1).take(self._pole_take)
+        terms *= self._pole_w
         res = values.copy()
-        res[:cut] = np.fft.irfft(terms[0] + terms[1], n=self.n_s, axis=1)
+        np.fft.irfft(terms[0] + terms[1], n=self.n_s, axis=1, out=res[:cut])
         return res
 
     # -- the calculus kernel ----------------------------------------------------
 
-    def _logical_derivatives(self, arr):
-        """(f_r, f_s, f_rs, f_ss, f_rr) of a scalar node array, each of
-        shape (n_r, n_s), from two matrix products over the derivative
-        tables.
+    def _shifted(self, arr, planes):
+        """A (planes, n_r + 2, n_s) buffer whose first plane holds the field
+        shifted by its single value ``arr[0, 0]``, which no derivative
+        sees, so a constant maps to exactly 0; the ghost rows are left for
+        ``_fill_ghosts``."""
+        x = np.empty((planes, self.n_r + 2, self.n_s))
+        np.subtract(arr, arr[0, 0], out=x[0, 2:])
+        return x
 
-        The field is shifted by its single value ``arr[0, 0]`` first, which
-        no derivative sees, so a constant maps to exactly 0. The angular
-        product gives (f_s | f_ss); the radial product then acts on
-        [f | f_s] under its ghost rows and gives (f_r | f_rs) and f_rr at
-        once (the radial stencils are row-local, so they commute with the
-        angular derivative).
-        """
-        n_r, n_s = self.n_r, self.n_s
-        x = np.empty((n_r + 2, 2 * n_s))
-        f = x[2:, :n_s]
-        np.subtract(arr, arr[0, 0], out=f)
-        ang = f @ self._ang
-        x[2:, n_s:] = ang[:, :n_s]
-        x[:2] = x.take(self._ghost_take)
-        rad = self._rad @ x
-        return (rad[:n_r, :n_s], ang[:, :n_s], rad[:n_r, n_s:], ang[:, n_s:],
-                rad[n_r:, :n_s])
+    def _fill_ghosts(self, x):
+        """Copy each plane's antipodal ghost rows into rows 0 and 1."""
+        x[:, :2] = x.take(self._ghost_take[:len(x)])
 
     def _physical_gradient(self, fr, fs):
         """The physical gradient's components, shape (2, n_r, n_s), from the
         logical derivatives (f_r, f_s)."""
-        return self._grad_map[:, 0] * fr + self._grad_map[:, 1] * fs
+        gx = self._grad_map[0] * fr
+        gx += self._grad_map[1] * fs
+        return gx
+
+    def calculus_planes(self, arr):
+        """Physical gradient and Hessian of a scalar node array as
+        contiguous planes: the gradient (2, n_r, n_s) and the Hessian
+        entries (xx, xy, yy), shape (3, n_r, n_s); both exactly 0 on a
+        constant.
+
+        The grid's calculus kernel and the flow stepper's hot path. The
+        angular products give f_s and f_ss; the d/dr rows act on the
+        stacked [f; f_s] under their ghost rows and give f_r and f_rs at
+        once (the radial stencils are row-local, so they commute with the
+        angular derivative), and the d^2/dr^2 rows act on f alone. The chain
+        rule then runs on stacked planes of the metric tables, accumulating
+        each sum in place in the order the formula writes it.
+        """
+        x = self._shifted(arr, 2)
+        f = x[0, 2:]
+        fs = np.matmul(f, self._ang[0], out=x[1, 2:])
+        self._fill_ghosts(x)
+        d = np.empty((4,) + f.shape)            # f_r, f_rs, f_ss, f_rr
+        np.matmul(self._rad, x, out=d[:2])
+        np.matmul(f, self._ang[1], out=d[2])
+        np.matmul(self._rad2, x[0], out=d[3])
+        gx = self._physical_gradient(d[0], fs)
+        # remove the mapping curvature from the logical (f_rs, f_ss)
+        curv = self._curv
+        corr = curv[0] * gx[0]
+        corr += curv[1] * gx[1]
+        h_rs, h_ss = np.subtract(d[1:3], corr, out=corr)
+        m = self._hess_map
+        h = m[0] * d[3]
+        h += m[1] * h_rs
+        h += m[2] * h_ss
+        return gx, h
 
     def grad_values(self, arr):
         """Physical gradient of a scalar node array, shape (n_r, n_s, 2).
 
-        The gradient-only path: the kernel's two products without the
-        Hessian's chain rule, so bitwise equal to ``scalar_calculus(arr)[0]``.
+        The gradient-only path: the d/ds plane and the d/dr rows applied to
+        f alone, half the kernel's products, bitwise equal to
+        ``scalar_calculus(arr)[0]``.
         """
-        fr, fs = self._logical_derivatives(arr)[:2]
-        gx = self._physical_gradient(fr, fs)
+        x = self._shifted(arr, 1)
+        fs = x[0, 2:] @ self._ang[0]
+        self._fill_ghosts(x)
+        gx = self._physical_gradient(self._rad @ x[0], fs)
         return np.stack((gx[0], gx[1]), axis=-1)
 
     def scalar_calculus(self, arr):
         """Physical gradient and Hessian of a scalar node array, shapes
-        (n_r, n_s, 2) and (n_r, n_s, 2, 2); both exactly 0 on a constant.
-
-        The grid's calculus kernel and the flow stepper's hot path: the
-        logical derivatives are two small matrix products over the tables
-        the grid builds once (``_logical_derivatives``), and the chain
-        rule's coefficients come from the metric tables.
-        """
-        fr, fs, frs, fss, frr = self._logical_derivatives(arr)
-        gx = self._physical_gradient(fr, fs)
-        # remove the mapping curvature from the logical Hessian
-        x_rs, x_ss = self._x_rs, self._x_ss
-        h_rs = frs - (x_rs[0] * gx[0] + x_rs[1] * gx[1])
-        h_ss = fss - (x_ss[0] * gx[0] + x_ss[1] * gx[1])
-        m = self._hess_map
-        h = m[:, 0] * frr + m[:, 1] * h_rs + m[:, 2] * h_ss
-        hess = np.empty(arr.shape + (2, 2))
-        hess[..., 0, 0] = h[0]
-        hess[..., 0, 1] = h[1]
-        hess[..., 1, 0] = h[1]
-        hess[..., 1, 1] = h[2]
-        return np.stack((gx[0], gx[1]), axis=-1), hess
+        (n_r, n_s, 2) and (n_r, n_s, 2, 2), both C-contiguous: the
+        node-major assembly of ``calculus_planes``."""
+        gx, h = self.calculus_planes(arr)
+        return np.stack((gx[0], gx[1]), axis=-1), nm.sym2(h)
 
     # -- boundary helpers -------------------------------------------------------
 

@@ -253,7 +253,7 @@ def theta_special(trajectory, k=1):
     for i in range(m):
         u = trajectory.snapshots[int(gaps.snapshot_indices[i])].u
         # W alone: theta_special takes 16 ms at 32x64, 19 ms via state_at (2-vCPU Xeon)
-        winv = nm.inv2(potential_fields(grid, cost, u)[2])
+        winv = nm.inv2(nm.sym2(potential_fields(grid, cost, u)[2]))
         fi = np.nan_to_num(f[i], nan=0.0, neginf=0.0)
         grad_f[i] = grid.grad_values(fi)
         winv_quad[i] = nm.quadform2(winv, grad_f[i])

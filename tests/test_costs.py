@@ -286,3 +286,15 @@ def test_cross_inverse_index_convention(rng):
     np.testing.assert_allclose(eye, np.broadcast_to(np.eye(2), eye.shape),
                                atol=1e-12)
     assert np.all(np.abs(det2(C)) > 0)
+
+
+@pytest.mark.parametrize("name", costs.available_costs())
+def test_hess_xx_is_symmetric_bitwise(name):
+    """W keeps one off-diagonal plane, so D_xx c must have W_01 = W_10 bit
+    for bit, the sign of a zero included."""
+    cost = costs.make_cost(name)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-2.0, 2.0, size=(500, 2))
+    y = rng.uniform(-2.0, 2.0, size=(500, 2))
+    a = cost.hess_xx(x, y)
+    assert a[..., 0, 1].tobytes() == a[..., 1, 0].tobytes()

@@ -587,3 +587,53 @@ class TestStructuralInvariants:
         nu = state.grid.boundary_normals
         sin = np.abs(wbeta[:, 0] * nu[:, 1] - wbeta[:, 1] * nu[:, 0]) / norm2(wbeta)
         assert sin.max() <= 1e-8
+
+
+def _reference_state_fields(ctx, u):
+    """(grad u, Y, W, det W, rate) of a potential written out node-major:
+    the AoS calculus, the twist inverse, W = D^2 u - D_xx c as a (.., 2, 2)
+    difference, its 2x2 determinant, and the log formula of the rate."""
+    g, spec = ctx.grid, ctx.spec
+    cost = spec.cost
+    grad, hess = g.scalar_calculus(u)
+    tmap = cost.invert_Y(g.nodes, grad)
+    W = hess - cost.hess_xx(g.nodes, tmap)
+    det_w = det2(W)
+    log_b = ctx.log_rho - np.log(spec.rho_star(tmap))
+    if not cost.cross_identity:
+        log_b = log_b + np.log(cost.cross_det(g.nodes, tmap))
+    return grad, tmap, W, det_w, np.log(det_w) - log_b
+
+
+@pytest.mark.parametrize("scenario", ["disk_cosine_perturbed",
+                                      "disk_uniform_stationary",
+                                      "ellipse_target", "offset_disks_sqrt"])
+def test_stage_state_matches_the_written_out_formulas_bitwise(scenario):
+    """The plane-major state assembly reproduces the node-major formulas bit
+    for bit, at the initial state and at a perturbed stage."""
+    cfg = load_scenario(scenario).with_overrides(grid=(16, 32))
+    spec, g = cfg.build_problem()
+    st = flow.initialize(spec, g, cfg.build_initial(spec, g))
+    u = st.u.copy()
+    i, j = np.indices(u[:-1].shape)
+    u[:-1] += 1e-4 * np.cos(2 * np.pi * 3 * j / g.n_s) * (i + 1) / g.n_r
+    stage, _ = flow._project_stage(st.ctx, u, 0.0, flow.Chord())
+    for state in (st, stage):
+        assert state.rate is not None
+        ref = _reference_state_fields(state.ctx, state.u)
+        got = (state.grad_u, state.tmap, state.W, state.det_W, state.rate)
+        for name, new, old in zip(("grad_u", "tmap", "W", "det_W", "rate"),
+                                  got, ref):
+            assert new.shape == old.shape, name
+            assert np.array_equal(new, old), name
+
+
+def test_state_W_is_the_contiguous_assembly_of_its_planes(stationary_state):
+    x = stationary_state.grid.nodes
+    st = flow.build_state(stationary_state.ctx,
+                          stationary_state.u + 1e-3 * x[..., 0] ** 3, 0.0)
+    w, W = st.w_planes, st.W
+    assert w.shape == (3,) + st.u.shape and w.flags.c_contiguous
+    assert W.shape == st.u.shape + (2, 2) and W.flags.c_contiguous
+    for (a, b), k in (((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 2)):
+        assert W[..., a, b].tobytes() == w[k].tobytes()
