@@ -47,8 +47,8 @@ print("integer-time envelope violations:", osc.violations, "of", len(osc.k))
 st = traj.state_at(traj.snapshot_index_at_time(1.0))
 print("node   direct        closed        (term1, term2, term3)")
 nodes = np.arange(0, g.n_s, 16)
-closed, terms = linearized.dbetaF_closed(series, st, nodes, 1.0, "general")
-direct = linearized.dbetaF_direct(series, st, nodes, 1.0)   # NaN if refused
+closed, terms = linearized.dbetaF_closed(series, st, nodes, "general")
+direct = linearized.dbetaF_direct(series, st, nodes)   # NaN if refused
 for i, j in enumerate(nodes):
     print(f"{j:4d}  {direct[i]:+.5f}  {closed[i]:+.6f}   "
           + "  ".join(f"{t[i]:+.2e}" for t in terms))

@@ -17,7 +17,6 @@ manifest.json but selects no sample.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -65,9 +64,7 @@ def main(argv=None):
     try:
         return _dispatch(args)
     except (OTFlowError, FileNotFoundError) as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
+        sys.stderr.write(serialize.dumps(serialize.error_record(exc)) + "\n")
         return 2 if isinstance(exc, (ConfigError, FileNotFoundError)) else 1
 
 
@@ -91,11 +88,10 @@ def _dispatch(args):
         else:
             result = runner.run_scenario(config, output_root=args.out)
         if result.status == 0:
-            print(json.dumps({"outdir": result.outdir,
-                              "summary": result.summary}, sort_keys=True))
+            print(serialize.dumps({"outdir": result.outdir,
+                                   "summary": result.summary}))
         else:
-            json.dump(result.error, sys.stderr, sort_keys=True)
-            sys.stderr.write("\n")
+            sys.stderr.write(serialize.dumps(result.error) + "\n")
         return result.status
 
     if args.command == "audit-convexity":
@@ -106,18 +102,18 @@ def _dispatch(args):
             report = runner.convexity_audit(spec, seed=config.seed)
         except OTFlowError as exc:
             if out and not isinstance(exc, ScenarioNotFound):
-                runner._error_report(out, exc)
+                serialize.write_error(out, exc)
             raise
         if out:
             os.makedirs(out, exist_ok=True)
             serialize.write_json(os.path.join(out, "convexity.json"), report)
-        print(json.dumps(report, sort_keys=True, default=serialize._json_default))
+        print(serialize.dumps(report))
         return 0
 
     trajectory_dir = args.trajectory
     if args.command == "replay-diagnostics":
         summary = runner.replay_diagnostics(trajectory_dir)
-        print(json.dumps(summary, sort_keys=True))
+        print(serialize.dumps(summary))
         return 0
 
     trajectory, manifest = serialize.load_trajectory(trajectory_dir)

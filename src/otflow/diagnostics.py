@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import DegenerateDenominator, NoDecayWindow
-from .flow import potential_fields, time_index
+from .flow import TIME_TOL, potential_fields, time_index
 
 
 @dataclass
@@ -167,7 +167,7 @@ def harnack_ratio_series(series):
     ts = series.times
     out_t, out_c = [], []
     for m, t in enumerate(ts):
-        if t < 1.0 - 1e-9:
+        if t < 1.0 - TIME_TOL:
             continue
         try:
             n = time_index(ts, t + 1.0)
@@ -213,7 +213,7 @@ def oscillation_decay(trajectory, eps, sigma, tol=1e-8):
     checked).
     """
     ts = trajectory.times()
-    k_max = int(np.floor(ts[-1] + 1e-9))
+    k_max = int(np.floor(ts[-1] + TIME_TOL))
     ks, sups, infs = [], [], []
     for k in range(0, k_max + 1):
         try:
@@ -274,7 +274,7 @@ def measured_norm_bound(trajectory):
 def run_summary(trajectory, rate_fit=None, harnack=None):
     """The scalar summary of one run, with nulls where a quantity does not
     apply (e.g. no decay fit for a stationary run)."""
-    rec = trajectory.step_records
+    mass_err = trajectory.step_column("mass_balance_err")
     final = trajectory.snapshots[-1]
     per_snap_alignment = []
     step = max(1, len(trajectory.snapshots) // 12)
@@ -286,7 +286,7 @@ def run_summary(trajectory, rate_fit=None, harnack=None):
         "R2": None if rate_fit is None else rate_fit.r2,
         "C_harnack": None if harnack is None else harnack.c_max,
         "eps": None if harnack is None else harnack.eps,
-        "max_mass_err": float(np.max(rec[:, 4])) if len(rec) else 0.0,
+        "max_mass_err": float(np.max(mass_err)) if len(mass_err) else 0.0,
         "max_alignment": float(np.max(per_snap_alignment)),
         "stationary_residual": float(np.max(np.abs(final.rate))),
         "K_measured": measured_norm_bound(trajectory),

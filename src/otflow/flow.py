@@ -63,6 +63,9 @@ from .errors import (BoundaryIncompatible, ImageMismatch, NewtonStall,
 STEP_COLUMNS = ("t", "dt", "sup_theta", "inf_theta", "mass_balance_err",
                 "max_boundary_G", "min_eig_W", "stationary_residual")
 
+#: snapshot times this close are one time (a run lands them to roundoff)
+TIME_TOL = 1e-9
+
 
 @dataclass
 class Schedule:
@@ -233,13 +236,16 @@ class Trajectory:
     def snapshot_index_at_time(self, t):
         return time_index(self.times(), t)
 
+    def step_column(self, name):
+        """The column ``name`` of the step table (one of STEP_COLUMNS)."""
+        return self.step_records[:, STEP_COLUMNS.index(name)]
+
 
 def time_index(times, t):
-    """The index of the snapshot time in ``times`` within 1e-9 of t;
-    KeyError when there is none."""
+    """Index of the time in ``times`` within TIME_TOL of t, else KeyError."""
     times = np.asarray(times)
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9:
+    if abs(times[i] - t) > TIME_TOL:
         raise KeyError(f"no snapshot at t = {t}")
     return i
 
@@ -727,17 +733,18 @@ def run_to_convergence(spec, grid, u0, schedule=None):
         records.append(_record_row(state, rep.dt))
         reports.append(rep)
         dt_fes.append(dt_fe)
-        if abs(state.t - target_t) < 1e-9:
+        if abs(state.t - target_t) < TIME_TOL:
             state.t = target_t
-            if abs(target_t - k_snap * sched.snapshot_dt) < 1e-9:
+            if abs(target_t - k_snap * sched.snapshot_dt) < TIME_TOL:
                 snapshots.append(Snapshot(state.t, state.u.copy(),
                                           state.rate.copy()))
                 k_snap += 1
                 dt_spectral = None
-        if records[-1][-1] <= sched.stop_tol:      # stationary_residual
+        residual = records[-1][STEP_COLUMNS.index("stationary_residual")]
+        if residual <= sched.stop_tol:
             converged = True
             reason = f"rate below stop_tol at t = {state.t:.4f}"
-    if not converged and not reason:
+    if not converged:
         reason = (f"t_max = {sched.t_max} reached with sup |rate| = "
                   f"{np.max(np.abs(state.rate)):.3e}")
     if abs(snapshots[-1].t - state.t) > 1e-12:

@@ -40,7 +40,8 @@ nodes and return arrays, one entry per node, from one evaluation of the
 ring's fields (beta, the transport Jacobian, the Christoffel symbols of w);
 an image curve that degenerates at any node raises. The direct side of
 ``dbeta_gradnorm_boundary`` is the calculus kernel's boundary gradient
-(``grid.directional_derivative_at_boundary``).
+(``grid.directional_derivative_at_boundary``); it reads the gap series at
+the state's time (``linearized.GapSeries.index_of``).
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ import numpy as np
 from . import _numerics as nm
 from . import linearized
 from .errors import DegenerateImage, MetricDegenerate
-from .flow import time_index
 from .grid import directional_derivative_at_boundary
 
 #: an image curve slower than this at the evaluation point is degenerate
@@ -341,13 +341,13 @@ def verify_II_identity(state, j):
                     grid_shape=(grid.n_r, grid.n_s))
 
 
-def dbeta_gradnorm_boundary(series, state, j, t):
+def dbeta_gradnorm_boundary(series, state, j):
     """The boundary derivative along beta of |grad^w f|^2_w for the gap
-    solution at the boundary nodes j (an int array), two ways: geometrically
-    as -2 |beta|_w II^w(grad^w f, grad^w f) and directly, as the calculus
-    kernel's boundary gradient of the scalar field contracted with beta.
-    Returns (geometric, direct), arrays with one entry per node."""
-    m = time_index(series.times, t)
+    solution at the boundary nodes j (an int array) at the state's time, two
+    ways: geometrically as -2 |beta|_w II^w(grad^w f, grad^w f) and directly,
+    as the calculus kernel's boundary gradient of the scalar field contracted
+    with beta. Returns (geometric, direct), arrays with one entry per node."""
+    m = series.index_of(state)
     grid = state.grid
     ring = _ring_w_data(state)
     beta, W, tau_e, norm_w, tau_unit, beta_w = ring

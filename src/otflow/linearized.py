@@ -35,9 +35,13 @@ which the source audit (``domains.convexity_form``) reads too.
 
 The boundary derivatives of F take an int array of boundary nodes and
 return arrays, one entry per node, from one evaluation of the ring's fields
-for all of them. The direct derivative is the calculus kernel's boundary
-gradient of F (``grid.directional_derivative_at_boundary``) contracted with
-beta; it reads NaN at a node whose window touches the floor mask.
+for all of them. They evaluate at the state's time: ``GapSeries.index_of``
+finds the series time t = state.t - (k - 1), the series' own origin, so no
+caller passes a time that could disagree with the state. Times within
+``flow.TIME_TOL`` are the same time, here and in the series' cadence cut.
+The direct derivative is the calculus kernel's boundary gradient of F
+(``grid.directional_derivative_at_boundary``) contracted with beta; it
+reads NaN at a node whose window touches the floor mask.
 """
 
 from dataclasses import dataclass
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
-from .flow import potential_fields, time_index
+from .flow import TIME_TOL, potential_fields, time_index
 from .grid import directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
@@ -153,6 +157,10 @@ class GapSeries:
     gap: np.ndarray                  # (m, n_r, n_s)
     mask: np.ndarray                 # gap > floor
 
+    def index_of(self, state):
+        """The index of the state's time t - (k - 1); KeyError if none."""
+        return time_index(self.times, state.t - (self.k - 1))
+
 
 @dataclass
 class HarnackSeries(GapSeries):
@@ -187,11 +195,10 @@ def gap_series(trajectory, k=1):
     sampled on the trajectory's snapshot grid, from the stored rate fields
     alone.
 
-    The series keeps the uniformly spaced cadence prefix and drops the
-    trailing times where the gap has no positive part. Raises ValueError for
-    k < 1 or a non-uniform prefix, KeyError when no snapshot sits at
-    t = k - 1, and NonPositiveTheta when fewer than three usable times
-    remain.
+    The series keeps the uniformly spaced cadence prefix (to TIME_TOL) and
+    drops the trailing times where the gap has no positive part. Raises
+    ValueError for k < 1, KeyError when no snapshot sits at t = k - 1, and
+    NonPositiveTheta when fewer than three usable times remain.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -203,7 +210,7 @@ def gap_series(trajectory, k=1):
     # keep the uniformly spaced cadence prefix (the run's final snapshot may
     # sit off the cadence grid at the stopping time)
     h = times[1] - times[0]
-    spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=1e-9)
+    spacing_ok = np.isclose(np.diff(times), h, rtol=1e-6, atol=TIME_TOL)
     cut = len(times) if spacing_ok.all() else int(np.argmin(spacing_ok)) + 1
     snaps = snaps[:cut]
     times = times[:cut]
@@ -221,11 +228,7 @@ def gap_series(trajectory, k=1):
     if m < 3:
         raise NonPositiveTheta(
             f"gap solution k={k} has fewer than three usable snapshots")
-    times = times[:m]
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-6, atol=1e-12):
-        raise ValueError("gap series needs uniformly spaced snapshots")
-    return GapSeries(k=k, floor=THETA_FLOOR, base_sup=base_sup, times=times,
+    return GapSeries(k=k, floor=THETA_FLOOR, base_sup=base_sup, times=times[:m],
                      snapshot_indices=np.arange(i0, i0 + m), gap=gap[:m],
                      mask=mask[:m])
 
@@ -269,9 +272,9 @@ def theta_special(trajectory, k=1):
 
 # --- boundary derivative of F -------------------------------------------------
 
-def dbetaF_direct(series, state, j, t):
+def dbetaF_direct(series, state, j):
     """Derivative of F along beta at the boundary nodes j (an int array) at
-    series offset t, from the calculus kernel's gradient of F on the
+    the state's time, from the calculus kernel's gradient of F on the
     boundary ring; an array, one entry per node.
 
     Refuses nodes whose neighborhood (a five-node window on the three outer
@@ -279,7 +282,7 @@ def dbetaF_direct(series, state, j, t):
     mask: F is undefined there and differencing across the hole is
     meaningless. A refused node reads NaN.
     """
-    m = time_index(series.times, t)
+    m = series.index_of(state)
     grid = state.grid
     window = (j[:, None] + np.arange(-2, 3)) % grid.n_s
     clear = series.mask[m][-3:, window].all(axis=(0, 2))
@@ -307,9 +310,9 @@ def _boundary_convexity_contraction(state, j, tau):
         grid.boundary_normals[j])
 
 
-def dbetaF_closed(series, state, j, t, mode="general"):
+def dbetaF_closed(series, state, j, mode="general"):
     """Closed-form boundary derivative of F along beta at the boundary nodes
-    j (an int array), offset t.
+    j (an int array) at the state's time.
 
     Returns (value, (term1, term2, term3)): the curvature-form term, the
     -G_pp(grad f, grad f) term, and the +alpha G_pp(grad f, grad theta) term,
@@ -323,7 +326,7 @@ def dbetaF_closed(series, state, j, t, mode="general"):
     """
     if mode not in ("general", "quadratic"):
         raise ValueError("mode must be 'general' or 'quadratic'")
-    m = time_index(series.times, t)
+    m = series.index_of(state)
     grid = state.grid
     spec = state.spec
     t_val = float(series.times[m])
@@ -345,14 +348,14 @@ def dbetaF_closed(series, state, j, t, mode="general"):
     return term1 + term2 + term3, (term1, term2, term3)
 
 
-def boundary_tangency_defect(series, state, t):
+def boundary_tangency_defect(series, state):
     """max over boundary nodes of |<W beta, tau>| / (|W beta| max |tau|) for
-    tau = W^{-1} grad f; zero in the continuum for the gap solutions.
+    tau = W^{-1} grad f at the state's time; zero in the continuum.
 
     The normalization uses the ring maximum of |tau| so nodes where grad f
     happens to vanish do not turn roundoff into an O(1) ratio.
     """
-    m = time_index(series.times, t)
+    m = series.index_of(state)
     grad_f = series.grad_f[m][-1]
     W = state.W[-1]
     wbeta = nm.matvec2(W, state.ring_beta())
@@ -381,8 +384,8 @@ def max_principle_monitor(trajectory):
     increase of the max series and the largest forward decrease of the min
     series.
     """
-    sup_series = trajectory.step_records[:, 2]
-    inf_series = trajectory.step_records[:, 3]
+    sup_series = trajectory.step_column("sup_theta")
+    inf_series = trajectory.step_column("inf_theta")
     if len(sup_series) == 0:
         return MonotonicityReport(0.0, 0.0)
     # compare against the running envelope so persistent drift accumulates

@@ -46,27 +46,11 @@ def resolve_outdir(config, output_root=None):
     return os.path.join(_output_root(output_root), config.output_dir or config.name)
 
 
-def _error_report(outdir, exc, detail=None):
-    """Write and return the error.json payload of exc to outdir: the
-    exception's type, ``detail`` (str(exc) by default) and its witness."""
-    payload = {"error": type(exc).__name__,
-               "detail": str(exc) if detail is None else detail}
-    witness = getattr(exc, "witness", None)
-    if witness is not None:             # NotCConvex: W's worst node
-        i, j, x, eig = witness
-        payload["witness"] = {"node": [int(i), int(j)],
-                              "x": [float(v) for v in x],
-                              "min_eig_W": float(eig)}
-    os.makedirs(outdir, exist_ok=True)
-    serialize.write_json(os.path.join(outdir, "error.json"), payload)
-    return payload
-
-
 def config_failure(name, exc, output_root=None):
     """Exit-2 result for a config that failed to parse or validate; its
     error.json goes to the run directory ``name`` under the output root."""
     outdir = os.path.join(_output_root(output_root), name)
-    return RunResult(2, outdir, None, _error_report(outdir, exc))
+    return RunResult(2, outdir, None, serialize.write_error(outdir, exc))
 
 
 def run_scenario(config, output_root=None):
@@ -77,12 +61,12 @@ def run_scenario(config, output_root=None):
         spec, grid = config.build_problem()
         u0 = config.build_initial(spec, grid)
     except OTFlowError as exc:
-        return RunResult(2, outdir, None, _error_report(outdir, exc))
+        return RunResult(2, outdir, None, serialize.write_error(outdir, exc))
     problems = domains.validate_spec(spec)
     if problems:
         detail = "; ".join(f"{type(p).__name__}: {p}" for p in problems)
         return RunResult(2, outdir, None,
-                         _error_report(outdir, problems[0], detail))
+                         serialize.write_error(outdir, problems[0], detail))
     try:
         schedule = config.build_schedule()
         trajectory = run_to_convergence(spec, grid, u0, schedule)
@@ -91,7 +75,7 @@ def run_scenario(config, output_root=None):
         serialize.write_json(os.path.join(outdir, "summary.json"), summary)
         run_audits(trajectory, config, outdir)
     except OTFlowError as exc:
-        return RunResult(1, outdir, None, _error_report(outdir, exc))
+        return RunResult(1, outdir, None, serialize.write_error(outdir, exc))
     return RunResult(0, outdir, summary)
 
 
@@ -141,8 +125,8 @@ def fit_u_decay(trajectory, tail_trim=2.0, window=None, min_samples=10):
 
 def fit_theta_decay(trajectory):
     """Exponential fit of the rate field's sup norm from the step records."""
-    rec = trajectory.step_records
-    return diagnostics.fit_rate(rec[:, 0], rec[:, 7])
+    return diagnostics.fit_rate(trajectory.step_column("t"),
+                                trajectory.step_column("stationary_residual"))
 
 
 # --- audits -------------------------------------------------------------------
@@ -196,7 +180,7 @@ def harnack_audit(trajectory, audit_dir):
         series = linearized.theta_special(trajectory, k=1)
     except NonPositiveTheta as exc:
         serialize.write_json(os.path.join(audit_dir, "harnack_summary.json"),
-                             {"error": "NonPositiveTheta", "detail": str(exc)})
+                             serialize.error_record(exc))
         return
     grid = trajectory.grid
     nodes = np.linspace(0, grid.n_s, 16, endpoint=False).astype(int)
@@ -204,11 +188,10 @@ def harnack_audit(trajectory, audit_dir):
     stride = max(1, (len(series.times) - 1) // 8)
     for m in range(1, len(series.times), stride):
         t = float(series.times[m])
-        idx = int(series.snapshot_indices[m])
-        state = trajectory.state_at(idx)
+        state = trajectory.state_at(int(series.snapshot_indices[m]))
         f_here = np.where(series.mask[m][-1, nodes], series.F[m][-1, nodes], np.nan)
-        dd = linearized.dbetaF_direct(series, state, nodes, t)
-        dc, terms = linearized.dbetaF_closed(series, state, nodes, t, "general")
+        dd = linearized.dbetaF_direct(series, state, nodes)
+        dc, terms = linearized.dbetaF_closed(series, state, nodes, "general")
         for row in zip(nodes, f_here, dd, dc, *terms):
             vals = ",".join(repr(float(v)) for v in row[1:])
             lines.append(f"{t!r},{int(row[0])},{vals}")
@@ -254,7 +237,7 @@ def km_audit(trajectory, audit_dir):
     rep = km_geometry.verify_II_identity(state, nodes)
     with open(os.path.join(audit_dir, "km.jsonl"), "w") as fh:
         for i in range(len(nodes)):
-            fh.write(serialize.json.dumps(rep.at(i).as_dict(), sort_keys=True) + "\n")
+            fh.write(serialize.dumps(rep.at(i).as_dict()) + "\n")
 
 
 def replay_diagnostics(outdir):

@@ -7,6 +7,13 @@ snapshot field files, and the diagnostics CSV (one row per accepted
 super-step) whose header is the fixed column list of the stepping module.
 All floats in text outputs are written with repr (shortest round-trip), so
 identical runs produce identical bytes.
+
+``load_trajectory`` checks the manifest's snapshot time axis where it enters
+the program: the times start at t = 0 (to ``flow.TIME_TOL``) and strictly
+increase, as every reader of the series assumes. ``error_record`` is the one
+builder of the {"error", "detail"} record (with an exception's witness) that
+error.json, a failed Harnack summary and the CLI's stderr line carry, and
+``dumps`` the one-line JSON the CLI prints.
 """
 
 import json
@@ -15,7 +22,7 @@ import os
 import numpy as np
 
 from .errors import OTFlowError
-from .flow import STEP_COLUMNS, FlowContext, Snapshot, Trajectory
+from .flow import STEP_COLUMNS, TIME_TOL, FlowContext, Snapshot, Trajectory
 
 
 def _fmt(x):
@@ -107,7 +114,11 @@ def save_trajectory(outdir, trajectory, config_dict):
 
 
 def load_trajectory(outdir):
-    """Rebuild a Trajectory (with live flow context) from a directory."""
+    """Rebuild a Trajectory (with live flow context) from a directory.
+
+    OTFlowError for a missing or damaged file, and for a manifest whose
+    snapshot times do not start at t = 0 (to TIME_TOL) and strictly
+    increase: every reader of the series assumes that time axis."""
     from .config import ScenarioConfig
 
     manifest_path = os.path.join(outdir, "manifest.json")
@@ -123,6 +134,11 @@ def load_trajectory(outdir):
     except (ValueError, KeyError, TypeError) as exc:
         raise OTFlowError(f"corrupt manifest.json in {outdir}: "
                           f"{type(exc).__name__}: {exc}") from None
+    times = [t for t, *_ in entries]
+    if not (times and abs(times[0]) <= TIME_TOL
+            and all(a < b for a, b in zip(times, times[1:]))):
+        raise OTFlowError(f"corrupt manifest.json in {outdir}: the snapshot "
+                          "times must start at t = 0 and increase")
     config = ScenarioConfig.from_dict(raw_config)
     spec, grid = config.build_problem()
     ctx = FlowContext(spec, grid)
@@ -155,6 +171,34 @@ def write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
         fh.write("\n")
+
+
+def dumps(payload):
+    """payload as one line of JSON, keys sorted: the CLI's output lines and
+    the records of km.jsonl."""
+    return json.dumps(payload, sort_keys=True, default=_json_default)
+
+
+def error_record(exc, detail=None):
+    """The error record of exc: its type name, ``detail`` (str(exc) by
+    default) and, when the exception carries one, its witness."""
+    record = {"error": type(exc).__name__,
+              "detail": str(exc) if detail is None else detail}
+    witness = getattr(exc, "witness", None)
+    if witness is not None:             # NotCConvex: W's worst node
+        i, j, x, eig = witness
+        record["witness"] = {"node": [int(i), int(j)],
+                             "x": [float(v) for v in x],
+                             "min_eig_W": float(eig)}
+    return record
+
+
+def write_error(outdir, exc, detail=None):
+    """Write exc's ``error_record`` to outdir/error.json and return it."""
+    record = error_record(exc, detail)
+    os.makedirs(outdir, exist_ok=True)
+    write_json(os.path.join(outdir, "error.json"), record)
+    return record
 
 
 def _json_default(obj):

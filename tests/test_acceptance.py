@@ -248,11 +248,11 @@ def test_criterion_09_boundary_dbetaF(run64):
     for t in (1.0, 2.0):
         st = traj.state_at(int(series.snapshot_indices[
             int(np.argmin(np.abs(series.times - t)))]))
-        vg, _ = linearized.dbetaF_closed(series, st, nodes, t, "general")
-        vq, _ = linearized.dbetaF_closed(series, st, nodes, t, "quadratic")
+        vg, _ = linearized.dbetaF_closed(series, st, nodes, "general")
+        vq, _ = linearized.dbetaF_closed(series, st, nodes, "quadratic")
         mode_gap = max(mode_gap, float(np.max(np.abs(vg - vq))))
         closed_max = max(closed_max, float(np.max(vg)))
-        dd = linearized.dbetaF_direct(series, st, nodes, t)
+        dd = linearized.dbetaF_direct(series, st, nodes)
         # only the positivity floor may refuse a node
         window = (nodes[:, None] + np.arange(-2, 3)) % traj.grid.n_s
         floor = ~series.mask[flow.time_index(series.times, t)][

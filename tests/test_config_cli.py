@@ -381,7 +381,8 @@ class TestCLI:
         assert "snap_0003_u.field" in err["detail"]
 
     @pytest.mark.parametrize("damage", ["truncated", "no_config", "no_snapshots",
-                                        "no_converged"])
+                                        "no_converged", "empty_snapshots",
+                                        "no_origin", "unsorted"])
     def test_corrupt_manifest_exit_1(self, tmp_path, capsys, damage):
         code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
                             "--stop-tol", "5e-3", "--out", str(tmp_path))
@@ -392,7 +393,15 @@ class TestCLI:
             text = '{"format": "otflow-traj'
         else:
             manifest = json.load(open(path))
-            del manifest[damage[3:]]
+            snapshots = manifest["snapshots"]
+            if damage == "empty_snapshots":
+                snapshots.clear()
+            elif damage == "no_origin":         # the t = 0 entry dropped
+                del snapshots[0]
+            elif damage == "unsorted":
+                snapshots.reverse()
+            else:
+                del manifest[damage[3:]]
             text = json.dumps(manifest)
         with open(path, "w") as fh:
             fh.write(text)
@@ -400,6 +409,27 @@ class TestCLI:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OTFlowError"
         assert "manifest.json" in err["detail"]
+
+    def test_snapshot_within_time_tol_of_the_cadence_replays(self, tmp_path,
+                                                             capsys):
+        # 1.5e-9 off the 0.001 cadence: inside the gap series' cadence cut
+        # (rtol 1e-6 plus TIME_TOL), so the series keeps it as on the cadence
+        raw = load_scenario("disk_cosine_perturbed").with_overrides(
+            grid=(16, 32)).to_dict()
+        raw["time"] = dict(raw["time"], snapshot_dt=0.001, t_max=0.01)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(raw))
+        assert self.run_cli("run", str(path), "--out", str(tmp_path)) == 0
+        outdir = json.loads(capsys.readouterr().out)["outdir"]
+        manifest_path = os.path.join(outdir, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["snapshots"][3]["t"] = 0.0030000015
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        assert self.run_cli("replay-diagnostics", outdir) == 0
+        assert self.run_cli("audit-harnack", outdir) == 0
+        rows = open(os.path.join(outdir, "audits", "harnack.csv")).readlines()
+        assert any(row.startswith("0.0030000015,") for row in rows)
 
     @pytest.mark.parametrize("damage", ["non_numeric", "short_row"])
     def test_corrupt_diagnostics_exit_1(self, tmp_path, capsys, damage):

@@ -189,7 +189,7 @@ class TestGradNormBoundaryDerivative:
         scale = max(np.abs(ser.winv_quad[m][-1]).max(), 1e-12)
         nodes = np.array([j for j in range(0, st.grid.n_s, 4) if ser.mask[m][
             -3:, np.arange(j - 2, j + 3) % st.grid.n_s].all()])
-        geo, direct = km.dbeta_gradnorm_boundary(ser, st, nodes, 1.0)
+        geo, direct = km.dbeta_gradnorm_boundary(ser, st, nodes)
         assert np.abs(geo - direct).max() <= 10.0 * h * max(scale, 1.0)
         assert geo.max() <= 1e-10        # nonpositive under convexity
         assert len(nodes) >= 10
@@ -198,7 +198,7 @@ class TestGradNormBoundaryDerivative:
         _, ser, st = run_series
         m = int(np.argmin(np.abs(ser.times - 1.0)))
         ser.grad_f[m][-1, 7] = 0.0
-        geo, _ = km.dbeta_gradnorm_boundary(ser, st, np.array([7]), 1.0)
+        geo, _ = km.dbeta_gradnorm_boundary(ser, st, np.array([7]))
         assert abs(geo[0]) <= 1e-14
 
 

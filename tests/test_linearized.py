@@ -123,6 +123,19 @@ class TestGapSolutions:
             float(np.max(ref_run_32.snapshots[i0].rate)))
         assert ser.gap.min() >= 0.0
 
+    def test_index_of_reads_the_series_time_of_the_state(self, ref_run_32):
+        # the series of Theta_k starts at t = k - 1: a state at k - 1 + 0.5
+        # is the snapshot at offset 0.5, and a state between snapshots is
+        # on no series time
+        for k in (1, 2):
+            ser = linearized.gap_series(ref_run_32, k=k)
+            i = ref_run_32.snapshot_index_at_time(k - 1 + 0.5)
+            st = ref_run_32.state_at(i)
+            assert ser.snapshot_indices[ser.index_of(st)] == i
+            assert ser.times[ser.index_of(st)] == pytest.approx(0.5)
+            with pytest.raises(KeyError):
+                ser.index_of(dataclasses.replace(st, t=st.t + 0.01))
+
     def test_tangency_of_metric_gradient(self, perturbed_spec):
         # tau = W^{-1} grad f loses its normal component at O(h)
         defects = []
@@ -133,7 +146,7 @@ class TestGapSolutions:
             traj = flow.run_to_convergence(perturbed_spec, g, u0, sched)
             ser = linearized.theta_special(traj, k=1)
             st = traj.state_at(traj.snapshot_index_at_time(0.5))
-            defects.append(linearized.boundary_tangency_defect(ser, st, 0.5))
+            defects.append(linearized.boundary_tangency_defect(ser, st))
         assert defects[0] <= 10 * (2.0 / 47)     # O(h) with measured constant
         assert defects[1] <= 0.65 * defects[0]
 
@@ -272,9 +285,6 @@ class TestGapSeriesSplit:
     def test_same_exception_as_the_full_series(self, ref_run_32):
         traj = ref_run_32
         flat = [np.full_like(s.rate, 0.5) for s in traj.snapshots[:6]]
-        # a spacing that passes the cadence cut (atol 1e-9) but not the
-        # uniformity check (atol 1e-12)
-        uneven = [0.0, 1e-5, 2e-5 + 5e-10, 3e-5]
         cases = [
             (dataclasses.replace(traj, snapshots=traj.snapshots[:2]), 1,
              NonPositiveTheta, "too short"),
@@ -282,7 +292,6 @@ class TestGapSeriesSplit:
              NonPositiveTheta, "below the floor"),
             (traj, 100, KeyError, "no snapshot at t = 99.0"),
             (traj, 0, ValueError, "positive integer"),
-            (_retimed(traj, uneven), 1, ValueError, "uniformly spaced"),
         ]
         for case, k, kind, words in cases:
             with pytest.raises(kind, match=words) as full:
@@ -291,6 +300,15 @@ class TestGapSeriesSplit:
                 linearized.gap_series(case, k=k)
             assert type(gaps.value) is type(full.value)
             assert str(gaps.value) == str(full.value)
+        # a spacing within the cadence cut's tolerance (TIME_TOL) is on the
+        # cadence: both layers keep all four times
+        uneven = _retimed(traj, [0.0, 1e-5, 2e-5 + 5e-10, 3e-5])
+        gaps = linearized.gap_series(uneven, k=1)
+        full = linearized.theta_special(uneven, k=1)
+        assert gaps.times.tolist() == full.times.tolist() == [
+            0.0, 1e-5, 2e-5 + 5e-10, 3e-5]
+        assert gaps.gap.tobytes() == full.gap.tobytes()
+        assert gaps.snapshot_indices.tolist() == full.snapshot_indices.tolist()
 
 
 class TestBoundaryDerivativeOfF:
@@ -304,8 +322,8 @@ class TestBoundaryDerivativeOfF:
     def test_modes_agree_for_inner_product_cost(self, series_state):
         _, ser, st = series_state
         nodes = np.arange(0, st.grid.n_s, 7)
-        vg, _ = linearized.dbetaF_closed(ser, st, nodes, 1.0, "general")
-        vq, _ = linearized.dbetaF_closed(ser, st, nodes, 1.0, "quadratic")
+        vg, _ = linearized.dbetaF_closed(ser, st, nodes, "general")
+        vq, _ = linearized.dbetaF_closed(ser, st, nodes, "quadratic")
         assert np.abs(vg - vq).max() <= 1e-10
 
     def test_direct_matches_closed_at_O_h(self, series_state):
@@ -313,8 +331,8 @@ class TestBoundaryDerivativeOfF:
         h = st.grid.dr
         scale = max(np.abs(ser.F[ser.times == 1.0]).max(), 1e-10)
         nodes = np.arange(0, st.grid.n_s, 4)
-        dd = linearized.dbetaF_direct(ser, st, nodes, 1.0)
-        dc, _ = linearized.dbetaF_closed(ser, st, nodes, 1.0, "general")
+        dd = linearized.dbetaF_direct(ser, st, nodes)
+        dc, _ = linearized.dbetaF_closed(ser, st, nodes, "general")
         gaps = np.abs(dd - dc)[~np.isnan(dd)]
         assert len(gaps) >= 12
         assert max(gaps) <= 8.0 * h * max(scale, 1.0)
@@ -325,7 +343,7 @@ class TestBoundaryDerivativeOfF:
         for t in (0.5, 1.0, 2.0):
             m = int(np.argmin(np.abs(ser.times - t)))
             st_t = traj.state_at(int(ser.snapshot_indices[m]))
-            val, terms = linearized.dbetaF_closed(ser, st_t, nodes, t, "general")
+            val, terms = linearized.dbetaF_closed(ser, st_t, nodes, "general")
             assert val.max() <= 1e-12
             assert all(term.max() <= 1e-12 for term in terms)
 
@@ -333,16 +351,15 @@ class TestBoundaryDerivativeOfF:
         _, ser, st = series_state
         m = int(np.argmin(np.abs(ser.times - 1.0)))
         ser.grad_f[m][-1, 5] = 0.0          # synthetic: grad f = 0 at node 5
-        val, terms = linearized.dbetaF_closed(ser, st, np.array([5]), 1.0,
-                                              "general")
+        val, terms = linearized.dbetaF_closed(ser, st, np.array([5]), "general")
         assert abs(val[0]) <= 1e-14 and abs(terms[0][0]) <= 1e-14
 
 
-def floor_touched(ser, t, nodes, n_s):
+def floor_touched(ser, st, nodes):
     """The nodes whose five-node window on the three outer rings touches
-    the gap series' floor mask at offset t."""
-    m = flow.time_index(ser.times, t)
-    window = (nodes[:, None] + np.arange(-2, 3)) % n_s
+    the gap series' floor mask at the state's time."""
+    m = ser.index_of(st)
+    window = (nodes[:, None] + np.arange(-2, 3)) % st.grid.n_s
     return ~ser.mask[m][-3:, window].all(axis=(0, 2))
 
 
@@ -428,7 +445,7 @@ class TestNodeArrays:
         mask[m][-2, [5, 20, 21]] = False        # the floor touches three windows
         ser = dataclasses.replace(ser, mask=mask)
         st = ref_run_32.state_at(int(ser.snapshot_indices[m]))
-        return ser, st, 1.0
+        return ser, st
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -437,20 +454,20 @@ class TestNodeArrays:
         return ser, sqrt_run_16
 
     @staticmethod
-    def check_direct(ser, st, t):
+    def check_direct(ser, st):
         nodes = np.arange(st.grid.n_s)
-        batch = linearized.dbetaF_direct(ser, st, nodes, t)
-        alone = np.concatenate([linearized.dbetaF_direct(ser, st, nodes[i:i + 1], t)
+        batch = linearized.dbetaF_direct(ser, st, nodes)
+        alone = np.concatenate([linearized.dbetaF_direct(ser, st, nodes[i:i + 1])
                                 for i in range(len(nodes))])
         assert batch.tobytes() == alone.tobytes()
         refused = np.isnan(batch)
-        assert refused.tolist() == floor_touched(ser, t, nodes, st.grid.n_s).tolist()
+        assert refused.tolist() == floor_touched(ser, st, nodes).tolist()
         return list(np.nonzero(refused)[0])
 
     @staticmethod
-    def check_closed(ser, st, t, mode):
+    def check_closed(ser, st, mode):
         def closed(j):
-            value, terms = linearized.dbetaF_closed(ser, st, j, t, mode)
+            value, terms = linearized.dbetaF_closed(ser, st, j, mode)
             return np.stack([value, *terms], axis=1)
 
         nodes = np.arange(st.grid.n_s)
@@ -472,10 +489,9 @@ class TestNodeArrays:
         assert not traj.spec.cost.thirds_vanish
         for m in (1, len(ser.times) - 1):
             st = traj.state_at(int(ser.snapshot_indices[m]))
-            t = float(ser.times[m])
-            refused = self.check_direct(ser, st, t)
+            refused = self.check_direct(ser, st)
             assert len(refused) < st.grid.n_s
-            self.check_closed(ser, st, t, "general")
+            self.check_closed(ser, st, "general")
 
 
 class TestMaxPrincipleMonitor:

@@ -42,7 +42,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
-import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -84,7 +83,7 @@ def convexity_digest(name):
     cfg = config.load_scenario(name)
     spec, _ = cfg.build_problem()
     report = runner.convexity_audit(spec, seed=cfg.seed)
-    text = json.dumps(report, sort_keys=True, default=serialize._json_default)
+    text = serialize.dumps(report)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
