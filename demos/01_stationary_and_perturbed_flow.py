@@ -46,11 +46,12 @@ print(f"sigma from |rate|:        {tfit.sigma:.4f}")
 
 # %%
 # the per-super-step monitor table: mass balance and the rate extrema bracketing 0
-rec = traj.step_records
-print("max |mass error|      :", rec[:, 4].max(), " (h^2 =", g.dr ** 2, ")")
-print("min of sup rate       :", rec[:, 2].min(), " (stays >= -tol)")
-print("max of inf rate       :", rec[:, 3].max(), " (stays <= +tol)")
-print("max boundary |G|      :", rec[:, 5].max())
+col = traj.step_column
+print("max |mass error|      :", col("mass_balance_err").max(),
+      " (h^2 =", g.dr ** 2, ")")
+print("min of sup rate       :", col("sup_theta").min(), " (stays >= -tol)")
+print("max of inf rate       :", col("inf_theta").max(), " (stays <= +tol)")
+print("max boundary |G|      :", col("max_boundary_G").max())
 
 # %%
 # optional: picture of the decay
@@ -61,7 +62,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(5, 3.2))
-    ax.semilogy(rec[:, 0], rec[:, 7], lw=0.8)
+    ax.semilogy(col("t"), col("stationary_residual"), lw=0.8)
     ax.set_xlabel("t")
     ax.set_ylabel("sup |rate|")
     ax.set_title("exponential approach to the transport potential")

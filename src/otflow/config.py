@@ -17,7 +17,7 @@ from .costs import available_costs, make_cost
 from .domains import (ProblemSpec, available_densities, available_domains,
                       make_density, make_domain)
 from .errors import ConfigError, ScenarioNotFound
-from .flow import INITIAL_POTENTIALS, Schedule
+from .flow import INITIAL_POTENTIALS, MIN_SNAPSHOT_DT, Schedule
 from .grid import MIN_N_R, MIN_N_S, CurvilinearGrid
 
 SCHEMA_VERSION = 1
@@ -78,6 +78,9 @@ def _check_time(time):
                               f"got {value!r}")
     t_max = time.get("t_max", Schedule.t_max)
     snapshot_dt = time.get("snapshot_dt", Schedule.snapshot_dt)
+    if snapshot_dt <= MIN_SNAPSHOT_DT:
+        raise ConfigError(f"time 'snapshot_dt' = {snapshot_dt:g} must exceed "
+                          f"{MIN_SNAPSHOT_DT:g} (flow.MIN_SNAPSHOT_DT)")
     if t_max / snapshot_dt > MAX_SNAPSHOTS:
         raise ConfigError(f"time 't_max' / 'snapshot_dt' = {t_max:g} / "
                           f"{snapshot_dt:g} exceeds {MAX_SNAPSHOTS} snapshots")

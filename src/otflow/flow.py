@@ -42,7 +42,7 @@ quarter of the snapshot cadence and doubles each time sup |rate| has fallen
 count is the fewest stable for a measured dt_FE, SPECTRAL_SAFETY * 2/|lam|
 with lam the stiffest eigenvalue of the stepper's own Jacobian, estimated by
 ``stiffest_eigenvalue``; ``policy_dt`` is its floor. Both tau and lam are
-chosen at the start and after every snapshot.
+chosen once per snapshot interval, at its top (``run_to_convergence``).
 
 A run's settings are its :class:`Schedule`: the stopping rule (stop_tol,
 t_max) and the snapshot cadence (snapshot_dt). Only ``run_to_convergence``
@@ -500,6 +500,9 @@ def _project_boundary(ctx, u_values, chord=None):
 #: of about 6.5e-6 against a fine-step run at 32x64 and at 64x128, is set in
 #: the first snapshot interval and stays far below the O(dr^2) spatial error
 SUPER_STEP_FRACTION = 0.25
+#: the smallest snapshot_dt a run accepts: above it the shortest super-step,
+#: SUPER_STEP_FRACTION snapshot_dt / 2^MAX_HALVINGS, exceeds TIME_TOL
+MIN_SNAPSHOT_DT = TIME_TOL * 2 ** MAX_HALVINGS / SUPER_STEP_FRACTION
 #: a run's forward-Euler step is this fraction of 2/|lambda_max|, the
 #: limit set by the measured stiffest eigenvalue (see stiffest_eigenvalue)
 SPECTRAL_SAFETY = 0.8
@@ -696,59 +699,54 @@ def _record_row(state, dt):
 
 
 def run_to_convergence(spec, grid, u0, schedule=None):
-    """March the flow until the rate's sup norm falls below stop_tol or the
-    horizon is reached. Each step is an RKL2 super-step of tau =
-    graded_tau(snapshot_dt, sup |rate|, sup |rate(0)|) (less to land on a
-    snapshot or on t_max): snapshot_dt/4 at the start, doubling each time
-    sup |rate| has fallen 4x, up to snapshot_dt. It has the fewest stages
-    stable at dt_FE = max(policy_dt, SPECTRAL_SAFETY * 2/|lambda|). tau and
-    lambda are chosen at the start and after every snapshot, lambda
-    warm-started from the previous eigenvector; snapshots are taken exactly
-    at multiples of snapshot_dt, the stop rule is checked after every
-    super-step, and the monitor table has one row per accepted
-    super-step."""
+    """March the flow, one snapshot interval at a time, until sup |rate|
+    falls to stop_tol or t reaches t_max. An interval ends at the next
+    multiple of snapshot_dt or at t_max; lambda (``stiffest_eigenvalue``,
+    warm-started) and tau (``graded_tau``) are chosen once at its top. A
+    step is an RKL2 super-step of min(tau, end - t), with the fewest stages
+    stable at max(policy_dt, SPECTRAL_SAFETY * 2/|lambda|), and lands on
+    the end when it stops within TIME_TOL of it. Its monitor row, recorded
+    before the landing, holds the sup |rate| that the stop rule, the next
+    grading and the reason read. Each interval's end, or the stop time,
+    takes one snapshot. ValueError for snapshot_dt <= MIN_SNAPSHOT_DT."""
     sched = schedule or Schedule()
+    if not sched.snapshot_dt > MIN_SNAPSHOT_DT:
+        raise ValueError(f"snapshot_dt {sched.snapshot_dt:g} <= MIN_SNAPSHOT_DT")
     state = initialize(spec, grid, u0)
     chord = Chord()
     snapshots = [Snapshot(0.0, state.u.copy(), state.rate.copy())]
     records, reports, dt_fes = [], [], []
-    k_snap = 1
-    sup_rate0 = float(np.max(np.abs(state.rate)))
-    converged = sup_rate0 <= sched.stop_tol
-    reason = "stationary at start" if converged else ""
-    dt_spectral = eigvec = None
-    while not converged and state.t < sched.t_max - 1e-12:
-        if dt_spectral is None:     # at the start and after every snapshot
-            lam, eigvec = stiffest_eigenvalue(state, chord, eigvec)
-            dt_spectral = (SPECTRAL_SAFETY * 2.0 / -lam
-                           if lam is not None and lam < 0.0 else 0.0)
-            tau_graded = graded_tau(sched.snapshot_dt,
-                                    float(np.max(np.abs(state.rate))),
-                                    sup_rate0)
-        dt_fe = max(policy_dt(state), dt_spectral)
-        target_t = min(k_snap * sched.snapshot_dt, sched.t_max)
-        tau = min(tau_graded, target_t - state.t)
-        stages = rkl2_stages(tau, dt_fe)
-        state, rep = step(state, tau, chord=chord, stages=stages)
-        records.append(_record_row(state, rep.dt))
-        reports.append(rep)
-        dt_fes.append(dt_fe)
-        if abs(state.t - target_t) < TIME_TOL:
-            state.t = target_t
-            if abs(target_t - k_snap * sched.snapshot_dt) < TIME_TOL:
-                snapshots.append(Snapshot(state.t, state.u.copy(),
-                                          state.rate.copy()))
-                k_snap += 1
-                dt_spectral = None
-        residual = records[-1][STEP_COLUMNS.index("stationary_residual")]
-        if residual <= sched.stop_tol:
-            converged = True
-            reason = f"rate below stop_tol at t = {state.t:.4f}"
+    residual = sup_rate0 = float(np.max(np.abs(state.rate)))
+    eigvec = None
+    k = 0
+    while residual > sched.stop_tol and sched.t_max - state.t > TIME_TOL:
+        k += 1
+        end = min(k * sched.snapshot_dt, sched.t_max)
+        lam, eigvec = stiffest_eigenvalue(state, chord, eigvec)
+        dt_spectral = (SPECTRAL_SAFETY * 2.0 / -lam
+                       if lam is not None and lam < 0.0 else 0.0)
+        tau_graded = graded_tau(sched.snapshot_dt, residual, sup_rate0)
+        while residual > sched.stop_tol and end - state.t >= TIME_TOL:
+            dt_fe = max(policy_dt(state), dt_spectral)
+            tau = min(tau_graded, end - state.t)
+            stages = rkl2_stages(tau, dt_fe)
+            state, rep = step(state, tau, chord=chord, stages=stages)
+            row = _record_row(state, rep.dt)
+            records.append(row)
+            reports.append(rep)
+            dt_fes.append(dt_fe)
+            residual = row[-1]              # its stationary_residual
+        if end - state.t < TIME_TOL:
+            state.t = end
+        snapshots.append(Snapshot(state.t, state.u.copy(), state.rate.copy()))
+    converged = residual <= sched.stop_tol
     if not converged:
         reason = (f"t_max = {sched.t_max} reached with sup |rate| = "
-                  f"{np.max(np.abs(state.rate)):.3e}")
-    if abs(snapshots[-1].t - state.t) > 1e-12:
-        snapshots.append(Snapshot(state.t, state.u.copy(), state.rate.copy()))
+                  f"{residual:.3e}")
+    elif records:
+        reason = f"rate below stop_tol at t = {state.t:.4f}"
+    else:
+        reason = "stationary at start"
     table = np.array(records, float).reshape(-1, len(STEP_COLUMNS))
     return Trajectory(ctx=state.ctx, snapshots=snapshots, step_records=table,
                       converged=converged, reason=reason, step_reports=reports,

@@ -83,7 +83,7 @@ def build_summary(trajectory, config):
     """Post-pass over a finished trajectory: decay fits plus the monitor
     extremes, in the fixed summary-JSON key set. The Harnack ratios read
     only the k = 1 gap series, so this builds the gap series alone."""
-    fit_cfg = config.fit if config is not None else {}
+    fit_cfg = config.fit
     rate_fit = None
     harnack = None
     if not trajectory.converged or len(trajectory.snapshots) > 4:
@@ -132,7 +132,7 @@ def fit_theta_decay(trajectory):
 # --- audits -------------------------------------------------------------------
 
 def run_audits(trajectory, config, outdir):
-    toggles = config.audits if config is not None else {}
+    toggles = config.audits
     audit_dir = os.path.join(outdir, "audits")
     if any(toggles.get(k) for k in ("convexity", "harnack", "km")):
         os.makedirs(audit_dir, exist_ok=True)

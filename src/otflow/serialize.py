@@ -10,10 +10,11 @@ identical runs produce identical bytes.
 
 ``load_trajectory`` checks the manifest's snapshot time axis where it enters
 the program: the times start at t = 0 (to ``flow.TIME_TOL``) and strictly
-increase, as every reader of the series assumes. ``error_record`` is the one
-builder of the {"error", "detail"} record (with an exception's witness) that
-error.json, a failed Harnack summary and the CLI's stderr line carry, and
-``dumps`` the one-line JSON the CLI prints.
+increase, as every reader of the series assumes, and each snapshot's two
+field headers carry its manifest time (to ``TIME_TOL``). ``error_record`` is
+the one builder of the {"error", "detail"} record (with an exception's
+witness) that error.json, a failed Harnack summary and the CLI's stderr line
+carry, and ``dumps`` the one-line JSON the CLI prints.
 """
 
 import json
@@ -116,9 +117,11 @@ def save_trajectory(outdir, trajectory, config_dict):
 def load_trajectory(outdir):
     """Rebuild a Trajectory (with live flow context) from a directory.
 
-    OTFlowError for a missing or damaged file, and for a manifest whose
+    OTFlowError for a missing or damaged file, for a manifest whose
     snapshot times do not start at t = 0 (to TIME_TOL) and strictly
-    increase: every reader of the series assumes that time axis."""
+    increase (every reader of the series assumes that time axis), and for
+    a field file whose header's t is not its manifest entry's (to
+    TIME_TOL)."""
     from .config import ScenarioConfig
 
     manifest_path = os.path.join(outdir, "manifest.json")
@@ -156,6 +159,12 @@ def load_trajectory(outdir):
                     or list(values.shape) != shape):
                 raise OTFlowError(f"snapshot file {name} in {outdir} is not a "
                                   f"field on the manifest grid {shape}")
+            field_t = header.get("t")
+            if not (isinstance(field_t, (int, float))
+                    and abs(field_t - t) <= TIME_TOL):
+                raise OTFlowError(f"snapshot file {name} in {outdir} has "
+                                  f"t = {field_t!r}, its manifest entry "
+                                  f"t = {t!r}")
             fields.append(values)
         snapshots.append(Snapshot(t, *fields))
     records_path = os.path.join(outdir, "diagnostics.csv")

@@ -106,8 +106,8 @@ def test_criterion_03_mass_balance(run64, run32):
     traj64 = run64[0]
     h2_64 = traj64.grid.dr ** 2
     h2_32 = run32.grid.dr ** 2
-    worst64 = float(traj64.step_records[:, 4].max())
-    worst32 = float(run32.step_records[:, 4].max())
+    worst64 = float(traj64.step_column("mass_balance_err").max())
+    worst32 = float(run32.step_column("mass_balance_err").max())
     ratio = worst32 / worst64
     ok = worst64 <= 0.05 * h2_64 and worst32 <= 0.05 * h2_32 and ratio >= 3.5
     report("criterion 3 (mass balance in time)", ok,
@@ -118,18 +118,18 @@ def test_criterion_03_mass_balance(run64, run32):
 def test_criterion_04_bracketing(run64, run32):
     worst = []
 
-    def check(records, dr, label):
-        if records.shape[0] == 0:
+    def check(traj, label):
+        if traj.step_records.shape[0] == 0:
             worst.append((label, 0.0))
             return True
-        tol = 1e-8 + 0.5 * dr ** 2
-        sup_low = float(records[:, 2].min())
-        inf_high = float(records[:, 3].max())
+        tol = 1e-8 + 0.5 * traj.grid.dr ** 2
+        sup_low = float(traj.step_column("sup_theta").min())
+        inf_high = float(traj.step_column("inf_theta").max())
         worst.append((label, max(-sup_low, inf_high)))
         return sup_low >= -tol and inf_high <= tol
 
-    ok = check(run64[0].step_records, run64[0].grid.dr, "reference")
-    ok &= check(run32.step_records, run32.grid.dr, "reference-32")
+    ok = check(run64[0], "reference")
+    ok &= check(run32, "reference-32")
     for name in ("disk_uniform_stationary", "ellipse_target",
                  "offset_disks_sqrt"):
         cfg = load_scenario(name)
@@ -138,7 +138,7 @@ def test_criterion_04_bracketing(run64, run32):
         spec, g = cfg.build_problem()
         traj = flow.run_to_convergence(spec, g, cfg.build_initial(spec, g),
                                        cfg.build_schedule())
-        ok &= check(traj.step_records, g.dr, name)
+        ok &= check(traj, name)
     report("criterion 4 (extrema bracket zero)", ok,
            "sup rate >= -tol and inf rate <= +tol at every step of every "
            f"bundled scenario; worst two-sided excess {max(w for _, w in worst):.2e}")

@@ -20,6 +20,16 @@ SUMMARY_KEYS = {"sigma", "R2", "C_harnack", "eps", "max_mass_err",
                 "max_alignment", "stationary_residual", "K_measured"}
 
 
+def edit_field_header(path, edit):
+    """Rewrite the header of the field file at path by ``edit(header)``."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        payload = fh.read()
+    edit(header)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode() + payload)
+
+
 class TestConfigParsing:
     def test_bundled_scenarios_parse(self):
         names = bundled_scenario_names()
@@ -308,6 +318,10 @@ class TestCLI:
         ("output_dir", 5, "output_dir"),
         ("audits", {"harnack": "yes"}, "harnack"),
         ("time", {"stop_tol": 1e-8, "snapshot_dt": 1e-300}, "snapshot_dt"),
+        # below flow.MIN_SNAPSHOT_DT a landing could skip super-steps
+        ("time", {"snapshot_dt": 1e-9, "t_max": 5e-8}, "snapshot_dt"),
+        ("time", {"snapshot_dt": 2e-9, "t_max": 1e-7}, "snapshot_dt"),
+        ("time", {"snapshot_dt": 3e-9, "t_max": 1.5e-7}, "snapshot_dt"),
     ])
     def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
                                                      section, value, match):
@@ -357,7 +371,8 @@ class TestCLI:
         assert report["error"] == "ConfigError" and "nope" in report["detail"]
         assert json.loads(capsys.readouterr().err) == report
 
-    @pytest.mark.parametrize("damage", ["truncated", "other_grid"])
+    @pytest.mark.parametrize("damage", ["truncated", "other_grid",
+                                        "other_time"])
     def test_corrupt_snapshot_exit_1(self, tmp_path, capsys, damage):
         code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
                             "--stop-tol", "5e-3", "--out", str(tmp_path))
@@ -367,18 +382,17 @@ class TestCLI:
         if damage == "truncated":
             with open(victim, "r+b") as fh:
                 fh.truncate(os.path.getsize(victim) - 8)
-        else:
+        elif damage == "other_grid":
             # a well-formed field whose header names another grid
-            with open(victim, "rb") as fh:
-                header = json.loads(fh.readline())
-                payload = fh.read()
-            header["grid"]["n_r"] = 17
-            with open(victim, "wb") as fh:
-                fh.write((json.dumps(header) + "\n").encode() + payload)
-        assert self.run_cli("replay-diagnostics", outdir) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "OTFlowError"
-        assert "snap_0003_u.field" in err["detail"]
+            edit_field_header(victim, lambda h: h["grid"].update(n_r=17))
+        else:
+            # a header time 1e-6 off its manifest entry's
+            edit_field_header(victim, lambda h: h.update(t=h["t"] + 1e-6))
+        for command in ("replay-diagnostics", "audit-km", "audit-harnack"):
+            assert self.run_cli(command, outdir) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "OTFlowError"
+            assert "snap_0003_u.field" in err["detail"]
 
     @pytest.mark.parametrize("damage", ["truncated", "no_config", "no_snapshots",
                                         "no_converged", "empty_snapshots",
@@ -426,6 +440,9 @@ class TestCLI:
         manifest["snapshots"][3]["t"] = 0.0030000015
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
+        for name in ("snap_0003_u.field", "snap_0003_rate.field"):
+            edit_field_header(os.path.join(outdir, name),
+                              lambda h: h.update(t=0.0030000015))
         assert self.run_cli("replay-diagnostics", outdir) == 0
         assert self.run_cli("audit-harnack", outdir) == 0
         rows = open(os.path.join(outdir, "audits", "harnack.csv")).readlines()

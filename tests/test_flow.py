@@ -483,6 +483,47 @@ class TestRunToConvergence:
         assert "t_max" in traj.reason
         assert len(traj.snapshots) >= 2       # partial trajectory returned
 
+    def test_one_eigenvalue_estimate_per_interval(self, monkeypatch):
+        spec, g, u0, sched = _perturbed_16x32()
+        sched = dataclasses.replace(sched, stop_tol=1e-15, t_max=0.6)
+        estimate = flow.stiffest_eigenvalue
+        calls = []
+
+        def counting_estimate(*args):
+            calls.append(args[0].t)
+            return estimate(*args)
+
+        monkeypatch.setattr(flow, "stiffest_eigenvalue", counting_estimate)
+        traj = flow.run_to_convergence(spec, g, u0, sched)
+        # intervals end at 0.125, 0.25, 0.375, 0.5 and t_max = 0.6
+        assert not traj.converged
+        assert len(calls) == 5 == len(traj.snapshots) - 1
+        assert calls == [s.t for s in traj.snapshots[:-1]]
+        ts = traj.times()
+        assert np.diff(ts).min() > flow.TIME_TOL
+        assert list(ts[:-1]) == [k * sched.snapshot_dt for k in range(5)]
+        assert ts[-1] == sched.t_max
+
+    def test_convergence_inside_an_interval_takes_one_snapshot(self):
+        spec, g, u0, _ = _perturbed_16x32()
+        sched = flow.Schedule(stop_tol=5e-3, t_max=8.0, snapshot_dt=0.5)
+        traj = flow.run_to_convergence(spec, g, u0, sched)
+        assert traj.converged
+        t_stop = traj.step_column("t")[-1]
+        assert t_stop % sched.snapshot_dt > flow.TIME_TOL    # off the cadence
+        ts = traj.times()
+        n = int(t_stop // sched.snapshot_dt)
+        assert list(ts) == [k * sched.snapshot_dt for k in range(n + 1)] + [t_stop]
+        assert traj.step_column("stationary_residual")[-1] <= sched.stop_tol
+        assert f"t = {t_stop:.4f}" in traj.reason
+
+    def test_snapshot_dt_at_the_time_tolerance_is_refused(self):
+        spec, g, u0, _ = _perturbed_16x32()
+        for dt in (1e-9, flow.MIN_SNAPSHOT_DT):
+            with pytest.raises(ValueError, match="snapshot_dt"):
+                flow.run_to_convergence(spec, g, u0, flow.Schedule(
+                    t_max=50 * dt, snapshot_dt=dt))
+
     def test_snapshots_on_exact_cadence(self, ref_run_small):
         ts = ref_run_small.times()
         assert np.allclose(ts[:-1] / 0.05, np.round(ts[:-1] / 0.05), atol=1e-9)
@@ -537,21 +578,21 @@ class TestStructuralInvariants:
     """Per-step identities of the discrete flow on the small reference run."""
 
     def test_mass_balance_every_step(self, ref_run_32):
-        rec = ref_run_32.step_records
+        mass_err = ref_run_32.step_column("mass_balance_err")
         h2 = ref_run_32.grid.dr ** 2
-        assert rec[:, 4].max() <= 0.05 * h2
+        assert mass_err.max() <= 0.05 * h2
 
     def test_extrema_bracket_zero(self, ref_run_32):
-        rec = ref_run_32.step_records
+        sup_theta = ref_run_32.step_column("sup_theta")
+        inf_theta = ref_run_32.step_column("inf_theta")
         h2 = ref_run_32.grid.dr ** 2
-        assert rec[:, 2].min() >= -1e-8 - 0.5 * h2    # sup theta >= -tol
-        assert rec[:, 3].max() <= 1e-8 + 0.5 * h2     # inf theta <= +tol
+        assert sup_theta.min() >= -1e-8 - 0.5 * h2    # sup theta >= -tol
+        assert inf_theta.max() <= 1e-8 + 0.5 * h2     # inf theta <= +tol
 
     def test_running_extrema_monotone(self, ref_run_32):
-        rec = ref_run_32.step_records
         tol = 1e-6 + 0.5 * ref_run_32.grid.dr ** 2
-        assert np.diff(rec[:, 2]).max() <= tol
-        assert np.diff(rec[:, 3]).min() >= -tol
+        assert np.diff(ref_run_32.step_column("sup_theta")).max() <= tol
+        assert np.diff(ref_run_32.step_column("inf_theta")).min() >= -tol
 
     def test_transport_jacobian_chain_identity(self, ref_run_32):
         # |det D_x T| |det C| = det W, with D_x T by differencing the cached

@@ -507,8 +507,9 @@ class TestMaxPrincipleMonitor:
         assert rep.worst() <= 1e-6 + 0.5 * ref_run_32.grid.dr ** 2
 
     def test_reversed_series_flagged(self, ref_run_32):
-        rec = ref_run_32.step_records.copy()
-        rec[:, 2:4] = ref_run_32.step_records[::-1, 2:4]
-        rep = linearized.max_principle_monitor(
-            dataclasses.replace(ref_run_32, step_records=rec))
+        doctored = dataclasses.replace(
+            ref_run_32, step_records=ref_run_32.step_records.copy())
+        for name in ("sup_theta", "inf_theta"):     # a view into the copy
+            doctored.step_column(name)[:] = ref_run_32.step_column(name)[::-1]
+        rep = linearized.max_principle_monitor(doctored)
         assert rep.worst() > 1e-3

@@ -29,6 +29,12 @@ and, from that run's own curvature-identity audit,
 
     <sha256 km.jsonl>  offset_disks_sqrt 16x32 km
 
+Last, it runs each script under ``demos/`` as a subprocess, in a fresh
+temporary working directory with the checkout's ``src`` on PYTHONPATH and
+BLAS on one thread, and prints one sha256 of the script's stdout,
+
+    <sha256 stdout>  <demo file> exit=<status>
+
 Run from the root of a checkout:
 
     python3 tools/run_digests.py
@@ -42,11 +48,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from otflow import config, runner, serialize  # noqa: E402
 
@@ -97,6 +105,16 @@ def harnack_digests(run_dir, audit_dir):
             for name in ("harnack.csv", "harnack_summary.json")]
 
 
+def demo_digest(script):
+    """(sha256 of the stdout, exit status) of the demo ``script``, run in a
+    temporary working directory (so the files it writes go there)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
+                              stdout=subprocess.PIPE)
+    return hashlib.sha256(done.stdout).hexdigest(), done.returncode
+
+
 def main():
     with tempfile.TemporaryDirectory() as scratch:
         outdirs = {}
@@ -119,6 +137,9 @@ def main():
         km_sha = hashlib.sha256(
             Path(outdirs[KM_RUN], "audits", "km.jsonl").read_bytes()).hexdigest()
         print(f"{km_sha}  {name} {grid[0]}x{grid[1]} km", flush=True)
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        sha, status = demo_digest(script)
+        print(f"{sha}  {script.name} exit={status}", flush=True)
 
 
 if __name__ == "__main__":
