@@ -344,30 +344,39 @@ def _perturbed_16x32():
     return spec, g, cfg.build_initial(spec, g), cfg.build_schedule()
 
 
+@pytest.fixture(scope="module")
+def dense_stiffest_16x32():
+    """The 16x32 perturbed problem, its initial state and the stiffest
+    eigenvalue of a dense forward-difference Jacobian of its stage map
+    v -> rate[:-1], pole and boundary projections included."""
+    problem = _perturbed_16x32()
+    spec, g, u0, sched = problem
+    st = flow.initialize(spec, g, u0)
+    chord = flow.Chord()
+    eps = 1e-6
+
+    def rate_map(v):
+        u = st.u.copy()
+        u[:-1] = v
+        u = g.apply_pole_projection(u)
+        flow._project_boundary(st.ctx, u, chord=chord)
+        return flow.build_state(st.ctx, u, st.t).rate[:-1]
+
+    v0 = st.u[:-1]
+    jac = np.empty((v0.size, v0.size))
+    for k in range(v0.size):
+        e = np.zeros(v0.size)
+        e[k] = eps
+        jac[:, k] = ((rate_map(v0 + e.reshape(v0.shape)) - st.rate[:-1])
+                     / eps).ravel()
+    return problem, st, float(np.min(np.linalg.eigvals(jac).real))
+
+
 class TestSpectralStageCount:
     """The run's stage count from the measured stiffest eigenvalue."""
 
-    def test_power_iteration_matches_dense_jacobian(self):
-        spec, g, u0, sched = _perturbed_16x32()
-        st = flow.initialize(spec, g, u0)
-        chord = flow.Chord()
-        eps = 1e-6
-
-        def rate_map(v):
-            u = st.u.copy()
-            u[:-1] = v
-            u = g.apply_pole_projection(u)
-            flow._project_boundary(st.ctx, u, chord=chord)
-            return flow.build_state(st.ctx, u, st.t).rate[:-1]
-
-        v0 = st.u[:-1]
-        jac = np.empty((v0.size, v0.size))
-        for k in range(v0.size):
-            e = np.zeros(v0.size)
-            e[k] = eps
-            jac[:, k] = ((rate_map(v0 + e.reshape(v0.shape)) - st.rate[:-1])
-                         / eps).ravel()
-        lam_dense = float(np.min(np.linalg.eigvals(jac).real))
+    def test_power_iteration_matches_dense_jacobian(self, dense_stiffest_16x32):
+        (spec, g, u0, sched), st, lam_dense = dense_stiffest_16x32
         lam, _ = flow.stiffest_eigenvalue(st, flow.Chord())
         assert abs(lam - lam_dense) <= 0.03 * abs(lam_dense)
         # the first super-step of the run from this state
@@ -375,6 +384,13 @@ class TestSpectralStageCount:
                                        dataclasses.replace(sched, t_max=0.125))
         assert (flow.policy_dt(st) < traj.step_dt_fe[0]
                 <= 2.0 / abs(lam_dense))
+
+    def test_pole_does_not_set_the_stiffness(self, dense_stiffest_16x32):
+        # the inner rings' angular caps add about 183 per unit of
+        # grid._ANGULAR_BUDGET to |lambda| (890.5 at a budget of 2.5,
+        # 614.8 at 1.0); this bound keeps them from silently taking over
+        lam_dense = dense_stiffest_16x32[-1]
+        assert abs(lam_dense) <= 700.0
 
     def test_perturbed_run_takes_fewer_evaluations(self, monkeypatch):
         spec, g, u0, sched = _perturbed_16x32()

@@ -6,6 +6,8 @@ import pytest
 import scipy.special
 
 from otflow import domains, grid
+from otflow._numerics import norm2
+from otflow.config import load_scenario
 from otflow.grid import (CurvilinearGrid, directional_derivative_at_boundary,
                          integrate)
 
@@ -401,6 +403,34 @@ class TestCenterTreatment:
         f[0] = np.cos(2 * np.pi * 20 * g32.s)
         out = g32.apply_pole_projection(f)
         assert np.abs(out[0]).max() <= 1e-6
+
+
+def _peanut_grid():
+    return load_scenario("peanut_source_audit").build_problem()[1]
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: CurvilinearGrid(DISK, 16, 32),
+    lambda: CurvilinearGrid(DISK, 32, 64),
+    _peanut_grid], ids=["disk16x32", "disk32x64", "peanut"])
+def test_pole_caps_follow_the_angular_budget(make_grid):
+    # below the boundary, ring i keeps mode k exactly while the angular
+    # symbol (2 pi k max|grad s|)^2 h_min^2 stays within the budget, h_min
+    # the radial spacing dr min|x_r| over sqrt(2); the boundary keeps all
+    g = make_grid()
+    half = g.n_s // 2
+    assert g.pole_kmax[-1] == half
+    h_min = g.dr * norm2(g.jac[..., :, 0]).min() / np.sqrt(2.0)
+    gmax = norm2(g.jinv[:, :, 1, :]).max(axis=1)
+
+    def symbol(i, k):
+        return (2 * np.pi * k * gmax[i]) ** 2 * h_min ** 2
+
+    for i, kmax in enumerate(g.pole_kmax[:-1]):
+        assert symbol(i, kmax) <= grid._ANGULAR_BUDGET * (1 + 1e-12)
+        if kmax + 1 <= half:
+            assert symbol(i, kmax + 1) > grid._ANGULAR_BUDGET
+    assert np.any(g.pole_kmax[:-1] < half)
 
 
 def test_grid_geometry_invariants():

@@ -11,11 +11,14 @@ time; the parent goes first in even pairs and the change in odd ones, so a
 drift of the machine's speed during a pair falls on both sides alike.
 
 The tool reads only what ``perfbench/run.py`` prints: the report line
-(machine facts, failed checks) and the result line (end-to-end metrics,
-attempted and failed ops). It prints, per workload and end-to-end metric,
-the median and quartiles of each side and in how many pairs the change's
-value is lower than the parent's, and writes every run's metrics with the
-machine facts, the seeds and the fail ratios as JSON to ``--out``.
+(machine facts, the exact block, failed checks) and the result line
+(end-to-end metrics, attempted and failed ops). It prints, per workload and
+end-to-end metric, the median and quartiles of each side and in how many
+pairs the change's value is lower than the parent's, and per workload and
+side how many distinct ``diagnostics.csv`` digests its runs gave, and
+whether the two sides gave the same ones, i.e. were step-identical. It
+writes every run's metrics and exact block (the digest and the step count)
+with the machine facts, the seeds and the fail ratios as JSON to ``--out``.
 """
 
 import argparse
@@ -88,6 +91,14 @@ def summarize(runs):
     return out
 
 
+def distinct_digests(runs):
+    """Per side, the distinct diagnostics.csv digests of its runs' exact
+    blocks, sorted (None, a run whose first op failed, sorts as a string)."""
+    return {side: sorted({r["exact"]["digest"] for r in runs
+                          if r["side"] == side}, key=str)
+            for side in SIDES}
+
+
 def bench_workload(args, workload):
     runs, machine = [], None
     for i in range(args.pairs):
@@ -101,7 +112,8 @@ def bench_workload(args, workload):
                 "pair": i, "seed": seed, "side": side, "position": position,
                 "metrics": {k: v["value"] for k, v in result["metrics"].items()},
                 "attempted": result["attempted"], "failed": result["failed"],
-                "correct": result["correct"], "failures": report["failures"]})
+                "correct": result["correct"], "exact": report["exact"],
+                "failures": report["failures"]})
             print(f"{workload} pair {i} seed {seed} {side}: "
                   + ", ".join(f"{k}={v:.6g}" for k, v in runs[-1]["metrics"].items())
                   + f", failed {result['failed']}/{result['attempted']}",
@@ -112,7 +124,8 @@ def bench_workload(args, workload):
     for counts in fail.values():
         counts["ratio"] = counts["failed"] / counts["attempted"]
     return {"workload": workload, "machine": machine, "runs": runs,
-            "fail_ratio": fail, "summary": summarize(runs)}
+            "fail_ratio": fail, "digests": distinct_digests(runs),
+            "summary": summarize(runs)}
 
 
 def main(argv=None):
@@ -130,6 +143,11 @@ def main(argv=None):
                   f" lower in {e['lower_in']} of {e['n']}")
         for side, f in res["fail_ratio"].items():
             print(f"  fail ratio {side}: {f['failed']} of {f['attempted']}")
+        digests = res["digests"]
+        same = digests["parent"] == digests["change"]
+        print("  distinct digests: "
+              + ", ".join(f"{side} {len(d)}" for side, d in digests.items())
+              + (", the same on both sides" if same else ", not the same"))
     payload = {"command": "perfbench/run.py --trace 0", "pairs": args.pairs,
                "seconds": args.seconds, "seed_base": args.seed_base,
                "workloads": results}
