@@ -210,7 +210,8 @@ def oscillation_decay(trajectory, eps, sigma, tol=1e-8):
     inf(k) >= -(C-1) sup(0) exp(-sigma (k-1)) - tol with C = 1/(1 - eps),
     the Harnack constant that eps derives from; reports the violation
     counts (an eps >= 1 input is reported as non-contractive rather than
-    checked).
+    checked). An integer time without a snapshot is skipped, and so is the
+    sup check of k + 1 when k - 1 has none.
     """
     ts = trajectory.times()
     k_max = int(np.floor(ts[-1] + TIME_TOL))
@@ -229,10 +230,9 @@ def oscillation_decay(trajectory, eps, sigma, tol=1e-8):
     if not (0 < eps < 1):
         return OscillationReport(ks, 0, 0, contractive=False)
     c_val = 1.0 / (1.0 - eps)
-    sup_viol = 0
-    for idx in range(2, len(ks)):
-        if sups[idx] > eps * sups[idx - 2] + tol:
-            sup_viol += 1
+    sup_at = dict(zip(ks.tolist(), sups))
+    sup_viol = sum(int(sup_at[k] > eps * sup_at[k - 2] + tol)
+                   for k in sup_at if k - 2 in sup_at)
     inf_viol = 0
     for idx in range(1, len(ks)):
         bound = -(c_val - 1.0) * sups[0] * np.exp(-sigma * (ks[idx] - 1)) - tol

@@ -41,7 +41,9 @@ quarter of the snapshot cadence and doubles each time sup |rate| has fallen
 4x since the start, up to the cadence itself (``graded_tau``). The stage
 count is the fewest stable for a measured dt_FE, SPECTRAL_SAFETY * 2/|lam|
 with lam the stiffest eigenvalue of the stepper's own Jacobian, estimated by
-``stiffest_eigenvalue``; ``policy_dt`` is its floor. Both tau and lam are
+``stiffest_eigenvalue``; ``policy_dt`` is its floor. ``stage_jvp`` is the one
+linearization of the stage map: every product of that Jacobian, the power
+iteration's and a dense build's, is a call of it. Both tau and lam are
 chosen once per snapshot interval, at its top (``run_to_convergence``).
 
 A run's settings are its :class:`Schedule`: the stopping rule (stop_tol,
@@ -506,7 +508,7 @@ MIN_SNAPSHOT_DT = TIME_TOL * 2 ** MAX_HALVINGS / SUPER_STEP_FRACTION
 #: a run's forward-Euler step is this fraction of 2/|lambda_max|, the
 #: limit set by the measured stiffest eigenvalue (see stiffest_eigenvalue)
 SPECTRAL_SAFETY = 0.8
-#: forward-difference step of the stepper's Jacobian-vector product
+#: forward-difference step of the stepper's Jacobian-vector product, stage_jvp
 _JVP_EPS = 1e-6
 #: the power iteration stops once its Rayleigh quotient moves by less than
 #: this relative amount, or after _POWER_CAP products
@@ -526,11 +528,11 @@ def stiffest_eigenvalue(state, chord, start=None):
     v -> rate[:-1] on the non-boundary rows, pole and boundary projections
     included; returns lambda and the eigenvector estimate.
 
-    Each product is a forward difference of one stage evaluation at
-    ``state`` (the boundary Newton reuses the run's ``chord``). The
-    iteration starts from ``start`` or, without one, from the checkerboard
-    of each ring's highest free angular mode, and stops once the Rayleigh
-    quotient moves by less than _POWER_RTOL, or after _POWER_CAP products.
+    Each product is one ``stage_jvp`` at ``state`` (the boundary Newton
+    reuses the run's ``chord``). The iteration starts from ``start`` or,
+    without one, from the checkerboard of each ring's highest free angular
+    mode, and stops once the Rayleigh quotient moves by less than
+    _POWER_RTOL, or after _POWER_CAP products.
     lambda is None when a perturbed evaluation fails.
 
     Measured shortfall: on ``disk_cosine_perturbed`` at 16x32 the estimate
@@ -546,19 +548,10 @@ def stiffest_eigenvalue(state, chord, start=None):
         k = grid.pole_kmax[:-1, None]
         start = (-1.0) ** i * np.cos(2.0 * np.pi * k * j / grid.n_s)
     y = start / np.max(np.abs(start))
-    base = state.rate[:-1]
     lam = None
     for _ in range(_POWER_CAP):
-        u = state.u.copy()
-        u[:-1] += _JVP_EPS * y
-        try:
-            rate = _project_stage(state.ctx, u, state.t, chord)[0].rate
-        except (NewtonStall, ObliquenessLost):
-            return None, y
-        if rate is None:
-            return None, y
-        jy = (rate[:-1] - base) / _JVP_EPS
-        scale = float(np.max(np.abs(jy)))
+        jy = stage_jvp(state, chord, y)
+        scale = np.nan if jy is None else float(np.max(np.abs(jy)))
         if not (np.isfinite(scale) and scale > 0.0):
             return None, y
         rq = float(np.vdot(y, jy) / np.vdot(y, y))
@@ -622,6 +615,22 @@ def _project_stage(ctx, u, t, chord):
     u = ctx.grid.apply_pole_projection(u)
     iters = _project_boundary(ctx, u, chord=chord)
     return build_state(ctx, u, t), iters
+
+
+def stage_jvp(state, chord, v):
+    """The stepper's Jacobian at ``state`` applied to v, the forward
+    difference (rate[:-1](u + eps v) - rate[:-1](u)) / eps with eps =
+    _JVP_EPS: v perturbs the rows below the ring, and the ring comes from
+    the stage's own projections (the boundary Newton reuses ``chord``).
+    None when the perturbed stage fails: NewtonStall, ObliquenessLost, or
+    W not positive definite."""
+    u = state.u.copy()
+    u[:-1] += _JVP_EPS * v
+    try:
+        rate = _project_stage(state.ctx, u, state.t, chord)[0].rate
+    except (NewtonStall, ObliquenessLost):
+        return None
+    return None if rate is None else (rate[:-1] - state.rate[:-1]) / _JVP_EPS
 
 
 def _rkl2_super_step(state, tau, stages, chord):

@@ -322,6 +322,8 @@ class TestCLI:
         ("time", {"snapshot_dt": 1e-9, "t_max": 5e-8}, "snapshot_dt"),
         ("time", {"snapshot_dt": 2e-9, "t_max": 1e-7}, "snapshot_dt"),
         ("time", {"snapshot_dt": 3e-9, "t_max": 1.5e-7}, "snapshot_dt"),
+        # above that floor, 20,000 snapshots pass MAX_SNAPSHOTS
+        ("time", {"t_max": 200.0, "snapshot_dt": 0.01}, "t_max"),
     ])
     def test_malformed_config_exit_2_with_error_json(self, tmp_path, capsys,
                                                      section, value, match):

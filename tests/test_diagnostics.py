@@ -154,6 +154,23 @@ class TestOscillationDecay:
         assert rep.contractive
         assert rep.violations == 0
 
+    def test_violations_counted_at_integer_times(self):
+        # (t, sup, inf); eps = 1/2 gives C = 2 and the inf bound
+        # -sup(0) 2^-(k-1) at sigma = log 2; t = 3 has no snapshot
+        rows = [(0.0, 1.0, -0.1), (0.5, 5.0, -5.0), (1.0, 0.8, -0.5),
+                (2.0, 0.6, -0.6),   # sup > sup(0) / 2, inf < -1/2
+                (3.5, 5.0, -5.0), (4.0, 0.2, -0.1),
+                (5.0, 0.35, -0.01)]  # no sup(3) to check it against
+        snaps = [flow.Snapshot(t, np.zeros((2, 2)), np.array([[hi, lo], [0, 0]]))
+                 for t, hi, lo in rows]
+        traj = flow.Trajectory(ctx=None, snapshots=snaps,
+                               step_records=np.empty((0, len(flow.STEP_COLUMNS))),
+                               converged=False, reason="hand-built")
+        rep = diagnostics.oscillation_decay(traj, eps=0.5, sigma=np.log(2.0))
+        assert rep.k.tolist() == [0, 1, 2, 4, 5]
+        assert (rep.sup_violations, rep.inf_violations) == (1, 1)
+        assert rep.contractive
+
     def test_non_contractive_eps_reported(self, ref_run_32):
         rep = diagnostics.oscillation_decay(ref_run_32, eps=1.2, sigma=0.0)
         assert not rep.contractive

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from otflow import costs, diagnostics, domains, flow, grid
+from otflow import costs, diagnostics, domains, flow, grid, linearized
 from otflow.config import load_scenario
 from otflow.errors import (BoundaryIncompatible, NewtonStall, NonPositiveDet,
                            NotCConvex, ObliquenessLost, StepRejected)
@@ -182,6 +182,52 @@ class TestBoundaryProjection:
         assert iters == iters_fresh >= 1
         assert u.tobytes() == u_fresh.tobytes()
 
+    @pytest.fixture
+    def lu_factors(self, monkeypatch):
+        """One entry per ring LU factorization from here on (the boundary
+        Newton looks ``scipy.linalg.lu_factor`` up at call time)."""
+        import scipy.linalg
+        lu_factor = scipy.linalg.lu_factor
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "lu_factor",
+                            lambda *a: calls.append(1) or lu_factor(*a))
+        return calls
+
+    def test_slow_chord_is_rebuilt(self, stationary_state, lu_factors):
+        # factors from a ring image tilted by 1e-3 cut |G| of waves of 0.05
+        # by less than 4x, so they are rebuilt once, at an image the stale
+        # step already brought back to obliqueness; factoring at the start,
+        # as a projection without a chord does, meets beta . nu < 0
+        st = stationary_state
+        chord = flow.Chord()
+        flow._project_boundary(st.ctx, _tilted(st, 1e-3), chord=chord)
+        stale = chord.lu
+        lu_factors.clear()
+        u = _tilted(st, 0.05)
+        assert flow._project_boundary(st.ctx, u, chord=chord) == 6
+        assert len(lu_factors) == 1 and chord.lu is not stale
+        assert (flow.build_state(st.ctx, u, 0.0).max_boundary_G
+                <= flow.BOUNDARY_TOL)
+        with pytest.raises(ObliquenessLost):
+            flow._project_boundary(st.ctx, _tilted(st, 0.05))
+
+    def test_uphill_chord_backtracks_then_is_rebuilt(self, stationary_state,
+                                                     lu_factors):
+        # factors of -I send the Newton step uphill: the line search halves
+        # it below 1/64, drops it, and the rebuilt factors then take the
+        # steps of a projection that factored afresh
+        from scipy.linalg import lu_factor
+        st = stationary_state
+        chord = flow.Chord()
+        chord.lu = lu_factor(-np.eye(st.grid.n_s))
+        lu_factors.clear()
+        u = _tilted(st, 1e-3)
+        iters = flow._project_boundary(st.ctx, u, chord=chord)
+        assert len(lu_factors) == 1
+        fresh = _tilted(st, 1e-3)
+        assert iters == flow._project_boundary(st.ctx, fresh) >= 1
+        assert u.tobytes() == fresh.tobytes()
+
 
 def _four_point_ring_grid(scenario, shape):
     """A bundled problem whose grid's boundary-ring d/dr row of the radial
@@ -344,32 +390,156 @@ def _perturbed_16x32():
     return spec, g, cfg.build_initial(spec, g), cfg.build_schedule()
 
 
-@pytest.fixture(scope="module")
-def dense_stiffest_16x32():
-    """The 16x32 perturbed problem, its initial state and the stiffest
-    eigenvalue of a dense forward-difference Jacobian of its stage map
-    v -> rate[:-1], pole and boundary projections included."""
-    problem = _perturbed_16x32()
-    spec, g, u0, sched = problem
-    st = flow.initialize(spec, g, u0)
+def _stage_jacobians(st):
+    """The forward- and central-difference Jacobians of the stage map
+    v -> rate[:-1] at st, one column per node below the ring, from
+    ``flow.stage_jvp`` along the unit vectors: the forward columns first and
+    in order, through one chord, then the backward ones through another."""
+    shape = st.u[:-1].shape
+    units = np.eye(st.u[:-1].size).reshape((-1,) + shape)
     chord = flow.Chord()
-    eps = 1e-6
+    forward = np.array([flow.stage_jvp(st, chord, e).ravel() for e in units]).T
+    chord = flow.Chord()
+    backward = np.array([flow.stage_jvp(st, chord, -e).ravel()
+                         for e in units]).T
+    return forward, 0.5 * (forward - backward)
 
-    def rate_map(v):
-        u = st.u.copy()
-        u[:-1] = v
-        u = g.apply_pole_projection(u)
-        flow._project_boundary(st.ctx, u, chord=chord)
-        return flow.build_state(st.ctx, u, st.t).rate[:-1]
 
-    v0 = st.u[:-1]
-    jac = np.empty((v0.size, v0.size))
-    for k in range(v0.size):
-        e = np.zeros(v0.size)
-        e[k] = eps
-        jac[:, k] = ((rate_map(v0 + e.reshape(v0.shape)) - st.rate[:-1])
-                     / eps).ravel()
-    return problem, st, float(np.min(np.linalg.eigvals(jac).real))
+@pytest.fixture(scope="module")
+def perturbed_jacobians_16x32():
+    """The 16x32 perturbed problem, its initial state and the forward and
+    central-difference Jacobians of its stage map, pole and boundary
+    projections included."""
+    problem = _perturbed_16x32()
+    spec, g, u0, _ = problem
+    st = flow.initialize(spec, g, u0)
+    return (problem, st) + _stage_jacobians(st)
+
+
+@pytest.fixture(scope="module")
+def dense_stiffest_16x32(perturbed_jacobians_16x32):
+    """The 16x32 perturbed problem, its initial state and the stiffest
+    eigenvalue of the dense forward-difference Jacobian of its stage map."""
+    problem, st, forward, _ = perturbed_jacobians_16x32
+    return problem, st, float(np.min(np.linalg.eigvals(forward).real))
+
+
+@pytest.fixture(scope="module")
+def sqrt_jacobian_16x32():
+    """``offset_disks_sqrt`` at 16x32, run to t = 0.3 on its own cadence:
+    the state there and the central-difference Jacobian of its stage map."""
+    cfg = load_scenario("offset_disks_sqrt").with_overrides(grid=(16, 32))
+    spec, g = cfg.build_problem()
+    sched = dataclasses.replace(cfg.build_schedule(), t_max=0.3)
+    st = flow.run_to_convergence(spec, g, cfg.build_initial(spec, g),
+                                 sched).final_state()
+    return st, _stage_jacobians(st)[1]
+
+
+@pytest.fixture(params=["disk_cosine_perturbed", "offset_disks_sqrt"])
+def central_jacobian_16x32(request):
+    """(scenario, state, central-difference stage Jacobian) of the reference
+    cost at t = 0 and of the general cost at t = 0.3."""
+    if request.param == "disk_cosine_perturbed":
+        _, st, _, jac = request.getfixturevalue("perturbed_jacobians_16x32")
+    else:
+        st, jac = request.getfixturevalue("sqrt_jacobian_16x32")
+    return request.param, st, jac
+
+
+def _slaved_modes(g):
+    """The real angular modes the pole projection slaves below the ring:
+    on ring i every mode k above pole_kmax[i], two real modes each but the
+    Nyquist one."""
+    half = g.n_s // 2
+    return sum(2 * (half - k) - 1 for k in g.pole_kmax[:-1] if k < half)
+
+
+def _pole_plan_basis(g):
+    """(B, C) with P = B C and C B = I for the pole projection P on the rows
+    below the ring. C reads each ring's free real angular modes, k up to
+    pole_kmax, in an orthonormal Fourier basis; B is P of that basis, each
+    free mode with the modes it slaves."""
+    j = np.arange(g.n_s)
+    modes = [(k, np.cos(2 * np.pi * k * j / g.n_s))
+             for k in range(g.n_s // 2 + 1)]
+    modes += [(k, np.sin(2 * np.pi * k * j / g.n_s))
+              for k in range(1, g.n_s // 2)]
+    free = []
+    for i in range(g.n_r - 1):
+        for k, wave in modes:
+            if k <= g.pole_kmax[i]:
+                f = np.zeros((g.n_r, g.n_s))
+                f[i] = wave / np.linalg.norm(wave)
+                free.append(f)
+    b = np.array([g.apply_pole_projection(f)[:-1].ravel() for f in free]).T
+    c = np.array([f[:-1].ravel() for f in free])
+    return b, c
+
+
+#: per scenario of ``central_jacobian_16x32``:
+#: - the central differences' error relative to max |J|: |J.1| and the gap
+#:   to L measured 1.2e-8 and 1.6e-8 of it on the reference cost, 1.3e-4
+#:   and 1.7e-4 on the general cost, where both fall as eps^2 (the gap to L
+#:   4.4e2, 4.2 and 4.2e-2 at eps = 1e-5, 1e-6 and 1e-7, max |L| 2.4e4);
+#: - |lambda| of the constant mode through the pole plan, measured 1.7e-6
+#:   and 0.23;
+#: - lambda_max and the four slowest eigenvalues after the constant mode
+#:   (an orthonormal compression Q^T J Q onto the range of P keeps the slow
+#:   modes but reads lambda_max = -604.8 on the reference cost).
+_SPECTRA = {
+    "disk_cosine_perturbed": (1e-7, 1e-5, -614.81395,
+                              (1.694385, 1.698489, 4.679327, 4.679340)),
+    "offset_disks_sqrt": (1e-3, 0.5, -40825.181,
+                          (22.427618, 40.497317, 77.025026, 86.582517)),
+}
+
+
+class TestStageJacobian:
+    """The stepper's own Jacobian at 16x32, its columns central differences
+    of ``flow.stage_jvp``: J = J P, so its spectrum is read through the pole
+    plan."""
+
+    def test_constants_are_in_the_kernel(self, central_jacobian_16x32):
+        name, st, jac = central_jacobian_16x32
+        fd_tol = _SPECTRA[name][0]
+        assert np.abs(jac.sum(axis=1)).max() <= fd_tol * np.abs(jac).max()
+
+    def test_null_space_is_the_slaved_modes_and_the_constant(
+            self, perturbed_jacobians_16x32):
+        # on the reference cost only: on the general cost the difference
+        # error spreads the null eigenvalues up to |lambda| ~ 0.23; here
+        # they stay below 3.6e-6, and the slowest mode is 1.694
+        _, st, _, jac = perturbed_jacobians_16x32
+        lam = np.abs(np.linalg.eigvals(jac))
+        assert np.count_nonzero(lam < 1e-3) == _slaved_modes(st.grid) + 1 == 182
+
+    def test_spectrum_through_the_pole_plan(self, central_jacobian_16x32):
+        name, st, jac = central_jacobian_16x32
+        _, const_bound, lam_max, slowest = _SPECTRA[name]
+        b, c = _pole_plan_basis(st.grid)
+        assert c.shape == (299, 480)
+        np.testing.assert_allclose(c @ b, np.eye(len(c)), atol=1e-13)
+        # J = J B C: its eigenvalues that are not zero are those of C J B
+        lam = np.linalg.eigvals(c @ jac @ b)
+        lam = lam[np.argsort(np.abs(lam))]
+        assert abs(lam[0]) <= const_bound
+        assert lam.real.min() == pytest.approx(lam_max, rel=1e-6)
+        np.testing.assert_allclose(-lam[1:5].real, slowest, rtol=1e-5)
+
+    def test_J_is_the_linearized_operator(self, central_jacobian_16x32):
+        # on the rows that do not read the ring and the columns the pole
+        # projection leaves alone, J is criterion 11's L entry by entry, so
+        # that criterion speaks about the stepper's own operator
+        name, st, jac = central_jacobian_16x32
+        g = st.grid
+        coeffs = linearized.build_coeffs(st)
+        units = np.eye(g.n_r * g.n_s).reshape(-1, g.n_r, g.n_s)
+        cols = slice(g._pole_cut * g.n_s, (g.n_r - 1) * g.n_s)
+        op_l = np.array([linearized.apply_L(coeffs, g, e, e, 1.0)[:-2].ravel()
+                         for e in units[cols]]).T
+        gap = np.abs(jac[:(g.n_r - 2) * g.n_s, cols] - op_l).max()
+        assert gap <= _SPECTRA[name][0] * np.abs(op_l).max()
 
 
 class TestSpectralStageCount:
@@ -384,6 +554,37 @@ class TestSpectralStageCount:
                                        dataclasses.replace(sched, t_max=0.125))
         assert (flow.policy_dt(st) < traj.step_dt_fe[0]
                 <= 2.0 / abs(lam_dense))
+
+    def test_failed_estimate_falls_back_to_policy_dt(self, monkeypatch):
+        spec, g, u0, sched = _perturbed_16x32()
+        project, estimate = flow._project_boundary, flow.stiffest_eigenvalue
+        calls, lams = [], []
+
+        def stall_the_first_product(*args, **kwargs):
+            # call 1 is initialize's projection, call 2 the estimate's
+            # first perturbed stage
+            calls.append(1)
+            if len(calls) == 2:
+                raise NewtonStall("the perturbed stage stalls")
+            return project(*args, **kwargs)
+
+        def recorded(*args):
+            out = estimate(*args)
+            lams.append(out[0])
+            return out
+
+        monkeypatch.setattr(flow, "_project_boundary", stall_the_first_product)
+        monkeypatch.setattr(flow, "stiffest_eigenvalue", recorded)
+        traj = flow.run_to_convergence(
+            spec, g, u0, dataclasses.replace(sched, t_max=sched.snapshot_dt))
+        assert lams == [None]
+        assert traj.step_dt_fe[0] == flow.policy_dt(flow.initialize(spec, g, u0))
+
+    def test_stage_jvp_fails_where_W_does(self, dense_stiffest_16x32):
+        _, st, _ = dense_stiffest_16x32
+        v = np.zeros(st.u[:-1].shape)
+        v[8, 5] = -1e6          # u dips by 1 at one node, far from the ring
+        assert flow.stage_jvp(st, flow.Chord(), v) is None
 
     def test_pole_does_not_set_the_stiffness(self, dense_stiffest_16x32):
         # the inner rings' angular caps add about 183 per unit of

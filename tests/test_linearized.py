@@ -2,6 +2,7 @@
 Li-Yau quantity."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestGapSolutions:
                                        flow.Schedule(stop_tol=1e-8, t_max=2.0))
         with pytest.raises(NonPositiveTheta):
             linearized.theta_special(traj, k=1)
+
+    def test_stationary_run_audit_writes_the_error_record(
+            self, disk_pair_spec, grid32, tmp_path):
+        u0 = flow.initial_linear_scaling(disk_pair_spec, grid32)
+        traj = flow.run_to_convergence(disk_pair_spec, grid32, u0,
+                                       flow.Schedule(stop_tol=1e-8, t_max=2.0))
+        runner.harnack_audit(traj, str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["harnack_summary.json"]
+        report = json.loads((tmp_path / "harnack_summary.json").read_text())
+        assert report == {"error": "NonPositiveTheta", "detail":
+                          "trajectory too short for gap solution k=1"}
 
     def test_gap_nonnegative_and_F_starts_at_zero(self, ref_run_32):
         ser = linearized.theta_special(ref_run_32, k=1)
