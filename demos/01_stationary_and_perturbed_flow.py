@@ -39,7 +39,7 @@ print("super-steps:", len(traj.step_records))
 # %%
 # decay rates measured two ways: distance to the final potential, and the
 # rate field's own sup norm
-ufit = runner.fit_u_decay(traj, tail_trim=1.0, min_samples=8)
+ufit = runner.fit_u_decay(traj, u_tail_trim=1.0, min_samples=8)
 tfit = runner.fit_theta_decay(traj)
 print(f"sigma from |u - u_final|: {ufit.sigma:.4f}  (R^2 = {ufit.r2:.5f})")
 print(f"sigma from |rate|:        {tfit.sigma:.4f}")

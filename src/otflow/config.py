@@ -107,8 +107,9 @@ def _check_fit(fit):
     if "u_tail_trim" in fit and not _is_finite_number(fit["u_tail_trim"]):
         raise ConfigError(f"fit 'u_tail_trim' must be a finite number, "
                           f"got {fit['u_tail_trim']!r}")
-    min_samples = fit.get("min_samples", 10)
-    if not isinstance(min_samples, int) or isinstance(min_samples, bool):
+    min_samples = fit.get("min_samples")
+    if "min_samples" in fit and (not isinstance(min_samples, int)
+                                 or isinstance(min_samples, bool)):
         raise ConfigError(f"fit 'min_samples' must be an integer, "
                           f"got {min_samples!r}")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _numerics as nm
 from .errors import DegenerateDenominator, NoDecayWindow
-from .flow import TIME_TOL, potential_fields, time_index
+from .flow import TIME_TOL, potential_fields, ring_beta_at, time_index
 
 
 @dataclass
@@ -30,14 +30,12 @@ def wbeta_alignment(state):
 def snapshot_alignment(trajectory, i):
     """``wbeta_alignment`` of snapshot i's state, bit for bit, without the
     rest of a state: grad u, Y and W from ``flow.potential_fields``, as
-    ``flow.build_state`` takes them, and beta as ``FlowState.ring_beta``."""
+    ``flow.build_state`` takes them, and beta from ``flow.ring_beta_at``."""
     grid = trajectory.grid
-    spec = trajectory.spec
-    grad, tmap, w = potential_fields(grid, spec.cost,
-                                     trajectory.snapshots[i].u)
-    beta = spec.cost.oblique_beta(spec.target, grid.nodes[-1], grad[-1],
-                                  y=tmap[-1])
-    return _alignment(nm.sym2(w[:, -1]), beta, grid.boundary_normals)
+    _, tmap, w = potential_fields(grid, trajectory.spec.cost,
+                                  trajectory.snapshots[i].u)
+    return _alignment(nm.sym2(w[:, -1]), ring_beta_at(trajectory.ctx, tmap[-1]),
+                      grid.boundary_normals)
 
 
 def _alignment(w_ring, beta, nu):

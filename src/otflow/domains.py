@@ -347,23 +347,19 @@ class Density:
     mass-imbalanced configurations in tests).
     """
 
-    def __init__(self, name, domain, value_fn, grad_log_fn, lo, hi, params=None):
+    def __init__(self, name, domain, value_fn, grad_log_fn, lo, hi):
         self.name = name
         self.domain = domain
         self._value = value_fn
         self._grad_log = grad_log_fn
         self.lo = float(lo)
         self.hi = float(hi)
-        self.params = dict(params or {})
 
     def __call__(self, y):
         return self._value(np.asarray(y, float))
 
     def grad_log(self, y):
         return self._grad_log(np.asarray(y, float))
-
-    def describe(self):
-        return {"name": self.name, **self.params}
 
 
 def uniform_density(domain, scale=1.0):
@@ -375,8 +371,7 @@ def uniform_density(domain, scale=1.0):
     def grad_log(y):
         return np.zeros(y.shape)
 
-    return Density("uniform", domain, value, grad_log, level, level,
-                   {"scale": scale} if scale != 1.0 else {})
+    return Density("uniform", domain, value, grad_log, level, level)
 
 
 def cosine_bump_density(domain, eps=0.1, k=1, scale=1.0):
@@ -423,8 +418,7 @@ def cosine_bump_density(domain, eps=0.1, k=1, scale=1.0):
             return grad_mod / (1.0 + eps * np.real(z ** k))[..., None]
 
     return Density("cosine_bump", domain, value, grad_log,
-                   scale * (1 - eps) / area, scale * (1 + eps) / area,
-                   {"eps": eps, "k": k})
+                   scale * (1 - eps) / area, scale * (1 + eps) / area)
 
 
 _DENSITIES = {"uniform": uniform_density, "cosine_bump": cosine_bump_density}

@@ -9,9 +9,9 @@ Jacobian couples each node to itself through the one-sided radial stencil and
 to the whole ring through the spectral tangential derivative; obliqueness of
 the direction field beta = D_p G keeps the diagonal away from zero. Both
 operators are the grid's tables (``ring_dr``, ``ring_ds``), and W is formed
-only in ``potential_fields``. beta comes only from ``CostModel.oblique_beta``
-on the boundary ring: at the projection's ring image, and through
-``FlowState.ring_beta`` for a state.
+only in ``potential_fields``. The ring's beta has one home beside the
+projection: ``ring_beta_at`` (beta at a ring image), ``ring_obliqueness``
+(the one min beta . nu check) and ``ring_beta_rows`` (the Jacobian's rows).
 
 A stage runs plane-major: the calculus kernel returns the gradient and the
 Hessian as contiguous (n_r, n_s) planes (``CurvilinearGrid.calculus_planes``),
@@ -49,8 +49,8 @@ chosen once per snapshot interval, at its top (``run_to_convergence``).
 A run's settings are its :class:`Schedule`: the stopping rule (stop_tol,
 t_max) and the snapshot cadence (snapshot_dt). Only ``run_to_convergence``
 reads one. The numerical tolerances are module constants that no run
-varies: C_STAB and MAX_HALVINGS for the stepper, BOUNDARY_TOL, BOUNDARY_CAP
-and OBLIQUENESS_FLOOR for the boundary Newton.
+varies: C_STAB and MAX_HALVINGS for the stepper, BOUNDARY_TOL and
+BOUNDARY_CAP for the boundary Newton, OBLIQUENESS_FLOOR for beta . nu.
 """
 
 from dataclasses import dataclass, field
@@ -86,7 +86,7 @@ MAX_HALVINGS = 12
 #: BOUNDARY_TOL, and stalls after BOUNDARY_CAP iterations
 BOUNDARY_TOL = 1e-10
 BOUNDARY_CAP = 30
-#: beta . nu below this on the boundary ring raises ObliquenessLost
+#: min beta . nu on the boundary ring below this raises ObliquenessLost
 OBLIQUENESS_FLOOR = 1e-8
 
 
@@ -164,11 +164,8 @@ class FlowState:
         return self.rate is not None and np.all(np.isfinite(self.u))
 
     def ring_beta(self):
-        """Oblique direction beta = (D_p Y)^T grad h*(T) on the boundary
-        ring, shape (n_s, 2)."""
-        spec = self.spec
-        return spec.cost.oblique_beta(spec.target, self.grid.nodes[-1],
-                                      self.grad_u[-1], y=self.tmap[-1])
+        """beta = (D_p Y)^T grad h*(T) on the boundary ring, (n_s, 2)."""
+        return ring_beta_at(self.ctx, self.tmap[-1])
 
 
 @dataclass
@@ -397,16 +394,28 @@ INITIAL_POTENTIALS = {
 
 # --- boundary projection -----------------------------------------------------
 
-def _oblique_beta(ctx, y):
-    """beta at the ring image y; raises ObliquenessLost where beta . nu
+def ring_beta_at(ctx, y):
+    """beta = D_p G on the boundary ring at its image y, shape (n_s, 2)."""
+    spec = ctx.spec
+    return spec.cost.oblique_beta(spec.target, ctx.grid.nodes[-1], None, y=y)
+
+
+def ring_obliqueness(grid, beta):
+    """min beta . nu over the boundary ring; raises ObliquenessLost when it
     falls below OBLIQUENESS_FLOOR."""
-    spec, grid = ctx.spec, ctx.grid
-    beta = spec.cost.oblique_beta(spec.target, grid.nodes[-1], None, y=y)
     nu = grid.ring_nu
     obl = float((beta[:, 0] * nu[0] + beta[:, 1] * nu[1]).min())
     if obl < OBLIQUENESS_FLOOR:
         raise ObliquenessLost(f"beta . nu = {obl:.3e} on the boundary ring")
-    return beta
+    return obl
+
+
+def ring_beta_rows(grid, beta):
+    """(c_r, c_s) = (beta . grad r, beta . grad s) on the boundary ring: the
+    ring Jacobian of G is diag(c_r ring_dr[-1]) + c_s ring_ds."""
+    j_r, j_s = grid.ring_jinv
+    return (beta[:, 0] * j_r[0] + beta[:, 1] * j_r[1],
+            beta[:, 0] * j_s[0] + beta[:, 1] * j_s[1])
 
 
 def _project_boundary(ctx, u_values, chord=None):
@@ -420,7 +429,7 @@ def _project_boundary(ctx, u_values, chord=None):
     Newton iteration count. The LU factorization of the ring Jacobian is
     kept in ``chord`` and reused across calls while it keeps converging; it
     is rebuilt when progress slows. Without a chord the call factors
-    afresh. Obliqueness beta . nu >= OBLIQUENESS_FLOOR is checked at the
+    afresh from ``ring_beta_rows``. ``ring_obliqueness`` is checked at the
     accepted ring image on every call, and at every refactorization. A
     non-finite ring residual raises NewtonStall.
     """
@@ -444,15 +453,6 @@ def _project_boundary(ctx, u_values, chord=None):
         y = invert_y(x, grad.T)
         return h(y), y
 
-    def refresh_jacobian(y):
-        from scipy.linalg import lu_factor
-        beta = _oblique_beta(ctx, y)
-        a_r = (beta[:, 0] * j_r[0] + beta[:, 1] * j_r[1]) * w_b
-        a_s = beta[:, 0] * j_s[0] + beta[:, 1] * j_s[1]
-        jac = a_s[:, None] * d_s
-        jac[np.arange(grid.n_s), np.arange(grid.n_s)] += a_r
-        chord.lu = lu_factor(jac)
-
     g, y = residual(b)
     err = float(np.abs(g).max())
     if not err < np.inf:
@@ -465,7 +465,13 @@ def _project_boundary(ctx, u_values, chord=None):
             raise NewtonStall(
                 f"boundary projection stalled at max |G| = {err:.3e}")
         if chord.lu is None:
-            refresh_jacobian(y)
+            from scipy.linalg import lu_factor
+            beta = ring_beta_at(ctx, y)
+            ring_obliqueness(grid, beta)
+            c_r, c_s = ring_beta_rows(grid, beta)
+            jac = c_s[:, None] * d_s
+            jac[np.arange(grid.n_s), np.arange(grid.n_s)] += c_r * w_b
+            chord.lu = lu_factor(jac)
             fresh = True
         delta, _ = dgetrs(*chord.lu, -g)
         lam = 1.0
@@ -489,7 +495,7 @@ def _project_boundary(ctx, u_values, chord=None):
         b, g, y = trial, g_new, y_new
         err = err_new
         iters += 1
-    _oblique_beta(ctx, y)
+    ring_obliqueness(grid, ring_beta_at(ctx, y))
     u_values[-1] = b
     return iters
 
@@ -715,7 +721,7 @@ def _record_row(state, dt):
             float(np.max(np.abs(state.rate))))
 
 
-def run_to_convergence(spec, grid, u0, schedule=None):
+def run_to_convergence(spec, grid, u0, schedule):
     """March the flow, one snapshot interval at a time, until sup |rate|
     falls to stop_tol or t reaches t_max. An interval ends at the next
     multiple of snapshot_dt or at t_max; lambda (``stiffest_eigenvalue``,
@@ -726,9 +732,8 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     before the landing, holds the sup |rate| that the stop rule, the next
     grading and the reason read. Each interval's end, or the stop time,
     takes one snapshot. ValueError for snapshot_dt <= MIN_SNAPSHOT_DT."""
-    sched = schedule or Schedule()
-    if not sched.snapshot_dt > MIN_SNAPSHOT_DT:
-        raise ValueError(f"snapshot_dt {sched.snapshot_dt:g} <= MIN_SNAPSHOT_DT")
+    if not schedule.snapshot_dt > MIN_SNAPSHOT_DT:
+        raise ValueError(f"snapshot_dt {schedule.snapshot_dt:g} <= MIN_SNAPSHOT_DT")
     state = initialize(spec, grid, u0)
     chord = Chord()
     snapshots = [Snapshot(0.0, state.u.copy(), state.rate.copy())]
@@ -736,14 +741,14 @@ def run_to_convergence(spec, grid, u0, schedule=None):
     residual = sup_rate0 = float(np.max(np.abs(state.rate)))
     eigvec = None
     k = 0
-    while residual > sched.stop_tol and sched.t_max - state.t > TIME_TOL:
+    while residual > schedule.stop_tol and schedule.t_max - state.t > TIME_TOL:
         k += 1
-        end = min(k * sched.snapshot_dt, sched.t_max)
+        end = min(k * schedule.snapshot_dt, schedule.t_max)
         lam, eigvec = stiffest_eigenvalue(state, chord, eigvec)
         dt_spectral = (SPECTRAL_SAFETY * 2.0 / -lam
                        if lam is not None and lam < 0.0 else 0.0)
-        tau_graded = graded_tau(sched.snapshot_dt, residual, sup_rate0)
-        while residual > sched.stop_tol and end - state.t >= TIME_TOL:
+        tau_graded = graded_tau(schedule.snapshot_dt, residual, sup_rate0)
+        while residual > schedule.stop_tol and end - state.t >= TIME_TOL:
             dt_fe = max(policy_dt(state), dt_spectral)
             tau = min(tau_graded, end - state.t)
             stages = rkl2_stages(tau, dt_fe)
@@ -756,9 +761,9 @@ def run_to_convergence(spec, grid, u0, schedule=None):
         if end - state.t < TIME_TOL:
             state.t = end
         snapshots.append(Snapshot(state.t, state.u.copy(), state.rate.copy()))
-    converged = residual <= sched.stop_tol
+    converged = residual <= schedule.stop_tol
     if not converged:
-        reason = (f"t_max = {sched.t_max} reached with sup |rate| = "
+        reason = (f"t_max = {schedule.t_max} reached with sup |rate| = "
                   f"{residual:.3e}")
     elif records:
         reason = f"rate below stop_tol at t = {state.t:.4f}"

@@ -305,12 +305,10 @@ class CurvilinearGrid(_RadialMap):
             src2[i, slaved] = j2[slaved]
             w1[i, slaved] = f1[slaved]
             w2[i, slaved] = f2[slaved]
-        self._pole_active = bool(np.any(kmax < n_s // 2))
-        if self._pole_active:
-            filtered = int(np.max(np.nonzero(kmax < n_s // 2)[0])) + 1
-            cut = int(max(np.max(src2[:filtered]), filtered - 1)) + 1
-        else:
-            cut = 0
+        # ring 0's cap is sqrt(2 b) / 2 on both boundary parametrizations,
+        # below MIN_N_S / 2 for every budget b < 32: ring 0 is always filtered
+        filtered = int(np.max(np.nonzero(kmax < n_s // 2)[0])) + 1
+        cut = int(max(np.max(src2[:filtered]), filtered - 1)) + 1
         # the kernel's gather: flat indices into the rfft of the first cut
         # rows, and the matching weights, for the two source rings
         self._pole_cut = cut
@@ -320,8 +318,6 @@ class CurvilinearGrid(_RadialMap):
     def apply_pole_projection(self, values):
         """Project unaffordable high angular modes onto their radial
         extrapolations; identity on fields already consistent at the pole."""
-        if not self._pole_active:
-            return values
         cut = self._pole_cut
         terms = np.fft.rfft(values[:cut], axis=1).take(self._pole_take)
         terms *= self._pole_w

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics as nm
-from .errors import EllipticityLost, NonPositiveTheta, ObliquenessLost
-from .flow import TIME_TOL, potential_fields, time_index
+from .errors import EllipticityLost, NonPositiveTheta
+from .flow import TIME_TOL, potential_fields, ring_obliqueness, time_index
 from .grid import directional_derivative_at_boundary
 
 #: default Li-Yau scaling exponent; any value > 1 is admissible
@@ -59,8 +59,8 @@ DEFAULT_ALPHA = 2.0
 #: positivity floor under which log Theta is not evaluated
 THETA_FLOOR = 1e-14
 
-#: the ellipticity constant (min eigenvalue of w^{ij}) and the obliqueness
-#: constant (min beta . nu) of the operator count as lost at or below this
+#: the ellipticity constant (min eigenvalue of w^{ij}) of the operator counts
+#: as lost at or below this; obliqueness is ``flow.ring_obliqueness``'s check
 COEFF_FLOOR = 1e-10
 
 
@@ -80,7 +80,8 @@ def build_coeffs(state):
     D_p A and D_p log B come from the cost's mixed third derivatives
     contracted with the inverse cross Hessian (the implicit derivative of the
     twist inverse), so no finite differencing in p is involved for costs with
-    analytic thirds.
+    analytic thirds. c2 and its ObliquenessLost are the stepper's own
+    (``flow.ring_obliqueness``).
     """
     grid = state.grid
     spec = state.spec
@@ -102,10 +103,7 @@ def build_coeffs(state):
     dp_log_b = (np.einsum('...r,...rk->...k', tr_c, pinv)
                 - np.einsum('...r,...rk->...k', grad_log_rho_star, pinv))
     drift = -dp_log_b - dp_a_contracted
-    beta = state.ring_beta()
-    c2 = float(np.min(np.sum(beta * grid.boundary_normals, axis=-1)))
-    if c2 <= COEFF_FLOOR:
-        raise ObliquenessLost(f"min beta . nu = {c2:.3e}")
+    c2 = ring_obliqueness(grid, state.ring_beta())
     return LinearizedCoeffs(winv=winv, drift=drift, c1=c1, c2=c2)
 
 

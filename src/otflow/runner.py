@@ -83,15 +83,11 @@ def build_summary(trajectory, config):
     """Post-pass over a finished trajectory: decay fits plus the monitor
     extremes, in the fixed summary-JSON key set. The Harnack ratios read
     only the k = 1 gap series, so this builds the gap series alone."""
-    fit_cfg = config.fit
     rate_fit = None
     harnack = None
     if not trajectory.converged or len(trajectory.snapshots) > 4:
         try:
-            rate_fit = fit_u_decay(trajectory,
-                                   tail_trim=float(fit_cfg.get("u_tail_trim", 2.0)),
-                                   window=fit_cfg.get("window"),
-                                   min_samples=int(fit_cfg.get("min_samples", 10)))
+            rate_fit = fit_u_decay(trajectory, **config.fit)
         except NoDecayWindow:
             rate_fit = None
     try:
@@ -112,15 +108,16 @@ def u_decay_series(trajectory):
     return np.array(ts), np.array(vals)
 
 
-def fit_u_decay(trajectory, tail_trim=2.0, window=None, min_samples=10):
+def fit_u_decay(trajectory, u_tail_trim=2.0, window=None, **fit):
     """Exponential fit of the distance to the final snapshot. The last
-    ``tail_trim`` time units are dropped: near the end the final snapshot is
-    no longer a proxy for the limit and the series artificially plunges."""
+    ``u_tail_trim`` time units are dropped: near the end the final snapshot
+    is no longer a proxy for the limit and the series artificially plunges.
+    The keywords are the config's ``fit`` keys; ``min_samples`` goes to
+    ``diagnostics.fit_rate``."""
     ts, vals = u_decay_series(trajectory)
     if window is None:
-        hi = trajectory.snapshots[-1].t - tail_trim
-        window = (0.0, hi)
-    return diagnostics.fit_rate(ts, vals, window=window, min_samples=min_samples)
+        window = (0.0, trajectory.snapshots[-1].t - u_tail_trim)
+    return diagnostics.fit_rate(ts, vals, window=window, **fit)
 
 
 def fit_theta_decay(trajectory):
@@ -130,6 +127,12 @@ def fit_theta_decay(trajectory):
 
 
 # --- audits -------------------------------------------------------------------
+
+def audit_nodes(n_s):
+    """The 16 evenly spaced nodes of an n_s boundary ring that the Harnack
+    and curvature-identity audits evaluate."""
+    return np.linspace(0, n_s, 16, endpoint=False).astype(int)
+
 
 def run_audits(trajectory, config, outdir):
     toggles = config.audits
@@ -182,8 +185,7 @@ def harnack_audit(trajectory, audit_dir):
         serialize.write_json(os.path.join(audit_dir, "harnack_summary.json"),
                              serialize.error_record(exc))
         return
-    grid = trajectory.grid
-    nodes = np.linspace(0, grid.n_s, 16, endpoint=False).astype(int)
+    nodes = audit_nodes(trajectory.grid.n_s)
     lines = ["t,node,F,dbetaF_direct,dbetaF_closed,term1,term2,term3"]
     stride = max(1, (len(series.times) - 1) // 8)
     for m in range(1, len(series.times), stride):
@@ -233,7 +235,7 @@ def km_audit(trajectory, audit_dir):
     """The curvature identity at 16 boundary nodes of the final state, from
     one node-array call."""
     state = trajectory.final_state()
-    nodes = np.linspace(0, trajectory.grid.n_s, 16, endpoint=False).astype(int)
+    nodes = audit_nodes(trajectory.grid.n_s)
     rep = km_geometry.verify_II_identity(state, nodes)
     with open(os.path.join(audit_dir, "km.jsonl"), "w") as fh:
         for i in range(len(nodes)):

@@ -241,7 +241,7 @@ def test_criterion_09_boundary_dbetaF(run64):
     traj = run64[0]
     series = linearized.theta_special(traj, k=1)
     h = traj.grid.dr
-    nodes = np.linspace(0, traj.grid.n_s, 16, endpoint=False).astype(int)
+    nodes = runner.audit_nodes(traj.grid.n_s)
     gap_max = sign_max = closed_max = -np.inf
     mode_gap = 0.0
     n_pairs = 0
@@ -276,7 +276,7 @@ def test_criterion_10_curvature_identity(sqrt_scenario_state, stationary_state):
     errs = {}
     for (n_r, n_s) in ((64, 128), (128, 256)):
         st = sqrt_scenario_state(n_r, n_s)
-        nodes = np.linspace(0, n_s, 16, endpoint=False).astype(int)
+        nodes = runner.audit_nodes(n_s)
         errs[(n_r, n_s)] = float(np.max(km.verify_II_identity(st, nodes).rel_error))
     fine, coarse = errs[(128, 256)], errs[(64, 128)]
     rep = km.verify_II_identity(stationary_state, np.array([5])).at(0)

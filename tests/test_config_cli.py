@@ -361,6 +361,94 @@ class TestCLI:
         assert report["delta"] == pytest.approx(1.0, rel=0.02)
         assert report["delta_star"] == pytest.approx(0.5, rel=0.02)
 
+    def test_audit_convexity_out_writes_its_stdout(self, tmp_path, capsys):
+        out = tmp_path / "audit"
+        assert self.run_cli("audit-convexity", "disk_uniform_stationary",
+                            "--out", str(out)) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.load(open(out / "convexity.json")) == printed
+        assert printed["bitwist_ok"] is True
+
+    def test_config_that_is_not_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"schema_version": 1,')
+        code = self.run_cli("run", str(path), "--out", str(tmp_path / "runs"))
+        assert code == 2
+        report = json.load(open(tmp_path / "runs" / "broken" / "error.json"))
+        assert report["error"] == "ConfigError"
+        assert "not valid JSON" in report["detail"]
+        assert json.loads(capsys.readouterr().err) == report
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert self.run_cli("run", str(path), "--out", str(tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioNotFound"
+        assert str(path) in err["detail"]
+        assert not (tmp_path / "absent").exists()
+
+    @pytest.mark.parametrize("section", ["time", "fit", "audits"])
+    def test_section_that_is_not_an_object_exit_2(self, tmp_path, capsys,
+                                                  section):
+        bad = load_scenario("disk_uniform_stationary").to_dict()
+        bad[section] = [1, 2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code = self.run_cli("run", str(path), "--out", str(tmp_path / "runs"))
+        assert code == 2
+        report = json.load(open(tmp_path / "runs" / "bad" / "error.json"))
+        assert report["error"] == "ConfigError"
+        assert f"section '{section}' must be an object" in report["detail"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", ["16", "16x", "axb", "16x32x2"])
+    def test_malformed_grid_flag_exit_2(self, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "disk_uniform_stationary", "--grid", grid)
+        assert exc.value.code == 2
+        assert "grid must look like 64x128" in capsys.readouterr().err
+
+    def test_run_directory_without_manifest_exit_1(self, tmp_path, capsys):
+        outdir = tmp_path / "empty_run"
+        outdir.mkdir()
+        for command in ("replay-diagnostics", "audit-km", "audit-harnack"):
+            assert self.run_cli(command, str(outdir)) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "OTFlowError"
+            assert err["detail"] == f"missing manifest.json in {outdir}"
+
+    def test_diagnostics_with_a_wrong_header_exit_1(self, tmp_path, capsys):
+        code = self.run_cli("run", "disk_cosine_perturbed", "--grid", "16x32",
+                            "--stop-tol", "5e-3", "--out", str(tmp_path))
+        assert code == 0
+        outdir = json.loads(capsys.readouterr().out)["outdir"]
+        path = os.path.join(outdir, "diagnostics.csv")
+        lines = open(path).read().splitlines()
+        lines[0] = lines[0].replace("dt", "tau")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for command in ("replay-diagnostics", "audit-km", "audit-harnack"):
+            assert self.run_cli(command, outdir) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "OTFlowError"
+            assert "unexpected diagnostics columns" in err["detail"]
+            assert path in err["detail"]
+
+    def test_bitwist_failure_exit_2_with_error_json(self, tmp_path, capsys):
+        # the sqrt cost's |det C| is 1/s^4 with s = sqrt(1 + |x - y|^2):
+        # about 6e-10 between disks 200 apart, under the 1e-8 margin
+        bad = load_scenario("offset_disks_sqrt").to_dict()
+        bad["target"] = {"kind": "disk", "radius": 0.5, "center": [200.0, 0.0]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(bad))
+        code = self.run_cli("run", str(path), "--out", str(tmp_path / "runs"))
+        assert code == 2
+        report = json.load(open(tmp_path / "runs" / "offset_disks_sqrt"
+                                / "error.json"))
+        assert report["error"] == "BitwistFailure"
+        assert report["detail"].startswith("BitwistFailure: min |det cross")
+        assert json.loads(capsys.readouterr().err) == report
+
     def test_audit_convexity_config_error_writes_error_json(self, tmp_path,
                                                             capsys):
         bad = load_scenario("disk_uniform_stationary").to_dict()

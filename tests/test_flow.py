@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from otflow import costs, diagnostics, domains, flow, grid, linearized
 from otflow.config import load_scenario
@@ -154,6 +155,30 @@ class TestBoundaryProjection:
         with pytest.raises(ObliquenessLost):
             flow._project_boundary(st.ctx, v, chord=chord)
 
+    def test_newton_stalls_at_the_iteration_cap(self, stationary_state,
+                                                monkeypatch):
+        st = stationary_state
+        u = _tilted(st, 1e-2)
+        assert flow._project_boundary(st.ctx, u.copy()) >= 2
+        monkeypatch.setattr(flow, "BOUNDARY_CAP", 1)
+        with pytest.raises(NewtonStall, match="stalled"):
+            flow._project_boundary(st.ctx, u)
+
+    def test_jacobian_is_formed_from_the_beta_rows(self, stationary_state):
+        # the chord's factors are those of diag(c_r ring_dr[-1]) + c_s ring_ds
+        # at the ring image the projection starts from
+        st = stationary_state
+        g = st.grid
+        u = _tilted(st, 1e-2)
+        state = flow.build_state(st.ctx, u, 0.0)
+        chord = flow.Chord()
+        flow._project_boundary(st.ctx, u, chord=chord)
+        c_r, c_s = flow.ring_beta_rows(g, state.ring_beta())
+        jac = np.diag(c_r * g.ring_dr[-1]) + c_s[:, None] * g.ring_ds
+        v = np.cos(2 * np.pi * 5 * g.s) + g.s
+        np.testing.assert_allclose(scipy.linalg.lu_solve(chord.lu, jac @ v),
+                                   v, rtol=1e-10)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_ring_residual_stalls(self, stationary_state, bad):
@@ -292,6 +317,11 @@ class TestStep:
             out, rep = flow.step(stationary_state, dt)
             assert np.abs(out.u - stationary_state.u).max() <= 1e-12
             assert rep.halvings == 0
+
+    def test_one_stage_is_refused(self, stationary_state):
+        with pytest.raises(ValueError, match="at least 2 stages"):
+            flow.step(stationary_state, flow.policy_dt(stationary_state),
+                      stages=1)
 
     def test_oversized_step_gets_rejected(self, perturbed_spec, monkeypatch):
         g = grid.CurvilinearGrid(perturbed_spec.source, 24, 48)

@@ -235,7 +235,7 @@ def test_kernels_match_the_componentwise_reference_bitwise(dom, symmetric, shape
                                                            rng):
     g = CurvilinearGrid(dom, *shape)
     assert g.center_symmetric == symmetric
-    assert g._pole_active
+    assert g.pole_kmax[0] == 0
     for f in (np.exp(g.nodes[..., 0] + 0.5 * g.nodes[..., 1]),
               rng.normal(size=shape)):
         grad, hess = g.scalar_calculus(f)
@@ -431,6 +431,27 @@ def test_pole_caps_follow_the_angular_budget(make_grid):
         if kmax + 1 <= half:
             assert symbol(i, kmax + 1) > grid._ANGULAR_BUDGET
     assert np.any(g.pole_kmax[:-1] < half)
+
+
+@pytest.mark.parametrize("dom", [
+    DISK, domains.Disk(0.7, (0.4, -0.2)), domains.Ellipse(1.2, 0.8),
+    domains.Ellipse(3.0, 0.3), domains.CosineBlob(1.0, 0.3, 2),
+    domains.CosineBlob(1.0, 0.9, 5), domains.CosineBlob(1.0, 0.5, 3, (0.3, 0.1))],
+    ids=["disk", "disk_off_centre", "ellipse", "ellipse_thin", "blob_k2",
+         "blob_k5", "blob_k3_off_centre"])
+@pytest.mark.parametrize("shape", [(4, 8), (16, 32), (64, 128)],
+                         ids=["4x8", "16x32", "64x128"])
+def test_innermost_ring_keeps_only_the_mean(dom, shape):
+    # ring 0's angular cap sqrt(b) / (2 pi h_min max|grad s|) is sqrt(2 b) / 2
+    # on both boundary parametrizations, 0.707 at the budget b = 1: the
+    # pole projection always has a ring to filter
+    g = CurvilinearGrid(dom, *shape)
+    h_min = g.dr * norm2(g.jac[..., :, 0]).min() / np.sqrt(2.0)
+    gmax0 = norm2(g.jinv[0, :, 1, :]).max()
+    np.testing.assert_allclose(2 * np.pi * h_min * gmax0, np.sqrt(2.0),
+                               rtol=1e-12)
+    assert g.pole_kmax[0] == 0
+    assert g._pole_cut >= 2
 
 
 def test_grid_geometry_invariants():

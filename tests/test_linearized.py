@@ -11,7 +11,8 @@ from otflow import _numerics as nm
 from otflow import (costs, diagnostics, domains, flow, grid, linearized,
                     runner, serialize)
 from otflow.config import load_scenario
-from otflow.errors import DegenerateDenominator, NonPositiveTheta
+from otflow.errors import (DegenerateDenominator, EllipticityLost,
+                           NonPositiveTheta, ObliquenessLost)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,25 @@ class TestCoefficients:
         direct = np.min(np.sum(state.spec.target.h_grad(state.grad_u[-1])
                                * state.grid.boundary_normals, axis=-1))
         np.testing.assert_allclose(co.c2, direct, rtol=1e-12)
+
+    def test_lost_ellipticity_raises(self, stationary_state):
+        # W = 1e11 I, so the smallest eigenvalue of w^(ij) is 1e-11
+        st = stationary_state
+        u = 0.5e11 * (st.grid.nodes ** 2).sum(-1)
+        with pytest.raises(EllipticityLost):
+            linearized.build_coeffs(flow.build_state(st.ctx, u, 0.0))
+
+    def test_lost_obliqueness_raises_through_the_stepper_check(
+            self, stationary_state, quarter_turned_beta):
+        # the message is flow.ring_obliqueness's, the one site that raises
+        with pytest.raises(ObliquenessLost, match="on the boundary ring"):
+            linearized.build_coeffs(stationary_state)
+
+    def test_obliqueness_constant_is_the_stepper_one(self, ref_run_32):
+        for i in (0, 2, len(ref_run_32.snapshots) - 1):
+            state = ref_run_32.state_at(i)
+            assert (linearized.build_coeffs(state).c2
+                    == flow.ring_obliqueness(state.grid, state.ring_beta()))
 
 
 class TestApplyL:
